@@ -10,6 +10,7 @@ input error, 2 verification failure, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from .mdp import (
 from .prefdfa import build_preference_dfa, pdfa_to_dot, pdfa_to_json
 from .preferences import PreferenceError, load_preference_document, spec_to_json
 from .scltl import (
+    DEFAULT_STATE_CAP,
     AlphabetError,
     CapacityError,
     ParseError,
@@ -37,6 +39,7 @@ from .synthesis import (
     CompositePolicy,
     build_product,
     improvement_mdp_to_dot,
+    product_state_id,
     regions_to_json,
     strategy_from_json,
     strategy_to_json,
@@ -119,16 +122,7 @@ def cmd_prefdfa(args) -> int:
 def cmd_gridworld(args) -> int:
     cfg = gridworld_config_from_json(_read_json(args.config))
     if args.stay_probability is not None:
-        cfg = type(cfg)(
-            width=cfg.width,
-            height=cfg.height,
-            start=cfg.start,
-            battery_capacity=cfg.battery_capacity,
-            obstacles=cfg.obstacles,
-            drift_cells=cfg.drift_cells,
-            regions=cfg.regions,
-            stay_probability=args.stay_probability,
-        )
+        cfg = dataclasses.replace(cfg, stay_probability=args.stay_probability)
     mdp = build_gridworld(cfg)
     out = _out_dir(args)
     _write_json(out / "mdp.json", mdp_to_json(mdp))
@@ -170,28 +164,24 @@ def cmd_verify(args) -> int:
             continue
         report = check_strategy_conditions(product, strategy, mode, result.cache)
         all_ok = all_ok and report.ok
-
-        def state_id(v):
-            s, q = product.state_pairs[v]
-            return f"{product.mdp.states[s]}#q{q}"
-
         report_doc[mode] = {
             "defined": True,
             "ok": report.ok,
             "condition_a": report.condition_a,
             "condition_b": report.condition_b,
             "domain_size": len(strategy.actions),
-            "stuck_states": [state_id(v) for v in report.stuck_states],
+            "stuck_states": [product_state_id(product, v) for v in report.stuck_states],
             "regressing_edges": [
                 {
-                    "path": [state_id(v) for v in trace],
-                    "from": state_id(v),
-                    "to": state_id(w),
+                    "path": [product_state_id(product, v) for v in trace],
+                    "from": product_state_id(product, v),
+                    "to": product_state_id(product, w),
                 }
                 for trace, v, w in report.regressing_edges
             ],
             "bottom_based_improvements": [
-                [state_id(v), state_id(w)] for v, w in report.bottom_based_improvements
+                [product_state_id(product, v), product_state_id(product, w)]
+                for v, w in report.bottom_based_improvements
             ],
         }
     out = _out_dir(args)
@@ -241,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--state-cap",
         type=int,
-        default=10**6,
+        default=DEFAULT_STATE_CAP,
         help="abort constructions that exceed this many states",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .preferences import PreferenceSpec
 from .scltl import (
+    DEFAULT_STATE_CAP,
     CapacityError,
     all_symbols,
     declare_alphabet,
@@ -38,8 +39,6 @@ __all__ = [
     "pdfa_to_json",
     "pdfa_to_dot",
 ]
-
-DEFAULT_PRODUCT_CAP = 10**6
 
 
 @dataclass(frozen=True, order=True)
@@ -134,7 +133,7 @@ def _graph_edges(nodes) -> frozenset:
 def build_preference_dfa(
     spec: PreferenceSpec,
     alphabet,
-    state_cap: int = DEFAULT_PRODUCT_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> PreferenceDfa:
     """Compile each outcome, take the reachable synchronous product, tag the
     final states and derive the preference graph.

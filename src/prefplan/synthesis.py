@@ -1,10 +1,14 @@
 """Qualitative synthesis: product MDP, winning regions, and improving strategies.
 
 The pipeline: take the product of a labeled MDP with a preference DFA, compute
-per-node almost-sure winning regions, derive the improvement relation between
-product states, double the product into an improvement MDP whose final states
-mark improving transitions, and reduce safe positively/almost-surely improving
-strategy synthesis to positive/almost-sure reachability there.
+per-node almost-sure winning regions, and derive the improvement relation
+between product states.  Safe positively/almost-surely improving strategy
+synthesis then reduces to positive/almost-sure reachability in the improvement
+MDP: the product restricted to non-regressing actions, with every improving
+edge redirected to one absorbing target state.  That state stands for the
+marked copies of the paper's doubled improvement MDP, which are only ever
+targets, so both give the same regions and strategies (``improvement_mdp.dot``
+still draws the doubled form).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .mdp import LabeledMdp
 from .prefdfa import PreferenceDfa
-from .scltl import CapacityError
+from .scltl import DEFAULT_STATE_CAP, CapacityError
 
 __all__ = [
     "BOTTOM",
@@ -37,9 +41,8 @@ __all__ = [
     "strategy_to_json",
     "regions_to_json",
     "improvement_mdp_to_dot",
+    "product_state_id",
 ]
-
-DEFAULT_PRODUCT_CAP = 10**6
 
 # Virtual bottom node: a state from which nothing is almost-surely winnable
 # sits below every real node, so gaining any guarantee counts as improvement.
@@ -103,7 +106,7 @@ class ProductMdp:
 def build_product(
     mdp: LabeledMdp,
     pdfa: PreferenceDfa,
-    state_cap: int = DEFAULT_PRODUCT_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> ProductMdp:
     """Synchronous product; the automaton consumes the label of each state
     entered, including the initial one."""
@@ -332,15 +335,6 @@ def is_improvement(pm: ProductMdp, v1: int, v2: int, cache: ImprovementCache) ->
     return any(_edge_up(pm, a, b) for a in mp1 for b in mp2)
 
 
-def improvement_via_bottom(pm: ProductMdp, v1: int, v2: int, cache: ImprovementCache) -> bool:
-    """Whether an improvement from v1 to v2 exists only through the virtual
-    bottom node (nothing was guaranteed at v1)."""
-    if not is_improvement(pm, v1, v2, cache):
-        return False
-    mp1 = _mp_of_state(pm, v1, cache)
-    return mp1 == frozenset({BOTTOM})
-
-
 # ---------------------------------------------------------------------------
 # Improvement MDP
 # ---------------------------------------------------------------------------
@@ -348,53 +342,41 @@ def improvement_via_bottom(pm: ProductMdp, v1: int, v2: int, cache: ImprovementC
 
 @dataclass(frozen=True)
 class ImprovementMdp:
-    """Doubled product: the flag marks states just entered by an improvement.
+    """The product restricted to non-regressing actions, with every improving
+    edge redirected to the absorbing target state ``improved``.
 
     An action is enabled only if none of its successors would be a
-    regression; states left with no action get a marker self-loop so the
-    solvers stay total (such states are never positively winning).
+    regression; ``dead`` holds the states left with no action, which are
+    never positively winning.
     """
 
     product: ProductMdp
     enabled_actions: dict  # v -> tuple of enabled product actions
     dead: frozenset  # product states with no enabled action
-    final: frozenset  # improvement-mdp states (v, True)
+    _improving_pairs: frozenset  # (v, w) product edges that improve
 
-    DEAD_ACTION = -1
-
-    def states(self):
-        n = self.product.n_states()
-        return tuple((v, flag) for v in range(n) for flag in (False, True))
-
-    def enabled(self, state):
-        v, _ = state
-        if v in self.dead:
-            return [self.DEAD_ACTION]
-        return list(self.enabled_actions[v])
-
-    def dist(self, state, a):
-        v, flag = state
-        if a == self.DEAD_ACTION:
-            return (((v, flag), 1.0),)
-        out = []
-        for w, p in self.product.dist(v, a):
-            improving = (not flag) and self._improves(v, w)
-            out.append(((w, improving), p))
-        return tuple(out)
-
-    def _improves(self, v, w):
-        return (v, w) in self._improving_pairs
-
-    # populated by build_improvement_mdp
-    _improving_pairs: frozenset = frozenset()
+    @property
+    def improved(self) -> int:
+        return self.product.n_states()
 
     def view(self) -> MdpView:
-        return MdpView(states=self.states(), enabled=self.enabled, dist=self.dist)
+        improved = self.improved
+
+        def dist(v, a):
+            return tuple(
+                (improved if (v, w) in self._improving_pairs else w, p)
+                for w, p in self.product.dist(v, a)
+            )
+
+        return MdpView(
+            states=tuple(range(improved + 1)),
+            enabled=lambda v: self.enabled_actions.get(v, ()),
+            dist=dist,
+        )
 
 
 def build_improvement_mdp(pm: ProductMdp, cache: ImprovementCache) -> ImprovementMdp:
     enabled_actions = {}
-    dead = set()
     improving_pairs = set()
     for v in range(pm.n_states()):
         keep = []
@@ -407,20 +389,13 @@ def build_improvement_mdp(pm: ProductMdp, cache: ImprovementCache) -> Improvemen
             for w in successors:
                 if is_improvement(pm, v, w, cache):
                     improving_pairs.add((v, w))
-        if keep:
-            enabled_actions[v] = tuple(keep)
-        else:
-            enabled_actions[v] = ()
-            dead.add(v)
-    final = frozenset((v, True) for v in range(pm.n_states()))
-    im = ImprovementMdp(
+        enabled_actions[v] = tuple(keep)
+    return ImprovementMdp(
         product=pm,
         enabled_actions=enabled_actions,
-        dead=frozenset(dead),
-        final=final,
+        dead=frozenset(v for v, keep in enabled_actions.items() if not keep),
+        _improving_pairs=frozenset(improving_pairs),
     )
-    object.__setattr__(im, "_improving_pairs", frozenset(improving_pairs))
-    return im
 
 
 # ---------------------------------------------------------------------------
@@ -456,24 +431,18 @@ class SynthesisResult:
 def synthesize(pm: ProductMdp, cache: ImprovementCache = None) -> SynthesisResult:
     """Safe positively improving and safe almost-surely improving strategies.
 
-    Both reduce to reachability of the improvement-marked states from the
-    unmarked copy of each product state; only real product actions are kept.
+    Both reduce to reachability of the improvement MDP's ``improved`` state;
+    a strategy is defined where the solver keeps some product action.
     """
     if cache is None:
         cache = aswin_by_node(pm)
     im = build_improvement_mdp(pm, cache)
     view = im.view()
-    positive = pwin(view, im.final)
-    almost = aswin(view, im.final)
+    positive = pwin(view, {im.improved})
+    almost = aswin(view, {im.improved})
 
     def project(region: WinningRegion, mode: str) -> Strategy:
-        actions = {}
-        for v in range(pm.n_states()):
-            state = (v, False)
-            if state in region.region and state not in region.target:
-                acts = frozenset(a for a in region.strategy.get(state, ()) if a >= 0)
-                if acts:
-                    actions[v] = acts
+        actions = {v: acts for v, acts in sorted(region.strategy.items()) if acts}
         return Strategy(mode=mode, actions=actions)
 
     return SynthesisResult(
@@ -555,7 +524,7 @@ class CompositePolicy:
 # ---------------------------------------------------------------------------
 
 
-def _product_state_id(pm: ProductMdp, v: int) -> str:
+def product_state_id(pm: ProductMdp, v: int) -> str:
     s, q = pm.state_pairs[v]
     return f"{pm.mdp.states[s]}#q{q}"
 
@@ -565,12 +534,12 @@ def strategy_to_json(pm: ProductMdp, strategy: Strategy) -> dict:
     for v in sorted(strategy.actions):
         entries.append(
             {
-                "state": _product_state_id(pm, v),
+                "state": product_state_id(pm, v),
                 "actions": sorted(pm.mdp.actions[a] for a in strategy.actions[v]),
             }
         )
     undefined = [
-        _product_state_id(pm, v)
+        product_state_id(pm, v)
         for v in range(pm.n_states())
         if v not in strategy.actions
     ]
@@ -578,7 +547,7 @@ def strategy_to_json(pm: ProductMdp, strategy: Strategy) -> dict:
 
 
 def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
-    ids = {_product_state_id(pm, v): v for v in range(pm.n_states())}
+    ids = {product_state_id(pm, v): v for v in range(pm.n_states())}
     action_index = {name: a for a, name in enumerate(pm.mdp.actions)}
     actions = {}
     for entry in doc["entries"]:
@@ -600,28 +569,34 @@ def regions_to_json(pm: ProductMdp, cache: ImprovementCache) -> dict:
                 t.render(pm.pdfa.spec)
                 for t in pm.pdfa.graph.nodes[node_id].tags
             ),
-            "members": sorted(_product_state_id(pm, v) for v in pm.node_members[node_id]),
-            "almost_sure_region": sorted(_product_state_id(pm, v) for v in region.region),
+            "members": sorted(product_state_id(pm, v) for v in pm.node_members[node_id]),
+            "almost_sure_region": sorted(product_state_id(pm, v) for v in region.region),
         }
     return {"nodes": nodes, "edges": sorted([w, b] for w, b in pm.node_edges)}
 
 
 def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
+    """The paper's doubled improvement MDP: node ``v<i>T`` is product state i
+    just entered by an improving edge, ``v<i>B`` the same state otherwise."""
     pm = im.product
+
+    def name(v, flag):
+        return f"v{v}{'T' if flag else 'B'}"
+
     lines = ["digraph improvement_mdp {", "  rankdir=LR;"]
     for v in range(pm.n_states()):
         for flag in (False, True):
-            name = f"v{v}{'T' if flag else 'B'}"
-            label = _product_state_id(pm, v) + (" top" if flag else " bot")
+            label = product_state_id(pm, v) + (" top" if flag else " bot")
             style = ' style=filled fillcolor="palegreen"' if flag else ""
-            lines.append(f'  {name} [shape=box label="{label}"{style}];')
+            lines.append(f'  {name(v, flag)} [shape=box label="{label}"{style}];')
     for v in range(pm.n_states()):
         for flag in (False, True):
-            src = f"v{v}{'T' if flag else 'B'}"
-            for a in im.enabled((v, flag)):
-                label = "dead" if a == im.DEAD_ACTION else pm.mdp.actions[a]
-                for (w, wf), p in im.dist((v, flag), a):
-                    dst = f"v{w}{'T' if wf else 'B'}"
-                    lines.append(f'  {src} -> {dst} [label="{label}:{p:g}"];')
+            src = name(v, flag)
+            if v in im.dead:
+                lines.append(f'  {src} -> {src} [label="dead:1"];')
+            for a in im.enabled_actions[v]:
+                for w, p in pm.dist(v, a):
+                    dst = name(w, not flag and (v, w) in im._improving_pairs)
+                    lines.append(f'  {src} -> {dst} [label="{pm.mdp.actions[a]}:{p:g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

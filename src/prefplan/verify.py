@@ -197,7 +197,8 @@ def check_strategy_conditions(
     (a) an improving transition is reached: with positive probability for
     positively-improving strategies, with probability one for almost-surely
     improving ones; (b) no reachable transition regresses.  Verified on the
-    doubled chain so the check mirrors the definitions, not the synthesizer.
+    strategy's induced chain, so the check mirrors the definitions, not the
+    synthesizer.
     """
     if mode not in ("spi", "sasi"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -225,48 +226,34 @@ def check_strategy_conditions(
     chain = build_induced_chain(pm, strategy, cache)
     condition_b = not chain.regressing
 
-    # Doubled chain: the flag records "just crossed an improving edge".
     # The set-valued strategy induces a Markov chain (every chosen action is
     # taken with positive probability), so per state the actions collapse
-    # into one uniform mixture; only the support matters for (a).  Execution
-    # stops where the strategy is undefined (absorbing there).
-    def doubled_states():
-        out = []
-        for v in sorted(chain.states):
-            out.append((v, False))
-            out.append((v, True))
-        return tuple(out)
-
+    # into one uniform mixture; only the support matters for (a).  Improving
+    # edges lead to one absorbing target state; execution stops where the
+    # strategy is undefined (no action there).
+    improved = pm.n_states()
     succ = {}
     for v, a, w, p in chain.edges:
         succ.setdefault(v, {}).setdefault(a, []).append((w, p))
 
-    def enabled(state):
-        v, _ = state
-        if v in strategy.actions and v in succ:
-            return [0]
-        return [-1]
-
-    def dist(state, a):
-        v, flag = state
-        if a == -1:
-            return (((v, flag), 1.0),)
+    def dist(v, a):
         by_action = succ[v]
         share = 1.0 / len(by_action)
         mixed: dict = {}
         for pairs in by_action.values():
             for w, p in pairs:
-                key = (w, (v, w) in chain.improving)
+                key = improved if (v, w) in chain.improving else w
                 mixed[key] = mixed.get(key, 0.0) + share * p
         return tuple(sorted(mixed.items()))
 
-    dview = MdpView(states=doubled_states(), enabled=enabled, dist=dist)
-    targets = frozenset((v, True) for v in chain.states)
-    if mode == "spi":
-        region = pwin(dview, targets).region
-    else:
-        region = aswin(dview, targets).region
-    stuck = tuple(v for v in sorted(strategy.actions) if (v, False) not in region)
+    chain_view = MdpView(
+        states=tuple(sorted(chain.states)) + (improved,),
+        enabled=lambda v: [0] if v in strategy.actions and v in succ else [],
+        dist=dist,
+    )
+    solve = pwin if mode == "spi" else aswin
+    region = solve(chain_view, {improved}).region
+    stuck = tuple(v for v in sorted(strategy.actions) if v not in region)
     condition_a = not stuck
 
     bottom = tuple(

@@ -243,25 +243,30 @@ def test_improvement_from_nothing_via_bottom(po1_b2):
 # ---------------------------------------------------------------------------
 
 
-def test_improvement_mdp_doubles_states(po1_b4):
+def test_improvement_mdp_adds_one_target_state(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     cache = aswin_by_node(pm)
     im = build_improvement_mdp(pm, cache)
-    assert len(im.states()) == 2 * pm.n_states()
-    assert len(im.final) == pm.n_states()
+    view = im.view()
+    assert im.improved == pm.n_states()
+    assert view.states == tuple(range(pm.n_states() + 1))
+    assert not view.enabled(im.improved)
 
 
 def test_improvement_mdp_routing(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     cache = aswin_by_node(pm)
     im = build_improvement_mdp(pm, cache)
+    view = im.view()
     for v in range(pm.n_states()):
+        assert tuple(view.enabled(v)) == im.enabled_actions[v]
         for a in im.enabled_actions[v]:
-            for (w, flag), p in im.dist((v, False), a):
-                assert flag == is_improvement(pm, v, w, cache)
-                assert p == dict(pm.dist(v, a))[w]
-            for (w, flag), p in im.dist((v, True), a):
-                assert flag is False  # all successors of marked states unmark
+            routed = view.dist(v, a)
+            assert [p for _, p in routed] == [p for _, p in pm.dist(v, a)]
+            for (t, p), (w, _) in zip(routed, pm.dist(v, a)):
+                assert (t == im.improved) == is_improvement(pm, v, w, cache)
+                if t != im.improved:
+                    assert t == w
 
 
 def test_improvement_mdp_disables_regressing_actions(po1_b4):
@@ -347,18 +352,62 @@ def test_no_improvement_possible_everywhere_undefined():
 
 
 def test_theorem_reduction_form(po1_b4):
-    # Defined exactly on the unmarked copies inside the respective regions.
+    # Defined exactly on the product states inside the respective regions
+    # where the solver keeps some action.
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
-    for v in range(pm.n_states()):
-        assert result.spi.defined_at(v) == (
-            (v, False) in result.spi_region.region
-            and bool([a for a in result.spi_region.strategy.get((v, False), ()) if a >= 0])
+    for strategy, region in ((result.spi, result.spi_region), (result.sasi, result.sasi_region)):
+        for v in range(pm.n_states()):
+            assert strategy.defined_at(v) == (
+                v in region.region and bool(region.strategy.get(v))
+            )
+            if strategy.defined_at(v):
+                assert strategy.get(v) == region.strategy[v]
+
+
+def doubled_reference(im):
+    """The paper's doubled improvement MDP, rebuilt from the merged model's
+    parts: (v, True) marks v as just entered by an improving edge, and states
+    with no non-regressing action get a self-loop under action -1."""
+    pm = im.product
+
+    def enabled(state):
+        v, _ = state
+        return [-1] if v in im.dead else list(im.enabled_actions[v])
+
+    def dist(state, a):
+        v, flag = state
+        if a == -1:
+            return ((state, 1.0),)
+        return tuple(
+            ((w, not flag and (v, w) in im._improving_pairs), p) for w, p in pm.dist(v, a)
         )
-        assert result.sasi.defined_at(v) == (
-            (v, False) in result.sasi_region.region
-            and bool([a for a in result.sasi_region.strategy.get((v, False), ()) if a >= 0])
-        )
+
+    states = tuple((v, flag) for v in range(pm.n_states()) for flag in (False, True))
+    return MdpView(states=states, enabled=enabled, dist=dist), frozenset(s for s in states if s[1])
+
+
+def project_doubled(region):
+    actions = {}
+    for (v, flag), acts in region.strategy.items():
+        kept = frozenset(a for a in acts if a >= 0)
+        if not flag and kept:
+            actions[v] = kept
+    return actions
+
+
+@pytest.mark.parametrize(
+    "instance", ["po1_b2", "po1_b4", "po2_b4"] + [f"random{seed}" for seed in range(20)]
+)
+def test_merged_target_matches_doubled_reference(instance, request):
+    if instance.startswith("random"):
+        pm = random_product(int(instance[len("random"):]))[3]
+    else:
+        pm = request.getfixturevalue(instance)[4]
+    result = synthesize(pm)
+    view, marked = doubled_reference(result.improvement_mdp)
+    assert result.spi.actions == project_doubled(pwin(view, marked))
+    assert result.sasi.actions == project_doubled(aswin(view, marked))
 
 
 def test_monotone_improvement_classes_along_induced_paths(po2_b4):

@@ -97,18 +97,31 @@ def test_bottom_based_improvements_flagged(po1_b2):
     assert report.bottom_based_improvements
 
 
-def test_mutant_vacuous_strategy_fails_condition_a(po1_b4):
-    atoms, spec, mdp, pdfa, pm = po1_b4
-    result = synthesize(pm)
-    cache = result.cache
+def vacuous_mutant(pm):
     # Self-looping at a battery-dead state never improves anything.
     dead = next(
         v
         for v in range(pm.n_states())
         if pm.dist(v, pm.enabled(v)[0]) == ((v, 1.0),)
     )
-    mutant = Strategy(mode="sasi", actions={dead: frozenset(pm.enabled(dead)[:1])})
-    report = check_strategy_conditions(pm, mutant, "sasi", cache)
+    return Strategy(mode="sasi", actions={dead: frozenset(pm.enabled(dead)[:1])})
+
+
+def dodging_mutant(pm, result):
+    # The sasi strategy at the start plus a non-regressing East move that
+    # walks away from every improvement.
+    v0 = pm.initial
+    east = list(pm.mdp.actions).index("East")
+    assert not any(
+        is_improvement(pm, w, v0, result.cache) for w, p in pm.dist(v0, east) if p > 0
+    )
+    return Strategy("sasi", {v0: result.sasi.actions[v0] | {east}})
+
+
+def test_mutant_vacuous_strategy_fails_condition_a(po1_b4):
+    atoms, spec, mdp, pdfa, pm = po1_b4
+    result = synthesize(pm)
+    report = check_strategy_conditions(pm, vacuous_mutant(pm), "sasi", result.cache)
     assert not report.ok
     assert not report.condition_a
     assert report.condition_b  # no regressions either, it just achieves nothing
@@ -157,14 +170,7 @@ def test_mutant_dodging_branch_fails_condition_a_only(po1_b4):
     # a controller could have avoided the branch.
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
-    cache = result.cache
-    v0 = pm.initial
-    east = list(mdp.actions).index("East")
-    assert not any(
-        is_improvement(pm, w, v0, cache) for w, p in pm.dist(v0, east) if p > 0
-    )
-    diluted = Strategy("sasi", {v0: result.sasi.actions[v0] | {east}})
-    report = check_strategy_conditions(pm, diluted, "sasi", cache)
+    report = check_strategy_conditions(pm, dodging_mutant(pm, result), "sasi", result.cache)
     assert not report.ok
     assert not report.condition_a
     assert report.condition_b  # the dodge never regresses, it just stalls
@@ -198,6 +204,52 @@ def test_induced_chain_marks(po1_b4):
     # Every chain edge follows a strategy action.
     for v, a, w, p in chain.edges:
         assert a in result.sasi.actions[v]
+
+
+def improving_reach_values(pm, strategy, cache):
+    """Probability of crossing an improving edge from each chain state when
+    every chosen action is taken with equal probability."""
+    chain = build_induced_chain(pm, strategy, cache)
+    improved = object()  # absorbing stand-in for "an improving edge was crossed"
+    moves = {}
+    for v, a, w, p in chain.edges:
+        t = improved if (v, w) in chain.improving else w
+        row = moves.setdefault(v, {})
+        row[t] = row.get(t, 0.0) + p / len(strategy.actions[v])
+    view = MdpView(
+        states=tuple(chain.states) + (improved,),
+        enabled=lambda s: [0] if s in moves else [],
+        dist=lambda s, a: tuple(moves[s].items()),
+    )
+    return value_iteration(view, {improved})
+
+
+def test_condition_a_agrees_with_value_iteration(po1_b2, po1_b4, po2_b4):
+    cases = []
+    for bundle in (po1_b2, po1_b4, po2_b4):
+        pm = bundle[4]
+        result = synthesize(pm)
+        for strategy in (result.spi, result.sasi):
+            if strategy.actions:
+                cases += [(pm, result, strategy, "spi"), (pm, result, strategy, "sasi")]
+    pm = po1_b4[4]
+    result = synthesize(pm)
+    cases += [
+        (pm, result, vacuous_mutant(pm), "sasi"),
+        (pm, result, dodging_mutant(pm, result), "sasi"),
+    ]
+    failing = 0
+    for pm, result, strategy, mode in cases:
+        values = improving_reach_values(pm, strategy, result.cache)
+        if mode == "spi":
+            expected = tuple(v for v in sorted(strategy.actions) if values[v] <= 1e-9)
+        else:
+            expected = tuple(v for v in sorted(strategy.actions) if values[v] < 1 - 1e-6)
+        report = check_strategy_conditions(pm, strategy, mode, result.cache)
+        assert report.stuck_states == expected, (strategy.mode, mode)
+        failing += bool(expected)
+    # Both mutants and the low-battery SPI strategy checked as SASI.
+    assert failing >= 3
 
 
 # ---------------------------------------------------------------------------
