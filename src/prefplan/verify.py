@@ -248,7 +248,7 @@ def check_strategy_conditions(
 
     chain_view = MdpView(
         states=tuple(sorted(chain.states)) + (improved,),
-        enabled=lambda v: [0] if v in strategy.actions and v in succ else [],
+        enabled=lambda v: [0] if v in succ else [],
         dist=dist,
     )
     solve = pwin if mode == "spi" else aswin
