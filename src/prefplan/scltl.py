@@ -24,6 +24,7 @@ __all__ = [
     "Next",
     "Until",
     "Eventually",
+    "MAX_FORMULA_DEPTH",
     "ParseError",
     "AlphabetError",
     "CapacityError",
@@ -43,6 +44,11 @@ __all__ = [
 ]
 
 MAX_ALPHABET_ATOMS = 16
+# Bound on formula nesting: the parser rejects more than this many open
+# parentheses, prefix operators and `U` operands around any point, and a
+# formula tree taller than this, so that parsing and the recursive
+# progression/canonicalization stay well inside Python's recursion limit.
+MAX_FORMULA_DEPTH = 100
 DEFAULT_STATE_CAP = 10**6
 
 # Names the parser can never read as atoms.  X and F are permitted as
@@ -267,6 +273,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.alphabet = frozenset(alphabet)
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -289,58 +296,74 @@ class _Parser:
             return False
         return self._starts_formula(self.tokens[self.pos + 1])
 
+    # Each parse_* method returns (formula, height of its tree).
+
+    def _bounded(self, depth, tok):
+        if depth > MAX_FORMULA_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", tok[2])
+        return depth
+
+    def _nested(self, tok, parse):
+        self.nesting = self._bounded(self.nesting + 1, tok)
+        result = parse()
+        self.nesting -= 1
+        return result
+
     def parse_disj(self):
-        f = self.parse_conj()
+        f, h = self.parse_conj()
         while self.peek()[0] == "|":
-            self.advance()
-            f = Or(f, self.parse_conj())
-        return f
+            tok = self.advance()
+            g, k = self.parse_conj()
+            f, h = Or(f, g), self._bounded(max(h, k) + 1, tok)
+        return f, h
 
     def parse_conj(self):
-        f = self.parse_until()
+        f, h = self.parse_until()
         while self.peek()[0] == "&":
-            self.advance()
-            f = And(f, self.parse_until())
-        return f
+            tok = self.advance()
+            g, k = self.parse_until()
+            f, h = And(f, g), self._bounded(max(h, k) + 1, tok)
+        return f, h
 
     def parse_until(self):
-        f = self.parse_unary()
+        f, h = self.parse_unary()
         tok = self.peek()
         if tok[0] == "ident" and tok[1] == "U" and self._starts_formula(self.tokens[self.pos + 1]):
             self.advance()
-            return Until(f, self.parse_until())
-        return f
+            g, k = self._nested(tok, self.parse_until)
+            return Until(f, g), self._bounded(max(h, k) + 1, tok)
+        return f, h
 
     def parse_unary(self):
         tok = self.peek()
         if tok[0] == "!":
             self.advance()
-            operand = self.parse_unary()
-            return _negate(operand, tok[2])
+            operand, h = self._nested(tok, self.parse_unary)
+            return _negate(operand, tok[2]), h
         if self._is_prefix_op(tok):
             self.advance()
-            child = self.parse_unary()
-            if tok[1] == "X":
-                return Next(child)
-            return Eventually(child)
+            child, h = self._nested(tok, self.parse_unary)
+            f = Next(child) if tok[1] == "X" else Eventually(child)
+            return f, self._bounded(h + 1, tok)
         return self.parse_primary()
 
     def parse_primary(self):
-        kind, value, pos = self.advance()
+        tok = self.advance()
+        kind, value, pos = tok
         if kind == "(":
-            f = self.parse_disj()
+            inner = self._nested(tok, self.parse_disj)
             closing = self.advance()
             if closing[0] != ")":
                 raise ParseError("expected ')'", closing[2])
-            return f
+            return inner
         if kind == "ident":
             if value == "true":
-                return TRUE
+                return TRUE, 0
             if value == "U":
                 raise ParseError("'U' is not a proposition", pos)
             if value not in self.alphabet:
                 raise ParseError(f"undeclared proposition {value!r}", pos)
-            return Atom(value)
+            return Atom(value), 0
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
@@ -365,13 +388,14 @@ def parse(text: str, alphabet) -> Formula:
     """Parse concrete formula syntax over a declared alphabet.
 
     Raises :class:`ParseError` on syntax errors, undeclared propositions,
-    and negation applied over a temporal operator.
+    negation applied over a temporal operator, and nesting deeper than
+    ``MAX_FORMULA_DEPTH``.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty formula", 0)
     declared = declare_alphabet(alphabet)
     parser = _Parser(_tokenize(text), declared)
-    f = parser.parse_disj()
+    f, _ = parser.parse_disj()
     tok = parser.peek()
     if tok[0] != "eof":
         raise ParseError(f"unexpected trailing token {tok[1]!r}", tok[2])

@@ -9,11 +9,17 @@ edge redirected to one absorbing target state.  That state stands for the
 marked copies of the paper's doubled improvement MDP, which are only ever
 targets, so both give the same regions and strategies (``improvement_mdp.dot``
 still draws the doubled form).
+
+The solvers read each ``MdpView`` once, into a compiled index of action rows
+and predecessors that every later solve over the same view reuses (all
+per-node solves share the product's).  ``pwin`` is one backward search over
+it; ``aswin`` prunes the actions that lead into dropped states incrementally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .mdp import LabeledMdp
 from .prefdfa import PreferenceDfa
@@ -51,19 +57,38 @@ BOTTOM = -1
 
 @dataclass(frozen=True)
 class MdpView:
-    """Minimal solver-facing view: states, enabled actions, distributions."""
+    """Minimal solver-facing view: states, enabled actions, distributions.
+
+    The solvers read ``enabled``/``dist`` once per view, into the ``rows``
+    and ``preds`` index built on first use.
+    """
 
     states: tuple
     enabled: object  # state -> iterable of actions
     dist: object  # (state, action) -> iterable of (successor, prob)
 
+    @cached_property
+    def rows(self) -> dict:
+        """state -> {action: [positive-probability successors]}."""
+        dist, enabled = self.dist, self.enabled
+        return {
+            s: {a: [t for t, p in dist(s, a) if p > 0] for a in enabled(s)}
+            for s in self.states
+        }
+
+    @cached_property
+    def preds(self) -> dict:
+        """state -> [(predecessor, action)] over positive-probability edges."""
+        preds = {s: [] for s in self.states}
+        for s, row in self.rows.items():
+            for a, succ in row.items():
+                for t in succ:
+                    preds[t].append((s, a))
+        return preds
+
 
 def view_of_mdp(mdp: LabeledMdp) -> MdpView:
-    return MdpView(
-        states=tuple(range(mdp.n_states())),
-        enabled=mdp.enabled,
-        dist=lambda s, a: mdp.transitions[(s, a)],
-    )
+    return MdpView(states=tuple(range(mdp.n_states())), enabled=mdp.enabled, dist=mdp.dist)
 
 
 @dataclass(frozen=True)
@@ -181,92 +206,65 @@ class WinningRegion:
     strategy: dict  # state -> frozenset of actions (outside the target)
 
 
-def _predecessor_map(view: MdpView, allowed=None):
-    preds: dict = {s: [] for s in view.states}
-    for s in view.states:
-        actions = allowed[s] if allowed is not None else view.enabled(s)
-        for a in actions:
-            for t, p in view.dist(s, a):
-                if p > 0:
-                    preds[t].append((s, a))
-    return preds
-
-
-def _distances_to(view: MdpView, target, allowed=None):
-    """BFS distance over positive-probability edges into the target set."""
-    preds = _predecessor_map(view, allowed)
-    dist = {t: 0 for t in target}
-    frontier = sorted(target)
+def _layers(view: MdpView, goal, allowed: dict) -> dict:
+    """BFS distance to ``goal`` over the allowed actions' edges in ``preds``."""
+    dist = dict.fromkeys(goal, 0)
+    frontier = list(dist)
     while frontier:
         nxt = []
         for t in frontier:
-            for s, _ in preds[t]:
-                if s not in dist:
+            for s, a in view.preds[t]:
+                if s not in dist and a in allowed[s]:
                     dist[s] = dist[t] + 1
                     nxt.append(s)
-        frontier = sorted(nxt)
+        frontier = nxt
     return dist
 
 
+def _reach(view: MdpView, target, kind: str) -> WinningRegion:
+    """``pwin`` stops after the first search; ``aswin`` prunes until stable."""
+    target = frozenset(target)
+    region = set(view.states)
+    allowed = {s: set() if s in target else set(view.rows[s]) for s in region}
+    while True:
+        dist = _layers(view, target & region, allowed)
+        bad = region.difference(dist)
+        region -= bad
+        if kind == "positive" or not bad:
+            break
+        for t in bad:
+            allowed[t].clear()
+            for s, a in view.preds[t]:
+                allowed[s].discard(a)
+    strategy = {
+        s: frozenset(
+            a
+            for a in allowed[s]
+            if any(dist.get(t, -1) == dist[s] - 1 for t in view.rows[s][a])
+        )
+        for s in sorted(region - target)
+    }
+    return WinningRegion(kind=kind, target=target, region=frozenset(region), strategy=strategy)
+
+
 def pwin(view: MdpView, target) -> WinningRegion:
-    """Positive-probability reachability: backward closure over the graph.
+    """Positive-probability reachability: one backward BFS over ``preds``.
 
     The strategy keeps every action with a successor strictly closer to the
     target, so any tie-break of it witnesses positive reachability.
     """
-    target = frozenset(target)
-    dist = _distances_to(view, target)
-    region = frozenset(dist)
-    strategy = {}
-    for s in region - target:
-        keep = frozenset(
-            a
-            for a in view.enabled(s)
-            if any(p > 0 and dist.get(t, -1) == dist[s] - 1 for t, p in view.dist(s, a))
-        )
-        strategy[s] = keep
-    return WinningRegion(kind="positive", target=target, region=region, strategy=strategy)
+    return _reach(view, target, "positive")
 
 
 def aswin(view: MdpView, target) -> WinningRegion:
     """Almost-sure reachability by the alternating fixpoint.
 
-    Repeatedly restrict to the sub-MDP whose states can still reach the
-    target, dropping actions that may leak outside it; target states are
-    treated as absorbing and always stay in the region.
+    Repeatedly drop the states that cannot reach the target under the allowed
+    actions; each dropped state disables, through ``preds``, every action
+    that may lead into it.  Target states are treated as absorbing and always
+    stay in the region.  The strategy is chosen as in ``pwin``.
     """
-    target = frozenset(target)
-    region = set(view.states)
-    allowed = {
-        s: (list(view.enabled(s)) if s not in target else [])
-        for s in view.states
-    }
-    while True:
-        reachable = _distances_to(view, target & region, allowed)
-        bad = region - set(reachable)
-        if not bad:
-            break
-        region -= bad
-        for s in region:
-            if s in target:
-                continue
-            allowed[s] = [
-                a
-                for a in allowed[s]
-                if all(t in region for t, p in view.dist(s, a) if p > 0)
-            ]
-    dist = _distances_to(view, target & region, allowed)
-    strategy = {}
-    for s in sorted(region - target):
-        keep = frozenset(
-            a
-            for a in allowed[s]
-            if any(p > 0 and dist.get(t, -1) == dist[s] - 1 for t, p in view.dist(s, a))
-        )
-        strategy[s] = keep
-    return WinningRegion(
-        kind="almost-sure", target=target, region=frozenset(region), strategy=strategy
-    )
+    return _reach(view, target, "almost-sure")
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +358,10 @@ class ImprovementMdp:
         return self.product.n_states()
 
     def view(self) -> MdpView:
-        improved = self.improved
+        improved, pairs, product_dist = self.improved, self._improving_pairs, self.product.dist
 
         def dist(v, a):
-            return tuple(
-                (improved if (v, w) in self._improving_pairs else w, p)
-                for w, p in self.product.dist(v, a)
-            )
+            return tuple([(improved if (v, w) in pairs else w, p) for w, p in product_dist(v, a)])
 
         return MdpView(
             states=tuple(range(improved + 1)),

@@ -42,6 +42,20 @@ def test_compile_rejects_bad_formula(workdir):
     assert run("--out", "art", "compile", str(formula)) == 1
 
 
+@pytest.mark.parametrize(
+    "formula",
+    ["X " * 2000 + "A", "! " * 2000 + "A", "(" * 2000 + "A" + ")" * 2000],
+    ids=["X", "not", "parens"],
+)
+def test_compile_rejects_deep_formula_in_one_line(workdir, capsys, formula):
+    path = workdir / "formula.json"
+    path.write_text(json.dumps({"atoms": ["A"], "formula": formula}))
+    assert run("--out", "art", "compile", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: formula nested deeper than")
+    assert err.count("\n") == 1
+
+
 def test_compile_capacity_exit_code(workdir):
     formula = workdir / "formula.json"
     formula.write_text(json.dumps({"atoms": ["A", "B"], "formula": "F (A & X (B & X A))"}))

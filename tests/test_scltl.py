@@ -12,6 +12,7 @@ from prefplan.scltl import (
     And,
     Atom,
     CapacityError,
+    MAX_FORMULA_DEPTH,
     Eventually,
     FalseF,
     NegAtom,
@@ -114,6 +115,43 @@ def test_parse_precedence():
     # Right-associative until.
     g = parse("a U b U a", AB)
     assert g == Until(Atom("a"), Until(Atom("b"), Atom("a")))
+
+
+DEPTH = MAX_FORMULA_DEPTH
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X " * DEPTH + "a",
+        "! " * DEPTH + "a",
+        "(" * DEPTH + "a" + ")" * DEPTH,
+        " & ".join(["a"] * (DEPTH + 1)),
+        " U ".join(["a"] * (DEPTH + 1)),
+    ],
+    ids=["X", "not", "parens", "and", "until"],
+)
+def test_formula_at_depth_bound_compiles(text):
+    dfa = to_dfa(parse(text, AB), AB)
+    assert dfa.accepting
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("X " * (DEPTH + 1) + "a", 2 * DEPTH),
+        ("! " * (DEPTH + 1) + "a", 2 * DEPTH),
+        ("(" * (DEPTH + 1) + "a" + ")" * (DEPTH + 1), DEPTH),
+        (" & ".join(["a"] * (DEPTH + 2)), 4 * DEPTH + 2),
+        (" U ".join(["a"] * (DEPTH + 2)), 4 * DEPTH + 2),
+    ],
+    ids=["X", "not", "parens", "and", "until"],
+)
+def test_parse_rejects_nesting_beyond_bound(text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, AB)
+    assert err.value.position == position
+    assert f"deeper than {DEPTH} levels" in str(err.value)
 
 
 def test_alphabet_declaration_errors():

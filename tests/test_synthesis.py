@@ -281,14 +281,61 @@ def test_improvement_mdp_disables_regressing_actions(po1_b4):
             assert (a in im.enabled_actions[v]) == (not regresses)
 
 
+def dead_start_product():
+    """Outcomes F x, F y, F z, F w with y > z and x > w.  From s0, action a
+    leads to s1 (then x or z by choice) and b to s2 (then y or w): s0 can
+    almost surely reach x and y, but each move gives up one of them while a
+    worse goal stays reachable, so both regress and product state 0 is dead."""
+    from prefplan.mdp import LabeledMdp
+    from prefplan.prefdfa import build_preference_dfa
+    from prefplan.preferences import PreferenceDeclarations, build_spec
+    from prefplan.scltl import parse
+
+    atoms = ("x", "y", "z", "w")
+    decl = PreferenceDeclarations(
+        atoms=atoms,
+        outcomes=[(f"visit_{p}", parse(f"F {p}", atoms)) for p in atoms],
+        statements=[("strict", "visit_y", "visit_z"), ("strict", "visit_x", "visit_w")],
+    )
+    pdfa = build_preference_dfa(build_spec(decl), atoms)
+    states = ("s0", "s1", "s2", "sx", "sy", "sz", "sw")
+    s = {name: i for i, name in enumerate(states)}
+    transitions = {
+        (s["s0"], 0): ((s["s1"], 1.0),),
+        (s["s0"], 1): ((s["s2"], 1.0),),
+        (s["s1"], 0): ((s["sx"], 1.0),),
+        (s["s1"], 1): ((s["sz"], 1.0),),
+        (s["s2"], 0): ((s["sy"], 1.0),),
+        (s["s2"], 1): ((s["sw"], 1.0),),
+    }
+    for goal in ("sx", "sy", "sz", "sw"):
+        transitions[(s[goal], 0)] = ((s[goal], 1.0),)
+    mdp = LabeledMdp(
+        atoms=atoms,
+        states=states,
+        actions=("a", "b"),
+        labels=tuple(frozenset(name[1:]) & frozenset(atoms) for name in states),
+        transitions=transitions,
+        initial=((s["s0"], 1.0),),
+    )
+    return build_product(mdp, pdfa)
+
+
 def test_dead_states_never_positively_winning():
-    mdp, spec, pdfa, pm = random_product(3)
+    pm = dead_start_product()
     cache = aswin_by_node(pm)
     im = build_improvement_mdp(pm, cache)
+    assert im.dead == {0}
+    assert list(im.view().enabled(0)) == []
+    assert len(pm.enabled(0)) == 2  # both product actions regress
     result = synthesize(pm, cache)
     for v in im.dead:
         assert not result.spi.defined_at(v)
         assert not result.sasi.defined_at(v)
+    dot = improvement_mdp_to_dot(im)
+    assert '  v0B -> v0B [label="dead:1"];' in dot.splitlines()
+    assert '  v0T -> v0T [label="dead:1"];' in dot.splitlines()
+    assert dot.count("dead:1") == 2
 
 
 # ---------------------------------------------------------------------------
