@@ -14,6 +14,11 @@ The solvers read each ``MdpView`` once, into a compiled index of action rows
 and predecessors that every later solve over the same view reuses (all
 per-node solves share the product's).  ``pwin`` is one backward search over
 it; ``aswin`` prunes the actions that lead into dropped states incrementally.
+
+The improvement relation is filled in once per product, right after the
+per-node solves, as a table over the states' most-preferred node sets;
+``is_improvement``, the improvement MDP, the verifier and the rollouts look
+it up.
 """
 
 from __future__ import annotations
@@ -274,16 +279,49 @@ def aswin(view: MdpView, target) -> WinningRegion:
 
 @dataclass
 class ImprovementCache:
-    """Per-product caches shared by the improvement machinery."""
+    """Per-product facts shared by the improvement machinery, computed once.
+
+    ``aswin_by_node`` holds the per-node almost-sure regions.  Every product
+    state's most-preferred (MP) node set is interned into a class id:
+    ``mp_class[v]`` indexes ``mp_sets``, and ``improves[c1][c2]`` tells
+    whether a state of class c2 improves on one of class c1.
+    """
 
     product: ProductMdp
     aswin_by_node: dict = field(default_factory=dict)
-    mp_by_state: dict = field(default_factory=dict)
+    mp_class: list = field(default_factory=list)  # state -> class id
+    mp_sets: list = field(default_factory=list)  # class id -> frozenset of MP nodes
+    improves: list = field(default_factory=list)  # class -> class -> bool
 
     def __post_init__(self):
-        view = self.product.view()
-        for node_id, members in sorted(self.product.node_members.items()):
+        pm = self.product
+        view = pm.view()
+        for node_id, members in sorted(pm.node_members.items()):
             self.aswin_by_node[node_id] = aswin(view, members)
+        z_sets = [[] for _ in range(pm.n_states())]
+        for node_id, region in self.aswin_by_node.items():
+            for v in region.region:
+                z_sets[v].append(node_id)
+        class_of = {}
+        for nodes in z_sets:
+            mp = mp_nodes(pm, frozenset(nodes))
+            self.mp_class.append(class_of.setdefault(mp, len(class_of)))
+        self.mp_sets = list(class_of)
+        self.improves = [
+            [
+                any(
+                    (a == BOTTOM != b) or (a, b) in pm.node_edges
+                    for a in mp1
+                    for b in mp2
+                )
+                for mp2 in self.mp_sets
+            ]
+            for mp1 in self.mp_sets
+        ]
+
+    def mp_of(self, v: int) -> frozenset:
+        """MP nodes of product state v: ``mp_nodes(pm, z_set(pm, v, cache))``."""
+        return self.mp_sets[self.mp_class[v]]
 
 
 def aswin_by_node(pm: ProductMdp) -> ImprovementCache:
@@ -309,28 +347,11 @@ def mp_nodes(pm: ProductMdp, nodes: frozenset) -> frozenset:
     )
 
 
-def _mp_of_state(pm: ProductMdp, v: int, cache: ImprovementCache) -> frozenset:
-    hit = cache.mp_by_state.get(v)
-    if hit is None:
-        hit = mp_nodes(pm, z_set(pm, v, cache))
-        cache.mp_by_state[v] = hit
-    return hit
-
-
-def _edge_up(pm: ProductMdp, a: int, b: int) -> bool:
-    if a == BOTTOM:
-        return b != BOTTOM
-    if b == BOTTOM:
-        return False
-    return (a, b) in pm.node_edges
-
-
 def is_improvement(pm: ProductMdp, v1: int, v2: int, cache: ImprovementCache) -> bool:
     """True iff v2 improves on v1: some most-preferred almost-surely winnable
-    node of v2 sits strictly above one of v1's."""
-    mp1 = _mp_of_state(pm, v1, cache)
-    mp2 = _mp_of_state(pm, v2, cache)
-    return any(_edge_up(pm, a, b) for a in mp1 for b in mp2)
+    node of v2 sits strictly above one of v1's (every real node sits above
+    BOTTOM).  A lookup in the cache's class table."""
+    return cache.improves[cache.mp_class[v1]][cache.mp_class[v2]]
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +392,18 @@ class ImprovementMdp:
 
 
 def build_improvement_mdp(pm: ProductMdp, cache: ImprovementCache) -> ImprovementMdp:
+    cls, improves = cache.mp_class, cache.improves
     enabled_actions = {}
     improving_pairs = set()
     for v in range(pm.n_states()):
-        keep = []
+        up, keep = improves[cls[v]], []
         for a in pm.enabled(v):
             successors = [w for w, p in pm.dist(v, a) if p > 0]
             # Regression guard: drop the action if the move could lose ground.
-            if any(is_improvement(pm, w, v, cache) for w in successors):
+            if any(improves[cls[w]][cls[v]] for w in successors):
                 continue
             keep.append(a)
-            for w in successors:
-                if is_improvement(pm, v, w, cache):
-                    improving_pairs.add((v, w))
+            improving_pairs.update((v, w) for w in successors if up[cls[w]])
         enabled_actions[v] = tuple(keep)
     return ImprovementMdp(
         product=pm,
@@ -456,7 +476,11 @@ class CompositePolicy:
     almost-sure strategy for a most-preferred winnable node.
 
     Deterministic for a fixed tie-break; the "uniform" mode draws from the
-    permissive action set with the caller-supplied RNG.
+    permissive action set with the caller-supplied RNG.  Each state's sorted
+    candidate actions and phase are worked out on its first visit and looked
+    up afterwards; ``step`` makes the same RNG draws as deriving them anew
+    would (one ``randrange`` per uniform pick among several actions, none
+    otherwise), so rollouts stay byte-reproducible.
     """
 
     def __init__(self, result: SynthesisResult, mode: str = "sasi", tie_break: str = "lowest"):
@@ -468,18 +492,12 @@ class CompositePolicy:
         self.mode = mode
         self.tie_break = tie_break
         self.improvement_strategy = result.spi if mode == "spi" else result.sasi
-        self._satisficing = {}
-
-    def _pick(self, actions, rng=None):
-        ordered = sorted(actions)
-        if self.tie_break == "uniform" and rng is not None and len(ordered) > 1:
-            return ordered[rng.randrange(len(ordered))]
-        return ordered[0]
+        self._choices = {}  # v -> (sorted action tuple, phase)
 
     def _satisficing_actions(self, v: int):
         pm = self.result.product
         cache = self.result.cache
-        mp = _mp_of_state(pm, v, cache)
+        mp = cache.mp_of(v)
         if mp == frozenset({BOTTOM}):
             return None
         node = min(mp)
@@ -497,6 +515,14 @@ class CompositePolicy:
         ]
         return frozenset(keep) if keep else frozenset(pm.enabled(v))
 
+    def _choose(self, v: int):
+        if self.improvement_strategy.defined_at(v):
+            return tuple(sorted(self.improvement_strategy.get(v))), "improve"
+        acts = self._satisficing_actions(v)
+        if acts:
+            return tuple(sorted(acts)), "satisfice"
+        return tuple(sorted(self.result.product.enabled(v))), "unsatisfiable"
+
     def step(self, v: int, rng=None):
         """Action for product state v plus the phase that produced it.
 
@@ -504,14 +530,13 @@ class CompositePolicy:
         "satisfice" under the almost-sure strategy of the chosen node, and
         "unsatisfiable" when no guarantee exists at all.
         """
-        if self.improvement_strategy.defined_at(v):
-            return self._pick(self.improvement_strategy.get(v), rng), "improve"
-        acts = self._satisficing_actions(v)
-        if acts:
-            return self._pick(acts, rng), "satisfice"
-        pm = self.result.product
-        enabled = pm.enabled(v)
-        return self._pick(enabled, rng), "unsatisfiable"
+        choice = self._choices.get(v)
+        if choice is None:
+            choice = self._choices[v] = self._choose(v)
+        actions, phase = choice
+        if self.tie_break == "uniform" and rng is not None and len(actions) > 1:
+            return actions[rng.randrange(len(actions))], phase
+        return actions[0], phase
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +574,11 @@ def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
         sid = entry["state"]
         if sid not in ids:
             raise ValueError(f"strategy references unknown product state {sid!r}")
+        if "actions" not in entry:
+            raise ValueError(f"strategy entry for {sid!r} has no 'actions' field")
+        unknown = [name for name in entry["actions"] if name not in action_index]
+        if unknown:
+            raise ValueError(f"strategy entry for {sid!r} names unknown action {unknown[0]!r}")
         chosen = frozenset(action_index[name] for name in entry["actions"])
         if not chosen:
             raise ValueError(f"empty action set at {sid!r}")

@@ -23,10 +23,7 @@ from .synthesis import (
     ProductMdp,
     Strategy,
     aswin,
-    is_improvement,
-    mp_nodes,
     pwin,
-    z_set,
 )
 
 __all__ = [
@@ -129,6 +126,7 @@ class InducedChain:
 
 
 def build_induced_chain(pm: ProductMdp, strategy: Strategy, cache: ImprovementCache) -> InducedChain:
+    cls, improves = cache.mp_class, cache.improves
     reached = set(strategy.actions)
     frontier = sorted(reached)
     edges = []
@@ -148,9 +146,9 @@ def build_induced_chain(pm: ProductMdp, strategy: Strategy, cache: ImprovementCa
                         continue
                     seen_edges.add((v, a, w))
                     edges.append((v, a, w, p))
-                    if is_improvement(pm, v, w, cache):
+                    if improves[cls[v]][cls[w]]:
                         improving.add((v, w))
-                    if is_improvement(pm, w, v, cache):
+                    if improves[cls[w]][cls[v]]:
                         regressing.add((v, w))
                     if w not in reached:
                         reached.add(w)
@@ -260,7 +258,7 @@ def check_strategy_conditions(
         sorted(
             (v, w)
             for v, w in chain.improving
-            if mp_nodes(pm, z_set(pm, v, cache)) == frozenset({BOTTOM})
+            if cache.mp_of(v) == frozenset({BOTTOM})
         )
     )
     return StrategyReport(
@@ -315,6 +313,19 @@ def _episode_seed(seed: int, episode: int) -> int:
     return ((seed * 0x100000001B3) ^ (episode * _MIX)) & _MASK
 
 
+def _rollout_row(pm: ProductMdp, cache: ImprovementCache, v: int, a: int):
+    """(absorbing, ((threshold, successor, improving, regressing), ...)) for
+    action a at v; thresholds are the running sums of the probabilities."""
+    dist = pm.dist(v, a)
+    cls, improves = cache.mp_class, cache.improves
+    entries = []
+    acc = 0.0
+    for t, p in dist:
+        acc += p
+        entries.append((acc, t, improves[cls[v]][cls[t]], improves[cls[t]][cls[v]]))
+    return len(dist) == 1 and dist[0][0] == v, tuple(entries)
+
+
 def monte_carlo(
     pm: ProductMdp,
     policy: CompositePolicy,
@@ -326,6 +337,14 @@ def monte_carlo(
 
     Improvements and regressions are counted per traversed edge; episodes
     stop at the horizon (flagged truncated) or in an absorbing state.
+
+    Each (state, action) row is compiled on first use.  Per step the loop
+    calls ``policy.step`` once and, unless the state is absorbing,
+    ``rng.random()`` once, and picks the first successor whose threshold,
+    summed left to right over the distribution, exceeds the draw (the last
+    successor if none does).  Draws and sums are those of sampling straight
+    from ``pm.dist``, so ``stats.json`` and ``episodes.csv`` stay
+    byte-reproducible.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
@@ -335,6 +354,7 @@ def monte_carlo(
         raise ValueError("horizon must be positive")
     cache = policy.result.cache
     stats = EpisodeStats(episodes=episodes, seed=seed, horizon=horizon)
+    rows = {}  # (v, a) -> _rollout_row(pm, cache, v, a)
 
     for ep in range(episodes):
         ep_seed = _episode_seed(seed, ep)
@@ -349,23 +369,21 @@ def monte_carlo(
             a, phase = policy.step(v, rng)
             if phase == "unsatisfiable":
                 unsatisfiable = True
-            dist = pm.dist(v, a)
-            if len(dist) == 1 and dist[0][0] == v:
+            row = rows.get((v, a))
+            if row is None:
+                row = rows[(v, a)] = _rollout_row(pm, cache, v, a)
+            absorbing, entries = row
+            if absorbing:
                 truncated = False
                 break
             r = rng.random()
-            acc = 0.0
-            nxt = dist[-1][0]
-            for t, p in dist:
-                acc += p
-                if r < acc:
-                    nxt = t
+            # Without a break the loop leaves the last successor bound.
+            for threshold, nxt, improving, regressing in entries:
+                if r < threshold:
                     break
             steps += 1
-            if is_improvement(pm, v, nxt, cache):
-                improvements += 1
-            if is_improvement(pm, nxt, v, cache):
-                regressions += 1
+            improvements += improving
+            regressions += regressing
             v = nxt
         final_q = pm.state_pairs[v][1]
         pdfa = pm.pdfa

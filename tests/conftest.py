@@ -89,7 +89,7 @@ def po2_spec():
 
 # Probabilities are drawn from a coarse grid so reachability values stay far
 # from the classification thresholds of the qualitative solvers.
-_DIST_SHAPES = [
+DIST_SHAPES = [
     (1.0,),
     (0.5, 0.5),
     (0.75, 0.25),
@@ -99,8 +99,10 @@ _DIST_SHAPES = [
 ]
 
 
-def random_mdp(seed, n_states=30, n_actions=3, atoms=(), label_density=0.0, trap_fraction=0.2):
-    """Seeded random labeled MDP with quantized transition probabilities."""
+def random_mdp(
+    seed, n_states=30, n_actions=3, atoms=(), label_density=0.0, trap_fraction=0.2, shapes=DIST_SHAPES
+):
+    """Seeded random labeled MDP; each distribution is one of ``shapes``."""
     rng = random.Random(seed)
     states = tuple(f"s{i}" for i in range(n_states))
     actions = tuple(f"a{j}" for j in range(n_actions))
@@ -113,7 +115,7 @@ def random_mdp(seed, n_states=30, n_actions=3, atoms=(), label_density=0.0, trap
         for a in range(n_actions):
             if a > 0 and rng.random() < 0.3:
                 continue
-            shape = _DIST_SHAPES[rng.randrange(len(_DIST_SHAPES))]
+            shape = shapes[rng.randrange(len(shapes))]
             succs = rng.sample(range(n_states), len(shape))
             transitions[(s, a)] = tuple(zip(succs, shape))
     labels = []
@@ -169,7 +171,7 @@ def random_preference_problem(seed, n_outcomes=3, connected=True):
     return atoms, build_spec(decl)
 
 
-def random_product(seed, n_states=20):
+def random_product(seed, n_states=20, shapes=DIST_SHAPES):
     atoms, spec = random_preference_problem(seed, n_outcomes=3)
     mdp = random_mdp(
         seed + 17,
@@ -178,6 +180,42 @@ def random_product(seed, n_states=20):
         atoms=atoms,
         label_density=0.15,
         trap_fraction=0.15,
+        shapes=shapes,
     )
     pdfa = build_preference_dfa(spec, atoms)
     return mdp, spec, pdfa, build_product(mdp, pdfa)
+
+
+def dead_start_product():
+    """Outcomes F x, F y, F z, F w with y > z and x > w.  From s0, action a
+    leads to s1 (then x or z by choice) and b to s2 (then y or w): s0 can
+    almost surely reach x and y, but each move gives up one of them while a
+    worse goal stays reachable, so both regress and product state 0 is dead."""
+    atoms = ("x", "y", "z", "w")
+    decl = PreferenceDeclarations(
+        atoms=atoms,
+        outcomes=[(f"visit_{p}", parse(f"F {p}", atoms)) for p in atoms],
+        statements=[("strict", "visit_y", "visit_z"), ("strict", "visit_x", "visit_w")],
+    )
+    pdfa = build_preference_dfa(build_spec(decl), atoms)
+    states = ("s0", "s1", "s2", "sx", "sy", "sz", "sw")
+    s = {name: i for i, name in enumerate(states)}
+    transitions = {
+        (s["s0"], 0): ((s["s1"], 1.0),),
+        (s["s0"], 1): ((s["s2"], 1.0),),
+        (s["s1"], 0): ((s["sx"], 1.0),),
+        (s["s1"], 1): ((s["sz"], 1.0),),
+        (s["s2"], 0): ((s["sy"], 1.0),),
+        (s["s2"], 1): ((s["sw"], 1.0),),
+    }
+    for goal in ("sx", "sy", "sz", "sw"):
+        transitions[(s[goal], 0)] = ((s[goal], 1.0),)
+    mdp = LabeledMdp(
+        atoms=atoms,
+        states=states,
+        actions=("a", "b"),
+        labels=tuple(frozenset(name[1:]) & frozenset(atoms) for name in states),
+        transitions=transitions,
+        initial=((s["s0"], 1.0),),
+    )
+    return build_product(mdp, pdfa)

@@ -122,6 +122,29 @@ def test_verify_external_strategy_pass(workdir):
     assert run("--out", "v", "verify", mdp_path, PO1_PREF, "--strategy", sasi_path, "--mode", "sasi") == 0
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda entry: entry.update(actions=["Fly"]), "names unknown action 'Fly'"),
+        (lambda entry: entry.pop("actions"), "has no 'actions' field"),
+    ],
+    ids=["unknown-action", "missing-actions"],
+)
+def test_verify_rejects_malformed_strategy_in_one_line(workdir, capsys, damage, message):
+    assert run("--out", "g", "gridworld", PO1_GRID4) == 0
+    mdp_path = str(workdir / "g" / "mdp.json")
+    assert run("--out", "s", "synth", mdp_path, PO1_PREF) == 0
+    doc = json.loads((workdir / "s" / "strategy_sasi.json").read_text())
+    damage(doc["entries"][0])
+    bad = workdir / "bad_strategy.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("--out", "v", "verify", mdp_path, PO1_PREF, "--strategy", str(bad), "--mode", "sasi") == 1
+    err = capsys.readouterr().err
+    state = doc["entries"][0]["state"]
+    assert err == f"error: strategy entry for {state!r} {message}\n"
+
+
 def test_usage_error_exit_code():
     assert main(["definitely-not-a-command"]) == 1
 

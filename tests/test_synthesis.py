@@ -22,7 +22,7 @@ from prefplan.synthesis import (
 )
 from prefplan.verify import value_iteration
 
-from conftest import random_mdp, random_product
+from conftest import dead_start_product, random_mdp, random_product
 
 
 def chain_view():
@@ -281,46 +281,6 @@ def test_improvement_mdp_disables_regressing_actions(po1_b4):
             assert (a in im.enabled_actions[v]) == (not regresses)
 
 
-def dead_start_product():
-    """Outcomes F x, F y, F z, F w with y > z and x > w.  From s0, action a
-    leads to s1 (then x or z by choice) and b to s2 (then y or w): s0 can
-    almost surely reach x and y, but each move gives up one of them while a
-    worse goal stays reachable, so both regress and product state 0 is dead."""
-    from prefplan.mdp import LabeledMdp
-    from prefplan.prefdfa import build_preference_dfa
-    from prefplan.preferences import PreferenceDeclarations, build_spec
-    from prefplan.scltl import parse
-
-    atoms = ("x", "y", "z", "w")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
-        outcomes=[(f"visit_{p}", parse(f"F {p}", atoms)) for p in atoms],
-        statements=[("strict", "visit_y", "visit_z"), ("strict", "visit_x", "visit_w")],
-    )
-    pdfa = build_preference_dfa(build_spec(decl), atoms)
-    states = ("s0", "s1", "s2", "sx", "sy", "sz", "sw")
-    s = {name: i for i, name in enumerate(states)}
-    transitions = {
-        (s["s0"], 0): ((s["s1"], 1.0),),
-        (s["s0"], 1): ((s["s2"], 1.0),),
-        (s["s1"], 0): ((s["sx"], 1.0),),
-        (s["s1"], 1): ((s["sz"], 1.0),),
-        (s["s2"], 0): ((s["sy"], 1.0),),
-        (s["s2"], 1): ((s["sw"], 1.0),),
-    }
-    for goal in ("sx", "sy", "sz", "sw"):
-        transitions[(s[goal], 0)] = ((s[goal], 1.0),)
-    mdp = LabeledMdp(
-        atoms=atoms,
-        states=states,
-        actions=("a", "b"),
-        labels=tuple(frozenset(name[1:]) & frozenset(atoms) for name in states),
-        transitions=transitions,
-        initial=((s["s0"], 1.0),),
-    )
-    return build_product(mdp, pdfa)
-
-
 def test_dead_states_never_positively_winning():
     pm = dead_start_product()
     cache = aswin_by_node(pm)
@@ -547,3 +507,26 @@ def test_strategy_export_roundtrip(po1_b4):
     assert set(regions["nodes"]) == {str(n) for n in pm.node_members}
     dot = improvement_mdp_to_dot(result.improvement_mdp)
     assert "palegreen" in dot
+
+
+@pytest.mark.parametrize("source", ["po1_b2", "po1_b4", "po2_b4", *range(20)])
+def test_improvement_table_matches_definition(source, request):
+    # Every ordered state pair: the cache's class table against the
+    # definition over the MP node sets of the two states' z-sets.
+    if isinstance(source, str):
+        pm = request.getfixturevalue(source)[4]
+    else:
+        pm = random_product(source)[3]
+    cache = aswin_by_node(pm)
+    mp = [mp_nodes(pm, z_set(pm, v, cache)) for v in range(pm.n_states())]
+    improving = 0
+    for v, mp_v in enumerate(mp):
+        assert cache.mp_of(v) == mp_v
+        for w, mp_w in enumerate(mp):
+            expected = any(
+                a == BOTTOM != b or (a, b) in pm.node_edges for a in mp_v for b in mp_w
+            )
+            assert is_improvement(pm, v, w, cache) == expected
+            improving += expected
+    if isinstance(source, str):
+        assert improving > 0
