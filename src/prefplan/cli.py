@@ -25,6 +25,7 @@ from .mdp import (
 )
 from .prefdfa import build_preference_dfa, pdfa_to_dot, pdfa_to_json
 from .preferences import PreferenceError, load_preference_document, spec_to_json
+from .schema import STRINGS, json_fields
 from .scltl import (
     DEFAULT_STATE_CAP,
     AlphabetError,
@@ -60,7 +61,6 @@ INPUT_ERRORS = (
     PreferenceError,
     MdpError,
     ValueError,
-    KeyError,
     OSError,
     json.JSONDecodeError,
 )
@@ -94,9 +94,10 @@ def _load_pipeline(mdp_path: str, pref_path: str, state_cap: int):
 
 
 def cmd_compile(args) -> int:
-    doc = _read_json(args.formula_file)
-    formula = parse(doc["formula"], doc["atoms"])
-    dfa = to_dfa(formula, doc["atoms"], state_cap=args.state_cap)
+    text, atoms = json_fields(
+        _read_json(args.formula_file), "formula file", ValueError, {"formula": str, "atoms": STRINGS}
+    )
+    dfa = to_dfa(parse(text, atoms), atoms, state_cap=args.state_cap)
     out = _out_dir(args)
     _write_json(out / "dfa.json", dfa_to_json(dfa))
     _write_text(out / "dfa.dot", dfa_to_dot(dfa))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .schema import STRINGS, json_fields
+
 __all__ = [
     "MdpError",
     "LabeledMdp",
@@ -113,55 +115,72 @@ def load_mdp(doc: dict) -> LabeledMdp:
     "actions": [...], "transitions": [{"from", "action", "to":
     [{"state", "prob"}]}], "initial": [{"state", "prob"}]}.
     """
+    atoms, state_entries, actions, transition_entries, initial_entries = json_fields(
+        doc, "MDP document", MdpError,
+        {"atoms": STRINGS, "states": list, "actions": STRINGS, "transitions": list, "initial": list},
+    )
     try:
-        atoms = tuple(doc["atoms"])
-        state_entries = doc["states"]
-        actions = tuple(doc["actions"])
-        transition_entries = doc["transitions"]
-        initial_entries = doc["initial"]
-    except (KeyError, TypeError) as e:
-        raise MdpError(f"malformed MDP document: {e}") from e
+        states = tuple(entry["id"] for entry in state_entries)
+        state_index = {sid: i for i, sid in enumerate(states)}
+        if len(state_index) != len(states):
+            raise MdpError("duplicate state ids")
+        labels = tuple(frozenset(entry.get("label", [])) for entry in state_entries)
+        action_index = {a: i for i, a in enumerate(actions)}
 
-    states = tuple(entry["id"] for entry in state_entries)
-    state_index = {sid: i for i, sid in enumerate(states)}
-    if len(state_index) != len(states):
-        raise MdpError("duplicate state ids")
-    labels = tuple(frozenset(entry.get("label", [])) for entry in state_entries)
-    action_index = {a: i for i, a in enumerate(actions)}
+        def resolve_state(sid):
+            if sid not in state_index:
+                raise MdpError(f"reference to undeclared state {sid!r}")
+            return state_index[sid]
 
-    def resolve_state(sid):
-        if sid not in state_index:
-            raise MdpError(f"reference to undeclared state {sid!r}")
-        return state_index[sid]
+        transitions = {}
+        for entry in transition_entries:
+            s = resolve_state(entry["from"])
+            if entry["action"] not in action_index:
+                raise MdpError(f"reference to undeclared action {entry['action']!r}")
+            a = action_index[entry["action"]]
+            if (s, a) in transitions:
+                raise MdpError(f"duplicate transition for ({entry['from']!r},{entry['action']!r})")
+            dist = tuple((resolve_state(t["state"]), float(t["prob"])) for t in entry["to"])
+            total = sum(p for _, p in dist)
+            if abs(total - 1.0) > PROB_TOL:
+                raise MdpError(
+                    f"distribution at ({entry['from']!r},{entry['action']!r}) sums to {total}"
+                )
+            if total != 1.0 and total > 0:
+                # Rounding drift within tolerance is normalized away.
+                dist = tuple((t, p / total) for t, p in dist)
+            transitions[(s, a)] = dist
 
-    transitions = {}
-    for entry in transition_entries:
-        s = resolve_state(entry["from"])
-        if entry["action"] not in action_index:
-            raise MdpError(f"reference to undeclared action {entry['action']!r}")
-        a = action_index[entry["action"]]
-        if (s, a) in transitions:
-            raise MdpError(f"duplicate transition for ({entry['from']!r},{entry['action']!r})")
-        dist = tuple((resolve_state(t["state"]), float(t["prob"])) for t in entry["to"])
-        total = sum(p for _, p in dist)
-        if abs(total - 1.0) > PROB_TOL:
-            raise MdpError(
-                f"distribution at ({entry['from']!r},{entry['action']!r}) sums to {total}"
-            )
-        if total != 1.0 and total > 0:
-            # Rounding drift within tolerance is normalized away.
-            dist = tuple((t, p / total) for t, p in dist)
-        transitions[(s, a)] = dist
-
-    initial = tuple((resolve_state(e["state"]), float(e["prob"])) for e in initial_entries)
+        initial = tuple((resolve_state(e["state"]), float(e["prob"])) for e in initial_entries)
+    except (KeyError, TypeError, AttributeError):
+        # Entries are checked only once reading them failed: checking each
+        # one up front doubles the load time of a large MDP.
+        _check_entries(state_entries, transition_entries, initial_entries)
+        raise
     return LabeledMdp(
-        atoms=atoms,
+        atoms=tuple(atoms),
         states=states,
-        actions=actions,
+        actions=tuple(actions),
         labels=labels,
         transitions=transitions,
         initial=initial,
     )
+
+
+def _check_entries(state_entries, transition_entries, initial_entries):
+    """Raise an MdpError naming the first malformed entry field."""
+    weighted = {"state": str, "prob": (int, float)}
+    for entry in state_entries:
+        json_fields(entry, "state entry", MdpError, {"id": str, "label": STRINGS},
+                    defaults={"label": []})
+    for entry in transition_entries:
+        frm, act, to = json_fields(
+            entry, "transition entry", MdpError, {"from": str, "action": str, "to": list}
+        )
+        for t in to:
+            json_fields(t, f"successor of ({frm!r},{act!r})", MdpError, weighted)
+    for entry in initial_entries:
+        json_fields(entry, "initial entry", MdpError, weighted)
 
 
 def mdp_to_json(mdp: LabeledMdp) -> dict:
@@ -258,7 +277,7 @@ def gridworld_config_from_json(doc: dict) -> GridworldConfig:
             },
             stay_probability=float(doc.get("stay_probability", 0.5)),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, AttributeError) as e:
         raise MdpError(f"malformed gridworld config: {e}") from e
 
 

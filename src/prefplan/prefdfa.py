@@ -1,25 +1,23 @@
 """Preference DFA: product of outcome automata plus a preference graph.
 
 The underlying automaton is the synchronous product of the outcome DFAs; a
-product state is final as soon as one component accepts.  Final states carry
-tags recording which side of a strict-preference pair the achieved,
-most-preferred outcomes fall on, tag-equal states are grouped into graph
-nodes, and graph edges order the nodes from worse to better.
+product state is final as soon as one component accepts.  Final states are
+grouped into graph nodes by their set of most-preferred (MP) satisfied
+outcomes, i.e. one node per indifference class of ``PreferenceSpec.compare``,
+and an edge runs from a node to each node whose MP set ``compare`` calls
+strictly better.  The order itself lives in ``preferences``; this module only
+groups states by it.
 
-The tags of a final state depend only on its set of most-preferred (MP)
-satisfied outcomes, and they tell apart any two MP sets that differ in an
-outcome taking part in some strict pair.  So when every outcome is in a
-strict pair (as in the bundled po1 and po2 objectives) the graph has one node
-per MP set, i.e. one per indifference class of ``PreferenceSpec.compare``.
-Final states with no tags (no outcome of their MP set is in a strict pair)
-share a single node with no edges.
+Tags are rendered labels of an MP set: x(i,j) marks the better outcome of a
+strict pair as most preferred, y(i,j) the worse one.  They name the nodes in
+the exports and fix the node order, but decide nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .preferences import PreferenceSpec
+from .preferences import Comparison, PreferenceSpec
 from .scltl import (
     DEFAULT_STATE_CAP,
     CapacityError,
@@ -30,34 +28,21 @@ from .scltl import (
 )
 
 __all__ = [
-    "Tag",
     "GraphNode",
     "PreferenceGraph",
     "PreferenceDfa",
     "build_preference_dfa",
     "classify_word",
+    "tag_labels",
     "pdfa_to_json",
     "pdfa_to_dot",
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Tag:
-    """x: the better outcome of pair (i, j) is achieved and most preferred.
-    y: outcome i is missed while the worse outcome j is most preferred."""
-
-    kind: str  # "x" or "y"
-    i: int
-    j: int
-
-    def render(self, spec: PreferenceSpec) -> str:
-        return f"{self.kind}({spec.outcomes[self.i].name},{spec.outcomes[self.j].name})"
-
-
 @dataclass(frozen=True)
 class GraphNode:
     node_id: int
-    tags: frozenset  # of Tag
+    mp: frozenset  # most-preferred satisfied outcome indices
     states: tuple  # product state indices
 
 
@@ -77,7 +62,6 @@ class PreferenceDfa:
     transitions: dict  # (state index, symbol) -> state index
     initial: int
     final: frozenset
-    tags: dict  # final state index -> frozenset of Tag
     graph: PreferenceGraph
     node_of_state: dict  # final state index -> node id
 
@@ -101,33 +85,19 @@ class PreferenceDfa:
         )
 
 
-def _assign_tags(spec: PreferenceSpec, sat: frozenset) -> frozenset:
-    mp = spec.mp(sat)
-    tags = set()
-    for i, j in spec.strict:
-        if i in sat and i in mp:
-            tags.add(Tag("x", i, j))
-        if i not in sat and j in sat and j in mp:
-            tags.add(Tag("y", i, j))
-    return frozenset(tags)
+def _tags(spec: PreferenceSpec, mp: frozenset) -> list:
+    """Sorted (kind, i, j) tags of an MP set: for (i, j) in P, x(i,j) iff i is
+    most preferred and y(i,j) iff j is (then i cannot have been satisfied)."""
+    return sorted(
+        [("x", i, j) for i, j in spec.strict if i in mp]
+        + [("y", i, j) for i, j in spec.strict if j in mp]
+    )
 
 
-def _graph_edges(nodes) -> frozenset:
-    """Edge (worse, better) iff some pair witnesses it and none witnesses the reverse."""
-    edges = set()
-    for a in nodes:
-        for b in nodes:
-            if a.node_id == b.node_id:
-                continue
-            forward = any(
-                Tag("x", t.i, t.j) in b.tags for t in a.tags if t.kind == "y"
-            )
-            backward = any(
-                Tag("x", t.i, t.j) in a.tags for t in b.tags if t.kind == "y"
-            )
-            if forward and not backward:
-                edges.add((a.node_id, b.node_id))
-    return frozenset(edges)
+def tag_labels(spec: PreferenceSpec, mp: frozenset) -> list:
+    """The tags of an MP set rendered as sorted ``x(better,worse)`` strings."""
+    names = [o.name for o in spec.outcomes]
+    return sorted(f"{kind}({names[i]},{names[j]})" for kind, i, j in _tags(spec, mp))
 
 
 def build_preference_dfa(
@@ -135,14 +105,14 @@ def build_preference_dfa(
     alphabet,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> PreferenceDfa:
-    """Compile each outcome, take the reachable synchronous product, tag the
-    final states and derive the preference graph.
+    """Compile each outcome, take the reachable synchronous product, and
+    group its final states into preference-graph nodes.
 
-    When every outcome is in some strict pair, each graph node holds exactly
-    the final states that share one set of most-preferred satisfied outcomes
-    (one indifference class of ``spec.compare``); MP sets that differ only in
-    outcomes outside every strict pair share a node.  Untagged final states
-    share one node.  Edges run from the worse node to the better one."""
+    A node is one MP set: it holds exactly the final states whose satisfied
+    outcomes share that set of most-preferred outcomes.  Nodes are numbered
+    by their tags, then by the MP set, so ids follow from the spec alone.
+    Edges run from the worse node to each node ``spec.compare`` calls
+    strictly better."""
     declared = declare_alphabet(alphabet)
     components = tuple(to_dfa(o.formula, declared, state_cap=state_cap) for o in spec.outcomes)
     syms = all_symbols(declared)
@@ -167,31 +137,23 @@ def build_preference_dfa(
                 frontier.append(j)
             transitions[(i, sigma)] = j
 
-    final = frozenset(
-        i
-        for i, tup in enumerate(states)
-        if any(q in d.accepting for q, d in zip(tup, components))
-    )
-
-    tags = {}
-    for i in final:
-        sat = frozenset(
-            k for k, d in enumerate(components) if states[i][k] in d.accepting
-        )
-        tags[i] = _assign_tags(spec, sat)
-
-    # Nodes: lambda-equivalence classes of final states.  Untagged final
-    # states form one node with an empty tag set and no incident edges.
+    # Final states (some component accepts) grouped by their MP set.
     groups: dict = {}
-    for i in sorted(final):
-        groups.setdefault(tags[i], []).append(i)
-    ordered = sorted(groups.items(), key=lambda kv: sorted(repr(t) for t in kv[0]))
+    for i, tup in enumerate(states):
+        sat = frozenset(k for k, (q, d) in enumerate(zip(tup, components)) if q in d.accepting)
+        if sat:
+            groups.setdefault(spec.mp(sat), []).append(i)
+    ordered = sorted(groups, key=lambda mp: (_tags(spec, mp), sorted(mp)))
     nodes = tuple(
-        GraphNode(node_id=k, tags=tagset, states=tuple(members))
-        for k, (tagset, members) in enumerate(ordered)
+        GraphNode(node_id=k, mp=mp, states=tuple(groups[mp])) for k, mp in enumerate(ordered)
     )
     node_of_state = {s: node.node_id for node in nodes for s in node.states}
-    edges = _graph_edges([n for n in nodes if n.tags])
+    edges = frozenset(
+        (a.node_id, b.node_id)
+        for a in nodes
+        for b in nodes
+        if spec.compare(b.mp, a.mp) is Comparison.STRICTLY_BETTER
+    )
 
     return PreferenceDfa(
         spec=spec,
@@ -201,8 +163,7 @@ def build_preference_dfa(
         symbols=tuple(syms),
         transitions=transitions,
         initial=0,
-        final=final,
-        tags=tags,
+        final=frozenset(node_of_state),
         graph=PreferenceGraph(nodes=nodes, edges=edges),
         node_of_state=node_of_state,
     )
@@ -210,14 +171,9 @@ def build_preference_dfa(
 
 def classify_word(pdfa: PreferenceDfa, word):
     """Node id reached by a finite word, or None if it lands on a non-final
-    or untagged state.  Classification only strengthens under extensions
-    because component accepting states are absorbing."""
-    q = pdfa.run(word)
-    if q not in pdfa.final:
-        return None
-    if not pdfa.tags[q]:
-        return None
-    return pdfa.node_of_state[q]
+    state.  Classification only strengthens under extensions because
+    component accepting states are absorbing."""
+    return pdfa.node_of_state.get(pdfa.run(word))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +188,10 @@ def _state_label(pdfa: PreferenceDfa, i: int) -> str:
         flag = "+" if q in d.accepting else "-"
         parts.append(f"{pdfa.spec.outcomes[k].name}{flag}")
     return "(" + ",".join(parts) + ")"
+
+
+def _state_tags(pdfa: PreferenceDfa, i: int) -> list:
+    return tag_labels(pdfa.spec, pdfa.graph.nodes[pdfa.node_of_state[i]].mp)
 
 
 def pdfa_to_json(pdfa: PreferenceDfa) -> dict:
@@ -249,9 +209,7 @@ def pdfa_to_json(pdfa: PreferenceDfa) -> dict:
         ],
         "initial": pdfa.initial,
         "final": sorted(pdfa.final),
-        "tags": {
-            str(i): sorted(t.render(spec) for t in pdfa.tags[i]) for i in sorted(pdfa.final)
-        },
+        "tags": {str(i): _state_tags(pdfa, i) for i in sorted(pdfa.final)},
         "transitions": [
             {"from": i, "symbol": sorted(sigma), "to": pdfa.transitions[(i, sigma)]}
             for i in range(len(pdfa.states))
@@ -261,7 +219,7 @@ def pdfa_to_json(pdfa: PreferenceDfa) -> dict:
             "nodes": [
                 {
                     "id": n.node_id,
-                    "tags": sorted(t.render(spec) for t in n.tags),
+                    "tags": tag_labels(spec, n.mp),
                     "states": list(n.states),
                 }
                 for n in pdfa.graph.nodes
@@ -279,7 +237,7 @@ def pdfa_to_dot(pdfa: PreferenceDfa) -> str:
     for i in range(len(pdfa.states)):
         label = _state_label(pdfa, i)
         if i in pdfa.final:
-            tag_text = ",".join(sorted(t.render(spec) for t in pdfa.tags[i]))
+            tag_text = ",".join(_state_tags(pdfa, i))
             lines.append(f'    q{i} [shape=doublecircle label="{label}\\n{{{tag_text}}}"];')
         else:
             lines.append(f'    q{i} [shape=circle label="{label}"];')
@@ -296,7 +254,7 @@ def pdfa_to_dot(pdfa: PreferenceDfa) -> str:
     lines.append("  subgraph cluster_graph {")
     lines.append('    label="preference graph";')
     for n in pdfa.graph.nodes:
-        tag_text = ",".join(sorted(t.render(spec) for t in n.tags))
+        tag_text = ",".join(tag_labels(spec, n.mp))
         lines.append(f'    X{n.node_id} [shape=box label="X{n.node_id} {{{tag_text}}}"];')
     for worse, better in sorted(pdfa.graph.edges):
         lines.append(f'    X{worse} -> X{better} [label="≺"];')

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .schema import STRINGS, json_fields
 from .scltl import Formula, Or, fmt, parse
 
 __all__ = [
@@ -254,33 +255,35 @@ def load_preference_document(doc: dict) -> tuple[tuple[str, ...], PreferenceSpec
     "preferences": [{"kind": "strict", "better", "worse"} |
     {"kind": "indifferent", "left", "right"}]}.
     """
-    try:
-        atoms = tuple(doc["atoms"])
-        outcome_entries = doc["outcomes"]
-        pref_entries = doc.get("preferences", [])
-    except (KeyError, TypeError) as e:
-        raise PreferenceError(f"malformed preference document: {e}") from e
+    atoms, outcome_entries, pref_entries = json_fields(
+        doc, "preference document", PreferenceError,
+        {"atoms": STRINGS, "outcomes": list, "preferences": list}, defaults={"preferences": []},
+    )
 
     outcomes = []
     for entry in outcome_entries:
-        try:
-            name, text = entry["name"], entry["formula"]
-        except (KeyError, TypeError) as e:
-            raise PreferenceError(f"malformed outcome entry {entry!r}") from e
+        name, text = json_fields(
+            entry, "outcome entry", PreferenceError, {"name": str, "formula": str}
+        )
         outcomes.append((name, parse(text, atoms)))
 
     statements = []
     for entry in pref_entries:
-        kind = entry.get("kind")
+        (kind,) = json_fields(entry, "preference entry", PreferenceError, {"kind": str})
         if kind == "strict":
-            statements.append(("strict", entry["better"], entry["worse"]))
+            a, b = json_fields(
+                entry, "strict preference", PreferenceError, {"better": str, "worse": str}
+            )
         elif kind == "indifferent":
-            statements.append(("indifferent", entry["left"], entry["right"]))
+            a, b = json_fields(
+                entry, "indifference", PreferenceError, {"left": str, "right": str}
+            )
         else:
             raise PreferenceError(f"unknown preference kind {kind!r}")
+        statements.append((kind, a, b))
 
-    decl = PreferenceDeclarations(atoms=atoms, outcomes=outcomes, statements=statements)
-    return atoms, build_spec(decl)
+    decl = PreferenceDeclarations(atoms=tuple(atoms), outcomes=outcomes, statements=statements)
+    return decl.atoms, build_spec(decl)
 
 
 def spec_to_json(atoms, spec: PreferenceSpec) -> dict:

@@ -1,0 +1,31 @@
+"""Shape checks for the JSON documents prefplan reads."""
+
+from __future__ import annotations
+
+STRINGS = "a list of strings"  # field kind: a list whose items are all strings
+_MISSING = object()
+_KIND_NAMES = {list: "a list", str: "a string", (int, float): "a number", STRINGS: STRINGS}
+
+
+def _matches(value, kind) -> bool:
+    if kind is STRINGS:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, kind)
+
+
+def json_fields(doc, where: str, error: type, kinds: dict, defaults=None) -> list:
+    """Values of the fields of the JSON object ``doc`` named by ``kinds``, in
+    its order.  ``kinds`` maps each field to the type its value must have (or
+    ``STRINGS``); fields in ``defaults`` are optional.  Raises ``error``
+    naming ``where`` and the offending field otherwise."""
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be a JSON object, got {doc!r:.60}")
+    defaults, values = defaults or {}, []
+    for key, kind in kinds.items():
+        value = doc.get(key, defaults.get(key, _MISSING))
+        if value is _MISSING:
+            raise error(f"{where} has no {key!r} field")
+        if not _matches(value, kind):
+            raise error(f"{where}: {key!r} must be {_KIND_NAMES[kind]}, got {value!r:.60}")
+        values.append(value)
+    return values

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .mdp import LabeledMdp
-from .prefdfa import PreferenceDfa
+from .prefdfa import PreferenceDfa, tag_labels
+from .schema import STRINGS, json_fields
 from .scltl import DEFAULT_STATE_CAP, CapacityError
 
 __all__ = [
@@ -108,10 +109,8 @@ class ProductMdp:
     mdp: LabeledMdp
     pdfa: PreferenceDfa
     state_pairs: tuple  # of (s, q)
-    pair_index: dict  # (s, q) -> product index
     transitions: dict  # (v, a) -> ((v', p), ...)
     initial: int
-    final: frozenset
     node_members: dict  # node id -> frozenset of product states
     node_edges: frozenset  # (worse node id, better node id)
 
@@ -172,14 +171,12 @@ def build_product(
                 dist.append((w, p))
             transitions[(v, a)] = tuple(dist)
 
-    final = frozenset(v for v, (_, q) in enumerate(state_pairs) if q in pdfa.final)
-    node_members = {}
-    for node in pdfa.graph.nodes:
-        members = frozenset(
-            v for v, (_, q) in enumerate(state_pairs) if q in node.states
-        )
-        if members:
-            node_members[node.node_id] = members
+    groups: dict = {}
+    for v, (_, q) in enumerate(state_pairs):
+        node = pdfa.node_of_state.get(q)
+        if node is not None:
+            groups.setdefault(node, []).append(v)
+    node_members = {node: frozenset(groups[node]) for node in sorted(groups)}
     node_edges = frozenset(
         (worse, better)
         for worse, better in pdfa.graph.edges
@@ -189,10 +186,8 @@ def build_product(
         mdp=mdp,
         pdfa=pdfa,
         state_pairs=tuple(state_pairs),
-        pair_index=pair_index,
         transitions=transitions,
         initial=0,
-        final=final,
         node_members=node_members,
         node_edges=node_edges,
     )
@@ -569,31 +564,28 @@ def strategy_to_json(pm: ProductMdp, strategy: Strategy) -> dict:
 def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
     ids = {product_state_id(pm, v): v for v in range(pm.n_states())}
     action_index = {name: a for a, name in enumerate(pm.mdp.actions)}
+    mode, entries = json_fields(doc, "strategy file", ValueError, {"mode": str, "entries": list})
     actions = {}
-    for entry in doc["entries"]:
-        sid = entry["state"]
+    for entry in entries:
+        (sid,) = json_fields(entry, "strategy entry", ValueError, {"state": str})
         if sid not in ids:
             raise ValueError(f"strategy references unknown product state {sid!r}")
-        if "actions" not in entry:
-            raise ValueError(f"strategy entry for {sid!r} has no 'actions' field")
-        unknown = [name for name in entry["actions"] if name not in action_index]
+        (names,) = json_fields(entry, f"strategy entry for {sid!r}", ValueError, {"actions": STRINGS})
+        unknown = [name for name in names if name not in action_index]
         if unknown:
             raise ValueError(f"strategy entry for {sid!r} names unknown action {unknown[0]!r}")
-        chosen = frozenset(action_index[name] for name in entry["actions"])
+        chosen = frozenset(action_index[name] for name in names)
         if not chosen:
             raise ValueError(f"empty action set at {sid!r}")
         actions[ids[sid]] = chosen
-    return Strategy(mode=doc["mode"], actions=actions)
+    return Strategy(mode=mode, actions=actions)
 
 
 def regions_to_json(pm: ProductMdp, cache: ImprovementCache) -> dict:
     nodes = {}
     for node_id, region in sorted(cache.aswin_by_node.items()):
         nodes[str(node_id)] = {
-            "tags": sorted(
-                t.render(pm.pdfa.spec)
-                for t in pm.pdfa.graph.nodes[node_id].tags
-            ),
+            "tags": tag_labels(pm.pdfa.spec, pm.pdfa.graph.nodes[node_id].mp),
             "members": sorted(product_state_id(pm, v) for v in pm.node_members[node_id]),
             "almost_sure_region": sorted(product_state_id(pm, v) for v in region.region),
         }

@@ -149,8 +149,8 @@ def random_preference_problem(seed, n_outcomes=3, connected=True):
     """Random strict/incomparable structure over small co-safe goals.
 
     With ``connected`` every outcome takes part in at least one strict pair;
-    outcomes isolated from the strict relation carry no tags in the
-    preference DFA and fall outside the graph/semantics correspondence.
+    otherwise some outcome may be incomparable to all others, which the
+    preference graph must still order exactly as ``PreferenceSpec.compare``.
     """
     rng = random.Random(seed)
     atoms = ("p", "q")

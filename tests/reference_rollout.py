@@ -133,12 +133,7 @@ def monte_carlo(
             if is_improvement(pm, nxt, v, cache):
                 regressions += 1
             v = nxt
-        final_q = pm.state_pairs[v][1]
-        pdfa = pm.pdfa
-        if final_q in pdfa.final and pdfa.tags[final_q]:
-            final_node = pdfa.node_of_state[final_q]
-        else:
-            final_node = None
+        final_node = pm.pdfa.node_of_state.get(pm.state_pairs[v][1])
         stats.rows.append(
             EpisodeRow(
                 episode=ep,

@@ -9,7 +9,7 @@ import random
 import time
 
 from prefplan.cli import main as cli_main
-from prefplan.prefdfa import build_preference_dfa, classify_word
+from prefplan.prefdfa import build_preference_dfa, classify_word, tag_labels
 from prefplan.preferences import Comparison
 from prefplan.scltl import accepts, all_symbols, good_prefix_oracle, parse, to_dfa
 from prefplan.synthesis import (
@@ -104,12 +104,12 @@ def test_criterion_2_po1_preference_dfa_structure(po1_spec):
     q_be = next(
         q for q in pdfa.final if pdfa.satisfied(q) == frozenset({iB, iE})
     )
-    tags = {t.render(spec) for t in pdfa.tags[q_be]}
+    tags = set(tag_labels(spec, pdfa.graph.nodes[pdfa.node_of_state[q_be]].mp))
     expected_tags = {"x(visit_B,visit_A)", "x(visit_E,visit_A)"}
 
     # One node per indifference class of ``spec.compare``, i.e. per set of
     # most-preferred satisfied outcomes, computed from the component DFAs
-    # rather than from the tags.  With B > A and E > A (B, E incomparable)
+    # rather than from the graph's own MP sets.  With B > A and E > A (B, E incomparable)
     # the seven final states satisfy {A}, {B}, {E}, {A,B}, {A,E}, {B,E} and
     # {A,B,E}, whose MP sets are {A}, {B}, {E}, {B}, {E}, {B,E} and {B,E}:
     # four classes, hence four nodes.

@@ -1,5 +1,6 @@
 """CLI subcommands: wiring, exit codes, artifact round-trips, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -14,6 +15,8 @@ PO1_PREF = str(BUNDLES / "po1" / "preferences.json")
 PO1_GRID4 = str(BUNDLES / "po1" / "gridworld_battery4.json")
 PO2_PREF = str(BUNDLES / "po2" / "preferences.json")
 PO2_GRID4 = str(BUNDLES / "po2" / "gridworld_battery4.json")
+PO1_PREF_DOC = json.loads((BUNDLES / "po1" / "preferences.json").read_text())
+PO1_GRID4_DOC = json.loads((BUNDLES / "po1" / "gridworld_battery4.json").read_text())
 
 
 @pytest.fixture()
@@ -56,6 +59,55 @@ def test_compile_rejects_deep_formula_in_one_line(workdir, capsys, formula):
     assert err.count("\n") == 1
 
 
+def _replace(doc, key, index, **fields):
+    """``doc`` with entry ``index`` of list ``key`` updated by ``fields``;
+    a field given as None is dropped."""
+    entries = list(doc[key])
+    merged = {**entries[index], **fields}
+    entries[index] = {k: v for k, v in merged.items() if v is not None}
+    return {**doc, key: entries}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("compile", [{"atoms": ["A"], "formula": "F A"}], "formula file must be a JSON object"),
+        ("compile", {"atoms": ["A"]}, "formula file has no 'formula' field"),
+        ("compile", {"atoms": ["A"], "formula": 7}, "formula file: 'formula' must be a string, got 7"),
+        ("prefdfa", [PO1_PREF_DOC], "preference document must be a JSON object"),
+        ("prefdfa", {**PO1_PREF_DOC, "preferences": [1]}, "preference entry must be a JSON object, got 1"),
+        (
+            "prefdfa",
+            _replace(PO1_PREF_DOC, "preferences", 0, better=None),
+            "strict preference has no 'better' field",
+        ),
+        (
+            "prefdfa",
+            _replace(PO1_PREF_DOC, "outcomes", 0, formula=7),
+            "outcome entry: 'formula' must be a string, got 7",
+        ),
+        ("synth", {"atoms": [], "states": [{"label": []}], "actions": [], "transitions": [],
+                   "initial": []}, "state entry has no 'id' field"),
+        ("synth", {"atoms": [], "states": [1], "actions": [], "transitions": [], "initial": []},
+         "state entry must be a JSON object, got 1"),
+        ("gridworld", {**PO1_GRID4_DOC, "regions": [1]}, "malformed gridworld config"),
+    ],
+    ids=[
+        "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
+        "pref-entry-int", "pref-strict-no-better", "pref-formula-int", "mdp-state-no-id",
+        "mdp-state-int", "grid-regions-list",
+    ],
+)
+def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
+    path = workdir / "input.json"
+    path.write_text(json.dumps(doc))
+    extra = [PO1_PREF] if command == "synth" else []
+    assert run("--out", "art", command, str(path), *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
 def test_compile_capacity_exit_code(workdir):
     formula = workdir / "formula.json"
     formula.write_text(json.dumps({"atoms": ["A", "B"], "formula": "F (A & X (B & X A))"}))
@@ -69,6 +121,32 @@ def test_prefdfa_artifacts(workdir):
     assert len(doc["graph"]["nodes"]) == 4
     spec_doc = json.loads((workdir / "art" / "preference_spec.json").read_text())
     assert ["visit_B", "visit_A"] in spec_doc["strict"]
+
+
+# sha256 of the ``prefdfa`` exports, recorded before the preference graph
+# was derived from ``PreferenceSpec.compare``; a change here changes bytes.
+PREFDFA_SHA256 = {
+    "po1": {
+        "preference_dfa.dot": "f4d6b8ba1d554000e1f22743eacfb95ce56e678475bb850499d8e1c2e663400c",
+        "preference_dfa.json": "a754373dac1e15e16d329bd2bebefafe66ba18df8a5a11c3732406877e5e32e0",
+        "preference_spec.json": "c73c78b6db143befff089e2238160cfa491fa3e6b4029a2cfbf95379d94e691a",
+    },
+    "po2": {
+        "preference_dfa.dot": "6fb3594f7405ec7ad769e3b7a91b3c6d2c33b49c827a5b29b258f798a79e7e5b",
+        "preference_dfa.json": "8b9b4ab603deb75b6dd58ee512e22089dea7b9d2010c17b788fc756c4715774d",
+        "preference_spec.json": "df8e346414371edb7fa6eb92b6a25d3c5241212329666785a9ed784edcfc047d",
+    },
+}
+
+
+@pytest.mark.parametrize("bundle", sorted(PREFDFA_SHA256))
+def test_prefdfa_exports_pinned(workdir, bundle):
+    assert run("--out", "art", "prefdfa", str(BUNDLES / bundle / "preferences.json")) == 0
+    digests = {
+        name: hashlib.sha256((workdir / "art" / name).read_bytes()).hexdigest()
+        for name in PREFDFA_SHA256[bundle]
+    }
+    assert digests == PREFDFA_SHA256[bundle]
 
 
 def test_gridworld_roundtrip(workdir):
@@ -125,24 +203,40 @@ def test_verify_external_strategy_pass(workdir):
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (lambda entry: entry.update(actions=["Fly"]), "names unknown action 'Fly'"),
-        (lambda entry: entry.pop("actions"), "has no 'actions' field"),
+        (
+            lambda doc: _replace(doc, "entries", 0, actions=["Fly"]),
+            "strategy entry for {state!r} names unknown action 'Fly'",
+        ),
+        (
+            lambda doc: _replace(doc, "entries", 0, actions=None),
+            "strategy entry for {state!r} has no 'actions' field",
+        ),
+        (
+            lambda doc: _replace(doc, "entries", 0, actions="West"),
+            "strategy entry for {state!r}: 'actions' must be a list of strings, got 'West'",
+        ),
+        (lambda doc: _replace(doc, "entries", 0, state=None), "strategy entry has no 'state' field"),
+        (lambda doc: {"mode": doc["mode"]}, "strategy file has no 'entries' field"),
+        (lambda doc: {"entries": doc["entries"]}, "strategy file has no 'mode' field"),
+        (lambda doc: [doc], "strategy file must be a JSON object, got ["),
     ],
-    ids=["unknown-action", "missing-actions"],
+    ids=[
+        "unknown-action", "missing-actions", "string-actions", "missing-state",
+        "missing-entries", "missing-mode", "list",
+    ],
 )
 def test_verify_rejects_malformed_strategy_in_one_line(workdir, capsys, damage, message):
     assert run("--out", "g", "gridworld", PO1_GRID4) == 0
     mdp_path = str(workdir / "g" / "mdp.json")
     assert run("--out", "s", "synth", mdp_path, PO1_PREF) == 0
     doc = json.loads((workdir / "s" / "strategy_sasi.json").read_text())
-    damage(doc["entries"][0])
     bad = workdir / "bad_strategy.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(damage(doc)))
     capsys.readouterr()
     assert run("--out", "v", "verify", mdp_path, PO1_PREF, "--strategy", str(bad), "--mode", "sasi") == 1
     err = capsys.readouterr().err
-    state = doc["entries"][0]["state"]
-    assert err == f"error: strategy entry for {state!r} {message}\n"
+    assert err.startswith("error: " + message.format(state=doc["entries"][0]["state"]))
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_code():

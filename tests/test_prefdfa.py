@@ -1,4 +1,5 @@
-"""Preference DFA construction: product, tags, graph, and word classification.
+"""Preference DFA construction: product, MP-set nodes, edges, tag labels and
+word classification.
 
 The consistency check at the bottom is the module's load-bearing property:
 comparing two words through the preference graph must agree with comparing
@@ -8,15 +9,19 @@ computed through the individual outcome DFAs, never through the product.
 
 import pytest
 
-from prefplan.prefdfa import Tag, build_preference_dfa, classify_word, pdfa_to_dot, pdfa_to_json
+from prefplan.prefdfa import build_preference_dfa, classify_word, pdfa_to_dot, pdfa_to_json, tag_labels
 from prefplan.preferences import Comparison, PreferenceDeclarations, build_spec
 from prefplan.scltl import CapacityError, accepts, all_symbols, parse, to_dfa
 
 from conftest import random_preference_problem
 
 
-def tag_names(pdfa, tags):
-    return {t.render(pdfa.spec) for t in tags}
+def node_tags(pdfa, node_id):
+    return set(tag_labels(pdfa.spec, pdfa.graph.nodes[node_id].mp))
+
+
+def state_tags(pdfa, q):
+    return node_tags(pdfa, pdfa.node_of_state[q])
 
 
 def state_by_sat(pdfa, sat_names):
@@ -45,7 +50,7 @@ def test_po1_product_shape(po1_pdfa):
 
 def test_po1_tags_b_and_e_satisfied(po1_pdfa):
     q = state_by_sat(po1_pdfa, {"visit_B", "visit_E"})
-    assert tag_names(po1_pdfa, po1_pdfa.tags[q]) == {
+    assert state_tags(po1_pdfa, q) == {
         "x(visit_B,visit_A)",
         "x(visit_E,visit_A)",
     }
@@ -53,7 +58,7 @@ def test_po1_tags_b_and_e_satisfied(po1_pdfa):
 
 def test_po1_tags_only_a_satisfied(po1_pdfa):
     q = state_by_sat(po1_pdfa, {"visit_A"})
-    assert tag_names(po1_pdfa, po1_pdfa.tags[q]) == {
+    assert state_tags(po1_pdfa, q) == {
         "y(visit_B,visit_A)",
         "y(visit_E,visit_A)",
     }
@@ -72,7 +77,7 @@ def test_po1_node_count_matches_indifference_classes(po1_pdfa):
 def test_po1_edges(po1_pdfa):
     spec = po1_pdfa.spec
     by_tags = {
-        frozenset(tag_names(po1_pdfa, n.tags)): n.node_id for n in po1_pdfa.graph.nodes
+        frozenset(node_tags(po1_pdfa, n.node_id)): n.node_id for n in po1_pdfa.graph.nodes
     }
     n_a = by_tags[frozenset({"y(visit_B,visit_A)", "y(visit_E,visit_A)"})]
     n_b = by_tags[frozenset({"x(visit_B,visit_A)"})]
@@ -90,13 +95,13 @@ def test_classify_word_po1(po1_pdfa):
     spec = po1_pdfa.spec
     node_be = classify_word(po1_pdfa, [set(), {"B"}, {"E"}])
     assert node_be is not None
-    assert tag_names(po1_pdfa, po1_pdfa.graph.nodes[node_be].tags) == {
+    assert node_tags(po1_pdfa, node_be) == {
         "x(visit_B,visit_A)",
         "x(visit_E,visit_A)",
     }
     assert classify_word(po1_pdfa, [set(), set(), set()]) is None
     node_a = classify_word(po1_pdfa, [{"A"}])
-    assert tag_names(po1_pdfa, po1_pdfa.graph.nodes[node_a].tags) == {
+    assert node_tags(po1_pdfa, node_a) == {
         "y(visit_B,visit_A)",
         "y(visit_E,visit_A)",
     }
@@ -110,12 +115,14 @@ def test_classify_rejects_foreign_letter(po1_pdfa):
 
 
 def test_tag_exclusivity(po1_pdfa, po2_pdfa):
+    # No final state is labelled with both sides of one strict pair.
     for pdfa in (po1_pdfa, po2_pdfa):
         for q in pdfa.final:
-            tags = pdfa.tags[q]
+            tags = state_tags(pdfa, q)
+            assert tags
             for t in tags:
-                if t.kind == "x":
-                    assert Tag("y", t.i, t.j) not in tags
+                if t.startswith("x("):
+                    assert "y(" + t[2:] not in tags
 
 
 def test_node_partition(po1_pdfa, po2_pdfa):
@@ -149,9 +156,9 @@ def test_satisfied_sets_grow_along_extensions(po1_pdfa):
         assert po1_pdfa.satisfied(q2) >= sat
 
 
-def test_untagged_final_states_form_empty_node():
-    # With an empty strict relation no tags exist; the final states share one
-    # node with an empty tag set and the graph has no edges.
+def test_empty_strict_relation_gives_one_node_per_mp_set():
+    # With an empty strict relation every satisfied set is its own MP set:
+    # {x}, {y} and {x,y} are three untagged nodes, pairwise incomparable.
     atoms = ("a", "b")
     decl = PreferenceDeclarations(
         atoms=atoms,
@@ -160,11 +167,15 @@ def test_untagged_final_states_form_empty_node():
     )
     spec = build_spec(decl)
     pdfa = build_preference_dfa(spec, atoms)
-    assert len(pdfa.graph.nodes) == 1
-    assert pdfa.graph.nodes[0].tags == frozenset()
+    x, y = spec.index_of("x"), spec.index_of("y")
+    # Untagged nodes are numbered by their sorted MP sets.
+    assert [n.mp for n in pdfa.graph.nodes] == [{x}, {x, y}, {y}]
+    assert all(tag_labels(spec, n.mp) == [] for n in pdfa.graph.nodes)
     assert not pdfa.graph.edges
-    # Untagged final states classify to None.
-    assert classify_word(pdfa, [{"a"}]) is None
+    assert classify_word(pdfa, [{"a"}]) == 0
+    assert classify_word(pdfa, [{"a", "b"}]) == 1
+    assert classify_word(pdfa, [{"b"}]) == 2
+    assert classify_word(pdfa, [set()]) is None
 
 
 def test_product_cap():
@@ -234,9 +245,13 @@ def test_graph_comparison_matches_semantics(which, po1_spec, po2_spec, po1_pdfa,
             assert cg is cs, (w1, w2, cg, cs)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_graph_comparison_matches_semantics_random(seed):
-    atoms, spec = random_preference_problem(seed, n_outcomes=3, connected=True)
+@pytest.mark.parametrize(
+    "seed, connected",
+    [pytest.param(seed, True, id=str(seed)) for seed in range(10)]
+    + [pytest.param(seed, False, id=f"unconnected-{seed}") for seed in range(20)],
+)
+def test_graph_comparison_matches_semantics_random(seed, connected):
+    atoms, spec = random_preference_problem(seed, n_outcomes=3, connected=connected)
     pdfa = build_preference_dfa(spec, atoms)
     outcome_dfas = [to_dfa(o.formula, atoms) for o in spec.outcomes]
     witnesses = reachable_states_with_witnesses(pdfa, max_len=6)
@@ -250,12 +265,19 @@ def test_graph_comparison_matches_semantics_random(seed):
     assert not mismatches, mismatches[:3]
 
 
-def test_known_gap_outcomes_outside_strict_relation():
-    # Outcomes not related by any strict pair carry no tags, so two words
-    # satisfying different such outcomes share the untagged node and the
-    # graph calls them indifferent while the semantics calls them
-    # incomparable.  Recorded as a known limit of the tag encoding; the
-    # correspondence theorem needs every outcome in some strict pair.
+def assert_graph_matches_compare(spec, pdfa, max_len):
+    outcome_dfas = [to_dfa(o.formula, pdfa.alphabet) for o in spec.outcomes]
+    witnesses = reachable_states_with_witnesses(pdfa, max_len=max_len)
+    assert set(witnesses) == set(range(len(pdfa.states)))
+    for u1 in witnesses.values():
+        for u2 in witnesses.values():
+            cg = graph_compare(pdfa, classify_word(pdfa, u1), classify_word(pdfa, u2))
+            assert cg is semantic_compare(spec, outcome_dfas, u1, u2), (u1, u2)
+
+
+def test_outcomes_outside_strict_relation_correspond():
+    # "lone" takes part in no strict pair; MP sets that differ in it are
+    # distinct nodes, and the graph still agrees with ``compare`` everywhere.
     atoms = ("p", "q")
     decl = PreferenceDeclarations(
         atoms=atoms,
@@ -271,17 +293,40 @@ def test_known_gap_outcomes_outside_strict_relation():
     outcome_dfas = [to_dfa(o.formula, atoms) for o in spec.outcomes]
     w1 = ({"q"},)  # satisfies low and lone
     w2 = ({"q"}, {"p"})  # also satisfies top later; different MP set
-    assert semantic_compare(spec, outcome_dfas, w1, w2) is not Comparison.INDIFFERENT
-    # The strict-connected fragment still corresponds exactly.
-    witnesses = reachable_states_with_witnesses(pdfa, max_len=4)
-    connected = {spec.index_of("top"), spec.index_of("low")}
-    for q1, u1 in witnesses.items():
-        for q2, u2 in witnesses.items():
-            sat1 = {k for k, d in enumerate(outcome_dfas) if accepts(d, u1)}
-            sat2 = {k for k, d in enumerate(outcome_dfas) if accepts(d, u2)}
-            if sat1 <= connected and sat2 <= connected:
-                cg = graph_compare(pdfa, classify_word(pdfa, u1), classify_word(pdfa, u2))
-                assert cg is semantic_compare(spec, outcome_dfas, u1, u2)
+    assert semantic_compare(spec, outcome_dfas, w1, w2) is Comparison.STRICTLY_WORSE
+    assert graph_compare(pdfa, classify_word(pdfa, w1), classify_word(pdfa, w2)) is (
+        Comparison.STRICTLY_WORSE
+    )
+    assert_graph_matches_compare(spec, pdfa, max_len=4)
+
+
+def test_unrelated_outcome_splits_nodes():
+    # b > a and an unrelated c: {b} and {b,c} are INCOMPARABLE under
+    # ``compare``, so they must be different nodes with no edge between them.
+    atoms = ("A", "B", "C")
+    decl = PreferenceDeclarations(
+        atoms=atoms,
+        outcomes=[(name, parse(f"F {name.upper()}", atoms)) for name in ("a", "b", "c")],
+        statements=[("strict", "b", "a")],
+    )
+    spec = build_spec(decl)
+    pdfa = build_preference_dfa(spec, atoms)
+    ia, ib, ic = (spec.index_of(n) for n in ("a", "b", "c"))
+    node_b = classify_word(pdfa, [{"B"}])
+    node_bc = classify_word(pdfa, [{"B", "C"}])
+    assert pdfa.graph.nodes[node_b].mp == {ib}
+    assert pdfa.graph.nodes[node_bc].mp == {ib, ic}
+    assert node_b != node_bc
+    assert (node_b, node_bc) not in pdfa.graph.edges
+    assert (node_bc, node_b) not in pdfa.graph.edges
+    assert (classify_word(pdfa, [{"A"}]), node_b) in pdfa.graph.edges
+    assert len(pdfa.graph.nodes) == len({spec.mp(pdfa.satisfied(q)) for q in pdfa.final})
+    for q1 in pdfa.final:
+        for q2 in pdfa.final:
+            n1, n2 = pdfa.node_of_state[q1], pdfa.node_of_state[q2]
+            want = spec.compare(pdfa.satisfied(q1), pdfa.satisfied(q2))
+            assert graph_compare(pdfa, n1, n2) is want, (q1, q2)
+    assert_graph_matches_compare(spec, pdfa, max_len=3)
 
 
 # ---------------------------------------------------------------------------

@@ -213,12 +213,9 @@ def test_improvement_via_direct_edge(po1_b4):
     cache = aswin_by_node(pm)
     # Pick members of the A-node and the B-node: the latter improves on the
     # former through the preference-graph edge.
-    by_tags = {}
-    for node in pdfa.graph.nodes:
-        key = frozenset(t.render(spec) for t in node.tags)
-        by_tags[key] = node.node_id
-    n_a = by_tags[frozenset({"y(visit_B,visit_A)", "y(visit_E,visit_A)"})]
-    n_b = by_tags[frozenset({"x(visit_B,visit_A)"})]
+    node_of_mp = {node.mp: node.node_id for node in pdfa.graph.nodes}
+    n_a = node_of_mp[frozenset({spec.index_of("visit_A")})]
+    n_b = node_of_mp[frozenset({spec.index_of("visit_B")})]
     v_a = min(pm.node_members[n_a])
     v_b = min(pm.node_members[n_b])
     assert is_improvement(pm, v_a, v_b, cache)

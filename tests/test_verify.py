@@ -314,11 +314,8 @@ def test_monte_carlo_exact_distribution_matches_chain_analysis(po1_b4):
         dist = nxt
     exact = {}
     for v, mass in dist.items():
-        q = pm.state_pairs[v][1]
-        if q in pdfa.final and pdfa.tags[q]:
-            key = str(pdfa.node_of_state[q])
-        else:
-            key = "none"
+        node = pdfa.node_of_state.get(pm.state_pairs[v][1])
+        key = "none" if node is None else str(node)
         exact[key] = exact.get(key, 0.0) + mass
     n = 8000
     stats = monte_carlo(pm, policy, episodes=n, seed=77)
