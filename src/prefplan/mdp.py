@@ -260,25 +260,31 @@ class GridworldConfig:
 
 
 def gridworld_config_from_json(doc: dict) -> GridworldConfig:
+    where = "malformed gridworld config"
+    number = (int, float)
+    width, height, start, battery, obstacles, drift, regions, stay = json_fields(
+        doc, where, MdpError,
+        {"width": number, "height": number, "start": list, "battery_capacity": number,
+         "obstacles": list, "drift": list, "regions": dict, "stay_probability": number},
+        defaults={"obstacles": [], "drift": [], "regions": {}, "stay_probability": 0.5},
+    )
+    drift_entries = [
+        json_fields(entry, f"{where}: drift entry", MdpError, {"cell": list, "directions": STRINGS})
+        for entry in drift
+    ]
     try:
         return GridworldConfig(
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-            start=tuple(doc["start"]),
-            battery_capacity=int(doc["battery_capacity"]),
-            obstacles=frozenset(tuple(c) for c in doc.get("obstacles", [])),
-            drift_cells={
-                tuple(entry["cell"]): tuple(entry["directions"])
-                for entry in doc.get("drift", [])
-            },
-            regions={
-                atom: frozenset(tuple(c) for c in cells)
-                for atom, cells in doc.get("regions", {}).items()
-            },
-            stay_probability=float(doc.get("stay_probability", 0.5)),
+            width=int(width),
+            height=int(height),
+            start=tuple(start),
+            battery_capacity=int(battery),
+            obstacles=frozenset(tuple(c) for c in obstacles),
+            drift_cells={tuple(cell): tuple(directions) for cell, directions in drift_entries},
+            regions={atom: frozenset(tuple(c) for c in cells) for atom, cells in regions.items()},
+            stay_probability=float(stay),
         )
-    except (KeyError, TypeError, AttributeError) as e:
-        raise MdpError(f"malformed gridworld config: {e}") from e
+    except TypeError as e:
+        raise MdpError(f"{where}: {e}") from e
 
 
 def gridworld_config_to_json(cfg: GridworldConfig) -> dict:

@@ -15,14 +15,16 @@ the exports and fix the node order, but decide nothing.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .preferences import Comparison, PreferenceSpec
 from .scltl import (
     DEFAULT_STATE_CAP,
     CapacityError,
-    all_symbols,
     declare_alphabet,
+    symbol_index,
+    symbol_labels,
     to_dfa,
     AlphabetError,
 )
@@ -54,12 +56,21 @@ class PreferenceGraph:
 
 @dataclass(frozen=True)
 class PreferenceDfa:
+    """Reachable product of the outcome DFAs with its preference graph.
+
+    ``rows[q][k]`` is the successor of state ``q`` on ``symbols[k]`` and
+    ``position`` maps each symbol to its ``k``.  States are numbered as the
+    per-letter product construction first reaches them, reading letters in
+    ``all_symbols`` order.
+    """
+
     spec: PreferenceSpec
     alphabet: tuple
     component_dfas: tuple  # one Dfa per outcome
     states: tuple  # tuples of component state indices, reachable only
     symbols: tuple
-    transitions: dict  # (state index, symbol) -> state index
+    position: Mapping  # symbol -> its index in symbols
+    rows: tuple  # per state, the successor on each symbol by position
     initial: int
     final: frozenset
     graph: PreferenceGraph
@@ -67,7 +78,7 @@ class PreferenceDfa:
 
     def step(self, state: int, sigma: frozenset) -> int:
         try:
-            return self.transitions[(state, sigma)]
+            return self.rows[state][self.position[sigma]]
         except KeyError:
             raise AlphabetError(f"symbol {set(sigma)!r} outside the alphabet") from None
 
@@ -112,30 +123,35 @@ def build_preference_dfa(
     outcomes share that set of most-preferred outcomes.  Nodes are numbered
     by their tags, then by the MP set, so ids follow from the spec alone.
     Edges run from the worse node to each node ``spec.compare`` calls
-    strictly better."""
+    strictly better.
+
+    Each state steps on every letter at once: the components' successor rows
+    are zipped, and new tuples are numbered in the order of their first
+    letter.  States therefore get the numbers of the per-letter construction,
+    a depth-first search reading letters in ``all_symbols`` order."""
     declared = declare_alphabet(alphabet)
     components = tuple(to_dfa(o.formula, declared, state_cap=state_cap) for o in spec.outcomes)
-    syms = all_symbols(declared)
+    syms, position = symbol_index(declared)
 
     init = tuple(d.initial for d in components)
     index = {init: 0}
     states = [init]
-    transitions = {}
+    rows = [None]
     frontier = [0]
     while frontier:
         i = frontier.pop()
-        tup = states[i]
-        for sigma in syms:
-            nxt = tuple(d.transitions[(q, sigma)] for q, d in zip(tup, components))
-            j = index.get(nxt)
-            if j is None:
+        cols = [d.rows[q] for q, d in zip(states[i], components)]
+        row = list(zip(*cols)) if cols else [()] * len(syms)
+        for nxt in dict.fromkeys(row):
+            if nxt not in index:
                 j = len(states)
                 if j >= state_cap:
                     raise CapacityError(f"preference DFA exceeded {state_cap} states")
                 index[nxt] = j
                 states.append(nxt)
+                rows.append(None)
                 frontier.append(j)
-            transitions[(i, sigma)] = j
+        rows[i] = tuple(map(index.__getitem__, row))
 
     # Final states (some component accepts) grouped by their MP set.
     groups: dict = {}
@@ -160,8 +176,9 @@ def build_preference_dfa(
         alphabet=declared,
         component_dfas=components,
         states=tuple(states),
-        symbols=tuple(syms),
-        transitions=transitions,
+        symbols=syms,
+        position=position,
+        rows=tuple(rows),
         initial=0,
         final=frozenset(node_of_state),
         graph=PreferenceGraph(nodes=nodes, edges=edges),
@@ -196,6 +213,7 @@ def _state_tags(pdfa: PreferenceDfa, i: int) -> list:
 
 def pdfa_to_json(pdfa: PreferenceDfa) -> dict:
     spec = pdfa.spec
+    names = [sorted(sigma) for sigma in pdfa.symbols]
     return {
         "alphabet": list(pdfa.alphabet),
         "outcomes": [o.name for o in spec.outcomes],
@@ -211,9 +229,9 @@ def pdfa_to_json(pdfa: PreferenceDfa) -> dict:
         "final": sorted(pdfa.final),
         "tags": {str(i): _state_tags(pdfa, i) for i in sorted(pdfa.final)},
         "transitions": [
-            {"from": i, "symbol": sorted(sigma), "to": pdfa.transitions[(i, sigma)]}
-            for i in range(len(pdfa.states))
-            for sigma in pdfa.symbols
+            {"from": i, "symbol": name, "to": j}
+            for i, row in enumerate(pdfa.rows)
+            for name, j in zip(names, row)
         ],
         "graph": {
             "nodes": [
@@ -242,12 +260,12 @@ def pdfa_to_dot(pdfa: PreferenceDfa) -> str:
         else:
             lines.append(f'    q{i} [shape=circle label="{label}"];')
     lines.append(f"    init [shape=point]; init -> q{pdfa.initial};")
-    for i in range(len(pdfa.states)):
+    texts = symbol_labels(pdfa.symbols)
+    for i, row in enumerate(pdfa.rows):
         by_target: dict = {}
-        for sigma in pdfa.symbols:
-            j = pdfa.transitions[(i, sigma)]
+        for text, j in zip(texts, row):
             if j != i:
-                by_target.setdefault(j, []).append("{%s}" % ",".join(sorted(sigma)))
+                by_target.setdefault(j, []).append(text)
         for j, labels in sorted(by_target.items()):
             lines.append(f'    q{i} -> q{j} [label="{" ".join(labels)}"];')
     lines.append("  }")

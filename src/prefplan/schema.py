@@ -4,7 +4,9 @@ from __future__ import annotations
 
 STRINGS = "a list of strings"  # field kind: a list whose items are all strings
 _MISSING = object()
-_KIND_NAMES = {list: "a list", str: "a string", (int, float): "a number", STRINGS: STRINGS}
+_KIND_NAMES = {
+    list: "a list", dict: "a JSON object", str: "a string", (int, float): "a number", STRINGS: STRINGS
+}
 
 
 def _matches(value, kind) -> bool:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 __all__ = [
     "Formula",
@@ -31,6 +33,7 @@ __all__ = [
     "Dfa",
     "declare_alphabet",
     "all_symbols",
+    "symbol_index",
     "parse",
     "fmt",
     "progress",
@@ -41,6 +44,7 @@ __all__ = [
     "dfa_to_json",
     "dfa_from_json",
     "dfa_to_dot",
+    "symbol_labels",
 ]
 
 MAX_ALPHABET_ATOMS = 16
@@ -224,6 +228,15 @@ def all_symbols(alphabet: tuple[str, ...]) -> list[frozenset[str]]:
         for combo in itertools.combinations(ordered, r):
             syms.append(frozenset(combo))
     return syms
+
+
+@functools.lru_cache(maxsize=4)
+def symbol_index(alphabet: tuple[str, ...]) -> tuple[tuple[frozenset, ...], Mapping]:
+    """The symbols of a declared alphabet in :func:`all_symbols` order, and a
+    read-only map from each symbol to its position among them.  Cached, so
+    the automata of one preference build enumerate 2^AP once and share both."""
+    syms = tuple(all_symbols(alphabet))
+    return syms, MappingProxyType({sigma: k for k, sigma in enumerate(syms)})
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +545,24 @@ def canonicalize(f: Formula) -> Formula:
 class Dfa:
     """Complete DFA over 2^AP with absorbing accepting states.
 
-    ``states`` holds display labels; ``transitions`` maps (state index,
-    symbol) to a state index and is total on states x alphabet.
+    ``states`` holds display labels.  The transition function is total on
+    states x alphabet: ``rows[q][k]`` is the successor of state ``q`` on
+    ``symbols[k]``, and ``position`` maps each symbol to its ``k``.  From
+    :func:`to_dfa`, states are numbered in the order the per-letter
+    construction first reaches them, reading letters in ``all_symbols`` order.
     """
 
     alphabet: tuple[str, ...]
     states: tuple[str, ...]
     symbols: tuple[frozenset, ...]
-    transitions: dict
+    position: Mapping  # symbol -> its index in symbols
+    rows: tuple  # per state, the successor on each symbol by position
     initial: int
     accepting: frozenset
 
     def step(self, state: int, sigma: frozenset) -> int:
         try:
-            return self.transitions[(state, sigma)]
+            return self.rows[state][self.position[sigma]]
         except KeyError:
             raise AlphabetError(f"symbol {set(sigma)!r} outside the alphabet") from None
 
@@ -560,24 +577,35 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Translate an NNF formula to a complete DFA accepting its good prefixes.
 
     States are canonical progressed formulas; ``true`` is the accepting
-    absorbing state and ``false`` the completion sink.
+    absorbing state and ``false`` the completion sink.  Progression reads
+    only the atoms of ``f``, so letters with the same projection onto them
+    form a class, and each state is progressed once per class.  The result
+    is the automaton of progressing every letter: the same states, numbered
+    in the order a depth-first search that reads letters in ``all_symbols``
+    order first reaches them, and the same successor for every letter.
     """
     declared = declare_alphabet(alphabet)
-    undeclared = atoms_of(f) - set(declared)
+    atoms = atoms_of(f)
+    undeclared = atoms - set(declared)
     if undeclared:
         raise AlphabetError(f"formula uses undeclared propositions: {sorted(undeclared)}")
-    syms = all_symbols(declared)
+    syms, position = symbol_index(declared)
+    # Classes in the order their first letter comes, so stepping the classes
+    # in turn meets new states in the same order as stepping the letters.
+    classes: dict = {}
+    class_of = [classes.setdefault(sigma & atoms, len(classes)) for sigma in syms]
 
     init = canonicalize(f)
     index = {_key(init): 0}
     reps = [init]
-    transitions = {}
+    rows = [None]
     frontier = [0]
     while frontier:
         i = frontier.pop()
         rep = reps[i]
-        for sigma in syms:
-            nxt = canonicalize(progress(rep, sigma))
+        succ = []
+        for proj in classes:
+            nxt = canonicalize(progress(rep, proj))
             k = _key(nxt)
             j = index.get(k)
             if j is None:
@@ -586,14 +614,17 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
                     raise CapacityError(f"DFA construction exceeded {state_cap} states")
                 index[k] = j
                 reps.append(nxt)
+                rows.append(None)
                 frontier.append(j)
-            transitions[(i, sigma)] = j
+            succ.append(j)
+        rows[i] = tuple(map(succ.__getitem__, class_of))
     accepting = frozenset(i for i, rep in enumerate(reps) if isinstance(rep, TrueF))
     return Dfa(
         alphabet=declared,
         states=tuple(fmt(rep) for rep in reps),
-        symbols=tuple(syms),
-        transitions=transitions,
+        symbols=syms,
+        position=position,
+        rows=tuple(rows),
         initial=0,
         accepting=accepting,
     )
@@ -656,20 +687,17 @@ def good_prefix_oracle(f: Formula, word) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _symbol_list(sigma: frozenset) -> list[str]:
-    return sorted(sigma)
-
-
 def dfa_to_json(dfa: Dfa) -> dict:
+    names = [sorted(sigma) for sigma in dfa.symbols]
     return {
         "alphabet": list(dfa.alphabet),
         "states": [{"id": i, "label": label} for i, label in enumerate(dfa.states)],
         "initial": dfa.initial,
         "accepting": sorted(dfa.accepting),
         "transitions": [
-            {"from": i, "symbol": _symbol_list(sigma), "to": dfa.transitions[(i, sigma)]}
-            for i in range(len(dfa.states))
-            for sigma in dfa.symbols
+            {"from": i, "symbol": name, "to": j}
+            for i, row in enumerate(dfa.rows)
+            for name, j in zip(names, row)
         ],
     }
 
@@ -677,22 +705,35 @@ def dfa_to_json(dfa: Dfa) -> dict:
 def dfa_from_json(doc: dict) -> Dfa:
     alphabet = declare_alphabet(doc["alphabet"])
     states = tuple(entry["label"] for entry in sorted(doc["states"], key=lambda e: e["id"]))
-    syms = all_symbols(alphabet)
-    transitions = {}
+    syms, position = symbol_index(alphabet)
+    rows = [[None] * len(syms) for _ in states]
+
+    def is_state(i):
+        return isinstance(i, int) and 0 <= i < len(states)
+
     for entry in doc["transitions"]:
-        transitions[(entry["from"], frozenset(entry["symbol"]))] = entry["to"]
-    for i in range(len(states)):
-        for sigma in syms:
-            if (i, sigma) not in transitions:
+        i, sigma, j = entry["from"], frozenset(entry["symbol"]), entry["to"]
+        if not (is_state(i) and is_state(j) and sigma in position):
+            raise ValueError(f"transition {i!r} -> {j!r} on {sorted(sigma)} outside the states or alphabet")
+        rows[i][position[sigma]] = j
+    for i, row in enumerate(rows):
+        for sigma, j in zip(syms, row):
+            if j is None:
                 raise ValueError(f"transition missing for state {i}, symbol {sorted(sigma)}")
     return Dfa(
         alphabet=alphabet,
         states=states,
-        symbols=tuple(syms),
-        transitions=transitions,
+        symbols=syms,
+        position=position,
+        rows=tuple(map(tuple, rows)),
         initial=doc["initial"],
         accepting=frozenset(doc["accepting"]),
     )
+
+
+def symbol_labels(symbols) -> list[str]:
+    """Each symbol written as ``{a,b}`` for the DOT exports."""
+    return ["{%s}" % ",".join(sorted(sigma)) for sigma in symbols]
 
 
 def _dot_escape(s: str) -> str:
@@ -706,11 +747,11 @@ def dfa_to_dot(dfa: Dfa) -> str:
         lines.append(f'  q{i} [shape={shape} label="{_dot_escape(label)}"];')
     lines.append(f"  init [shape=point]; init -> q{dfa.initial};")
     # Group parallel edges by target to keep the output readable.
-    for i in range(len(dfa.states)):
+    texts = symbol_labels(dfa.symbols)
+    for i, row in enumerate(dfa.rows):
         by_target: dict = {}
-        for sigma in dfa.symbols:
-            j = dfa.transitions[(i, sigma)]
-            by_target.setdefault(j, []).append("{%s}" % ",".join(sorted(sigma)))
+        for text, j in zip(texts, row):
+            by_target.setdefault(j, []).append(text)
         for j, labels in sorted(by_target.items()):
             lines.append(f'  q{i} -> q{j} [label="{_dot_escape(" ".join(labels))}"];')
     lines.append("}")

@@ -147,7 +147,9 @@ def build_product(
     if len(mdp.initial) != 1:
         raise ValueError("product construction expects a single initial state")
     s0 = mdp.initial[0][0]
-    q0 = pdfa.step(pdfa.initial, mdp.labels[s0])
+    rows = pdfa.rows
+    letter = [pdfa.position[label] for label in mdp.labels]  # per MDP state
+    q0 = rows[pdfa.initial][letter[s0]]
 
     pair_index = {(s0, q0): 0}
     state_pairs = [(s0, q0)]
@@ -159,7 +161,7 @@ def build_product(
         for a in mdp.enabled(s):
             dist = []
             for s2, p in mdp.transitions[(s, a)]:
-                q2 = pdfa.step(q, mdp.labels[s2])
+                q2 = rows[q][letter[s2]]
                 w = pair_index.get((s2, q2))
                 if w is None:
                     w = len(state_pairs)

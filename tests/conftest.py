@@ -87,6 +87,26 @@ def po2_spec():
     return atoms, build_spec(decl)
 
 
+# Ten atoms and the five outcome shapes of the benchmark's wide-alphabet
+# workload, role rK played by the K-th atom: a 189-state preference DFA over
+# 1024 symbols, where a slip in the order of states or letters shows.
+WIDE_PREF_DOC = {
+    "atoms": list("abcdefghij"),
+    "outcomes": [
+        {"name": "seq_a_b", "formula": "F (a & X F b)"},
+        {"name": "seq_c_d", "formula": "F (c & X F d)"},
+        {"name": "seq_e_f", "formula": "F (e & X F f)"},
+        {"name": "guard_g", "formula": "!(h | i) U g"},
+        {"name": "guard_h", "formula": "!(g | j) U h"},
+    ],
+    "preferences": [
+        {"kind": "strict", "better": "seq_c_d", "worse": "seq_a_b"},
+        {"kind": "strict", "better": "seq_e_f", "worse": "seq_c_d"},
+        {"kind": "strict", "better": "guard_h", "worse": "guard_g"},
+    ],
+}
+
+
 # Probabilities are drawn from a coarse grid so reachability values stay far
 # from the classification thresholds of the qualitative solvers.
 DIST_SHAPES = [

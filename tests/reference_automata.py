@@ -1,0 +1,157 @@
+"""The eager automaton constructions as they were before letter classes and
+successor rows.
+
+Test-only oracles: ``to_dfa`` progresses every state on every letter of 2^AP,
+and ``build_preference_dfa`` steps the component automata one letter at a
+time, both filling a ``(state, symbol) -> state`` dict.  The fast builders in
+``prefplan.scltl`` and ``prefplan.prefdfa`` must give the same automata: the
+same states in the same numbering, and the same successor for every letter.
+"""
+
+from dataclasses import dataclass
+
+from prefplan.preferences import Comparison, PreferenceSpec
+from prefplan.prefdfa import GraphNode, PreferenceGraph, _tags
+from prefplan.scltl import (
+    DEFAULT_STATE_CAP,
+    AlphabetError,
+    CapacityError,
+    Formula,
+    TrueF,
+    _key,
+    all_symbols,
+    atoms_of,
+    canonicalize,
+    declare_alphabet,
+    fmt,
+    progress,
+)
+
+
+@dataclass(frozen=True)
+class Dfa:
+    alphabet: tuple
+    states: tuple
+    symbols: tuple
+    transitions: dict  # (state index, symbol) -> state index
+    initial: int
+    accepting: frozenset
+
+    def step(self, state: int, sigma: frozenset) -> int:
+        return self.transitions[(state, sigma)]
+
+
+@dataclass(frozen=True)
+class PreferenceDfa:
+    spec: PreferenceSpec
+    alphabet: tuple
+    component_dfas: tuple
+    states: tuple
+    symbols: tuple
+    transitions: dict  # (state index, symbol) -> state index
+    initial: int
+    final: frozenset
+    graph: PreferenceGraph
+    node_of_state: dict
+
+    def step(self, state: int, sigma: frozenset) -> int:
+        return self.transitions[(state, sigma)]
+
+
+def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    declared = declare_alphabet(alphabet)
+    undeclared = atoms_of(f) - set(declared)
+    if undeclared:
+        raise AlphabetError(f"formula uses undeclared propositions: {sorted(undeclared)}")
+    syms = all_symbols(declared)
+
+    init = canonicalize(f)
+    index = {_key(init): 0}
+    reps = [init]
+    transitions = {}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        rep = reps[i]
+        for sigma in syms:
+            nxt = canonicalize(progress(rep, sigma))
+            k = _key(nxt)
+            j = index.get(k)
+            if j is None:
+                j = len(reps)
+                if j >= state_cap:
+                    raise CapacityError(f"DFA construction exceeded {state_cap} states")
+                index[k] = j
+                reps.append(nxt)
+                frontier.append(j)
+            transitions[(i, sigma)] = j
+    accepting = frozenset(i for i, rep in enumerate(reps) if isinstance(rep, TrueF))
+    return Dfa(
+        alphabet=declared,
+        states=tuple(fmt(rep) for rep in reps),
+        symbols=tuple(syms),
+        transitions=transitions,
+        initial=0,
+        accepting=accepting,
+    )
+
+
+def build_preference_dfa(
+    spec: PreferenceSpec,
+    alphabet,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> PreferenceDfa:
+    declared = declare_alphabet(alphabet)
+    components = tuple(to_dfa(o.formula, declared, state_cap=state_cap) for o in spec.outcomes)
+    syms = all_symbols(declared)
+
+    init = tuple(d.initial for d in components)
+    index = {init: 0}
+    states = [init]
+    transitions = {}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        tup = states[i]
+        for sigma in syms:
+            nxt = tuple(d.transitions[(q, sigma)] for q, d in zip(tup, components))
+            j = index.get(nxt)
+            if j is None:
+                j = len(states)
+                if j >= state_cap:
+                    raise CapacityError(f"preference DFA exceeded {state_cap} states")
+                index[nxt] = j
+                states.append(nxt)
+                frontier.append(j)
+            transitions[(i, sigma)] = j
+
+    # Final states (some component accepts) grouped by their MP set.
+    groups: dict = {}
+    for i, tup in enumerate(states):
+        sat = frozenset(k for k, (q, d) in enumerate(zip(tup, components)) if q in d.accepting)
+        if sat:
+            groups.setdefault(spec.mp(sat), []).append(i)
+    ordered = sorted(groups, key=lambda mp: (_tags(spec, mp), sorted(mp)))
+    nodes = tuple(
+        GraphNode(node_id=k, mp=mp, states=tuple(groups[mp])) for k, mp in enumerate(ordered)
+    )
+    node_of_state = {s: node.node_id for node in nodes for s in node.states}
+    edges = frozenset(
+        (a.node_id, b.node_id)
+        for a in nodes
+        for b in nodes
+        if spec.compare(b.mp, a.mp) is Comparison.STRICTLY_BETTER
+    )
+
+    return PreferenceDfa(
+        spec=spec,
+        alphabet=declared,
+        component_dfas=components,
+        states=tuple(states),
+        symbols=tuple(syms),
+        transitions=transitions,
+        initial=0,
+        final=frozenset(node_of_state),
+        graph=PreferenceGraph(nodes=nodes, edges=edges),
+        node_of_state=node_of_state,
+    )

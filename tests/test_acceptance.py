@@ -192,7 +192,7 @@ def test_criterion_3_graph_semantics_consistency(po1_spec, po2_spec):
             nxt = []
             for q in frontier:
                 for sigma in pdfa.symbols:
-                    q2 = pdfa.transitions[(q, sigma)]
+                    q2 = pdfa.step(q, sigma)
                     if q2 not in witnesses:
                         witnesses[q2] = witnesses[q] + (sigma,)
                         nxt.append(q2)

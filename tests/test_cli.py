@@ -9,7 +9,7 @@ from prefplan.cli import main
 from prefplan.mdp import load_mdp
 from prefplan.scltl import dfa_from_json
 
-from conftest import BUNDLES
+from conftest import BUNDLES, WIDE_PREF_DOC
 
 PO1_PREF = str(BUNDLES / "po1" / "preferences.json")
 PO1_GRID4 = str(BUNDLES / "po1" / "gridworld_battery4.json")
@@ -91,11 +91,22 @@ def _replace(doc, key, index, **fields):
         ("synth", {"atoms": [], "states": [1], "actions": [], "transitions": [], "initial": []},
          "state entry must be a JSON object, got 1"),
         ("gridworld", {**PO1_GRID4_DOC, "regions": [1]}, "malformed gridworld config"),
+        ("gridworld", [PO1_GRID4_DOC], "malformed gridworld config must be a JSON object"),
+        *[
+            ("gridworld", {k: v for k, v in PO1_GRID4_DOC.items() if k != field},
+             f"malformed gridworld config has no '{field}' field")
+            for field in ("width", "height", "start", "battery_capacity")
+        ],
+        ("gridworld", {**PO1_GRID4_DOC, "width": "7"},
+         "malformed gridworld config: 'width' must be a number, got '7'"),
+        ("gridworld", {**PO1_GRID4_DOC, "drift": [1]},
+         "malformed gridworld config: drift entry must be a JSON object, got 1"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
         "pref-entry-int", "pref-strict-no-better", "pref-formula-int", "mdp-state-no-id",
-        "mdp-state-int", "grid-regions-list",
+        "mdp-state-int", "grid-regions-list", "grid-list", "grid-no-width", "grid-no-height",
+        "grid-no-start", "grid-no-battery", "grid-width-string", "grid-drift-int",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -139,14 +150,39 @@ PREFDFA_SHA256 = {
 }
 
 
+# sha256 of the exports over the ten-atom ``WIDE_PREF_DOC`` (189 x 1024
+# transitions), recorded before the automata were built by letter class.
+WIDE_SHA256 = {
+    "prefdfa": {
+        "preference_dfa.dot": "102eb7388fdb765e7a4a964fbad2931a3bf93a76b552d937f6ff715a67b11abf",
+        "preference_dfa.json": "9a6da1a82e997ba7fe43ca73407bfdc26f4a46cffdbaee750e64c3018c4826b8",
+        "preference_spec.json": "ccf5c5f4b91f9a7faa09bb7c70bb4b9aafa0a17b186923a9842d517533a691f1",
+    },
+    "compile": {
+        "dfa.dot": "cd68e917050083193f3e18e40ea292980159dbb3966b0871c8dbfe0c3999a9fc",
+        "dfa.json": "40008a254555e25a0122acec337aac87df31bbf07adb9669c457cffc66decb9e",
+    },
+}
+
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
+
 @pytest.mark.parametrize("bundle", sorted(PREFDFA_SHA256))
 def test_prefdfa_exports_pinned(workdir, bundle):
     assert run("--out", "art", "prefdfa", str(BUNDLES / bundle / "preferences.json")) == 0
-    digests = {
-        name: hashlib.sha256((workdir / "art" / name).read_bytes()).hexdigest()
-        for name in PREFDFA_SHA256[bundle]
-    }
-    assert digests == PREFDFA_SHA256[bundle]
+    assert _digests(workdir / "art", PREFDFA_SHA256[bundle]) == PREFDFA_SHA256[bundle]
+
+
+def test_wide_alphabet_exports_pinned(workdir):
+    pref, formula = workdir / "wide.json", workdir / "formula.json"
+    pref.write_text(json.dumps(WIDE_PREF_DOC))
+    formula.write_text(json.dumps({"atoms": WIDE_PREF_DOC["atoms"], "formula": "F (a & X F b)"}))
+    assert run("--out", "art", "prefdfa", str(pref)) == 0
+    assert run("--out", "art", "compile", str(formula)) == 0
+    for command, pinned in WIDE_SHA256.items():
+        assert _digests(workdir / "art", pinned) == pinned, command
 
 
 def test_gridworld_roundtrip(workdir):

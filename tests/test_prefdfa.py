@@ -224,7 +224,7 @@ def reachable_states_with_witnesses(pdfa, max_len):
         nxt = []
         for q in frontier:
             for sigma in pdfa.symbols:
-                q2 = pdfa.transitions[(q, sigma)]
+                q2 = pdfa.step(q, sigma)
                 if q2 not in witnesses:
                     witnesses[q2] = witnesses[q] + (sigma,)
                     nxt.append(q2)

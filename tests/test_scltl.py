@@ -351,10 +351,14 @@ def test_progression_soundness(text):
 @pytest.mark.parametrize("text", CORPUS_2ATOMS)
 def test_transition_total_and_deterministic(text):
     dfa = to_dfa(parse(text, AB), AB)
-    for i in range(len(dfa.states)):
-        for sigma in dfa.symbols:
-            assert (i, sigma) in dfa.transitions
-    assert len(dfa.transitions) == len(dfa.states) * len(dfa.symbols)
+    # Every letter of 2^AP has one position, and every state one in-range
+    # successor at each position.
+    assert list(dfa.symbols) == all_symbols(AB)
+    assert dfa.position == {sigma: k for k, sigma in enumerate(dfa.symbols)}
+    assert len(dfa.rows) == len(dfa.states)
+    for row in dfa.rows:
+        assert len(row) == len(dfa.symbols)
+        assert all(0 <= j < len(dfa.states) for j in row)
 
 
 # Random formulas via hypothesis; compared against the oracle on short words.
@@ -395,6 +399,23 @@ def test_dfa_json_roundtrip():
     back = dfa_from_json(doc)
     for word in words_up_to(AB, 4):
         assert accepts(dfa, word) == accepts(back, word)
+    assert back.rows == dfa.rows
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ts: ts[:-1], r"transition missing for state 2, symbol \['a', 'b'\]"),
+        (lambda ts: ts + [{"from": 0, "symbol": ["z"], "to": 0}], "outside the states or alphabet"),
+        (lambda ts: ts + [{"from": 9, "symbol": [], "to": 0}], "outside the states or alphabet"),
+        (lambda ts: ts + [{"from": 0, "symbol": [], "to": 3}], "outside the states or alphabet"),
+    ],
+    ids=["missing", "foreign-symbol", "unknown-source", "unknown-target"],
+)
+def test_dfa_from_json_rejects_partial_or_foreign_transitions(edit, message):
+    doc = dfa_to_json(to_dfa(parse("a U b", AB), AB))
+    with pytest.raises(ValueError, match=message):
+        dfa_from_json({**doc, "transitions": edit(doc["transitions"])})
 
 
 def test_dfa_dot_shapes():
