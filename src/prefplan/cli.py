@@ -38,6 +38,7 @@ from .scltl import (
 )
 from .synthesis import (
     CompositePolicy,
+    StrategyError,
     build_product,
     improvement_mdp_to_dot,
     product_state_id,
@@ -55,14 +56,23 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_CAP = 3
 
+
+class FormulaFileError(ValueError):
+    """Raised for a formula file that is not an ``{"atoms", "formula"}`` object."""
+
+
+# Errors that name a fault of the input.  A bare ValueError is not one: it
+# would report a bug in the program as bad input.
 INPUT_ERRORS = (
     ParseError,
     AlphabetError,
     PreferenceError,
     MdpError,
-    ValueError,
+    FormulaFileError,
+    StrategyError,
     OSError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
 )
 
 
@@ -95,7 +105,8 @@ def _load_pipeline(mdp_path: str, pref_path: str, state_cap: int):
 
 def cmd_compile(args) -> int:
     text, atoms = json_fields(
-        _read_json(args.formula_file), "formula file", ValueError, {"formula": str, "atoms": STRINGS}
+        _read_json(args.formula_file), "formula file", FormulaFileError,
+        {"formula": str, "atoms": STRINGS},
     )
     dfa = to_dfa(parse(text, atoms), atoms, state_cap=args.state_cap)
     out = _out_dir(args)
@@ -222,6 +233,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefplan",
@@ -276,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="roll out the composite policy and collect statistics")
     p.add_argument("mdp", help="MDP JSON")
     p.add_argument("pref_file", help="preference declaration JSON")
-    p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--horizon", type=int, default=None, help="step cap per episode (default 10x product size)")
+    p.add_argument("--episodes", type=_positive_int, default=1000)
+    p.add_argument("--horizon", type=_positive_int, default=None,
+                   help="step cap per episode (default 10x product size)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--mode", choices=("spi", "sasi"), default="sasi")
     p.add_argument("--tie-break", choices=("lowest", "uniform"), default="lowest")

@@ -152,7 +152,7 @@ def load_mdp(doc: dict) -> LabeledMdp:
             transitions[(s, a)] = dist
 
         initial = tuple((resolve_state(e["state"]), float(e["prob"])) for e in initial_entries)
-    except (KeyError, TypeError, AttributeError):
+    except (KeyError, TypeError, AttributeError, ValueError):
         # Entries are checked only once reading them failed: checking each
         # one up front doubles the load time of a large MDP.
         _check_entries(state_entries, transition_entries, initial_entries)
@@ -283,7 +283,7 @@ def gridworld_config_from_json(doc: dict) -> GridworldConfig:
             regions={atom: frozenset(tuple(c) for c in cells) for atom, cells in regions.items()},
             stay_probability=float(stay),
         )
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise MdpError(f"{where}: {e}") from e
 
 

@@ -356,6 +356,8 @@ class _Parser:
         if self._is_prefix_op(tok):
             self.advance()
             child, h = self._nested(tok, self.parse_unary)
+            if tok[1] == "F" and isinstance(child, Eventually):
+                return child, h  # F F g is equivalent to F g
             f = Next(child) if tok[1] == "X" else Eventually(child)
             return f, self._bounded(h + 1, tok)
         return self.parse_primary()
@@ -402,7 +404,9 @@ def parse(text: str, alphabet) -> Formula:
 
     Raises :class:`ParseError` on syntax errors, undeclared propositions,
     negation applied over a temporal operator, and nesting deeper than
-    ``MAX_FORMULA_DEPTH``.
+    ``MAX_FORMULA_DEPTH``.  A chain of ``F`` operators is read as one ``F``
+    (``F F g`` is equivalent to ``F g``), so a deep chain compiles as fast as
+    a single ``F``.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty formula", 0)

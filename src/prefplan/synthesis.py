@@ -10,10 +10,12 @@ marked copies of the paper's doubled improvement MDP, which are only ever
 targets, so both give the same regions and strategies (``improvement_mdp.dot``
 still draws the doubled form).
 
-The solvers read each ``MdpView`` once, into a compiled index of action rows
-and predecessors that every later solve over the same view reuses (all
-per-node solves share the product's).  ``pwin`` is one backward search over
-it; ``aswin`` prunes the actions that lead into dropped states incrementally.
+The solvers take support rows, ``state -> {action: [positive-probability
+successors]}``, which is all qualitative reachability depends on.  Each model
+builds its rows in the loop that visits its edges anyway: ``build_product``,
+the improvement MDP's regression guard and the verifier's induced chain.
+``pwin`` is one backward search over a predecessor index built per solve;
+``aswin`` prunes the actions that lead into dropped states incrementally.
 
 The improvement relation is filled in once per product, right after the
 per-node solves, as a table over the states' most-preferred node sets;
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .mdp import LabeledMdp
+from .mdp import LabeledMdp, MdpError
 from .prefdfa import PreferenceDfa, tag_labels
 from .schema import STRINGS, json_fields
 from .scltl import DEFAULT_STATE_CAP, CapacityError
@@ -37,6 +39,7 @@ __all__ = [
     "WinningRegion",
     "ImprovementMdp",
     "Strategy",
+    "StrategyError",
     "SynthesisResult",
     "CompositePolicy",
     "MdpView",
@@ -56,6 +59,10 @@ __all__ = [
     "product_state_id",
 ]
 
+class StrategyError(ValueError):
+    """Raised for a malformed strategy file, or one naming unknown states or actions."""
+
+
 # Virtual bottom node: a state from which nothing is almost-surely winnable
 # sits below every real node, so gaining any guarantee counts as improvement.
 BOTTOM = -1
@@ -63,10 +70,11 @@ BOTTOM = -1
 
 @dataclass(frozen=True)
 class MdpView:
-    """Minimal solver-facing view: states, enabled actions, distributions.
+    """An MDP described by closures: states, enabled actions, distributions.
 
-    The solvers read ``enabled``/``dist`` once per view, into the ``rows``
-    and ``preds`` index built on first use.
+    The adapter for models that exist only as callables (``LabeledMdp``,
+    hand-built test models): ``value_iteration`` reads the probabilities,
+    and ``rows`` compiles the supports into the solvers' input.
     """
 
     states: tuple
@@ -81,16 +89,6 @@ class MdpView:
             s: {a: [t for t, p in dist(s, a) if p > 0] for a in enabled(s)}
             for s in self.states
         }
-
-    @cached_property
-    def preds(self) -> dict:
-        """state -> [(predecessor, action)] over positive-probability edges."""
-        preds = {s: [] for s in self.states}
-        for s, row in self.rows.items():
-            for a, succ in row.items():
-                for t in succ:
-                    preds[t].append((s, a))
-        return preds
 
 
 def view_of_mdp(mdp: LabeledMdp) -> MdpView:
@@ -110,6 +108,7 @@ class ProductMdp:
     pdfa: PreferenceDfa
     state_pairs: tuple  # of (s, q)
     transitions: dict  # (v, a) -> ((v', p), ...)
+    rows: dict  # v -> {a: [v' with positive probability]}: the solvers' input
     initial: int
     node_members: dict  # node id -> frozenset of product states
     node_edges: frozenset  # (worse node id, better node id)
@@ -118,18 +117,10 @@ class ProductMdp:
         return len(self.state_pairs)
 
     def enabled(self, v: int):
-        s, _ = self.state_pairs[v]
-        return [a for a in self.mdp.enabled(s) if (v, a) in self.transitions]
+        return list(self.rows[v])
 
     def dist(self, v: int, a: int):
         return self.transitions[(v, a)]
-
-    def view(self) -> MdpView:
-        return MdpView(
-            states=tuple(range(self.n_states())),
-            enabled=self.enabled,
-            dist=self.dist,
-        )
 
 
 def build_product(
@@ -140,12 +131,12 @@ def build_product(
     """Synchronous product; the automaton consumes the label of each state
     entered, including the initial one."""
     if set(mdp.atoms) - set(pdfa.alphabet):
-        raise ValueError(
+        raise MdpError(
             f"MDP atoms {sorted(mdp.atoms)} not covered by preference alphabet "
             f"{sorted(pdfa.alphabet)}"
         )
     if len(mdp.initial) != 1:
-        raise ValueError("product construction expects a single initial state")
+        raise MdpError("product construction expects a single initial state")
     s0 = mdp.initial[0][0]
     rows = pdfa.rows
     letter = [pdfa.position[label] for label in mdp.labels]  # per MDP state
@@ -154,12 +145,14 @@ def build_product(
     pair_index = {(s0, q0): 0}
     state_pairs = [(s0, q0)]
     transitions = {}
+    support_rows = {}
     frontier = [0]
     while frontier:
         v = frontier.pop()
         s, q = state_pairs[v]
+        support_rows[v] = row = {}
         for a in mdp.enabled(s):
-            dist = []
+            dist, support = [], []
             for s2, p in mdp.transitions[(s, a)]:
                 q2 = rows[q][letter[s2]]
                 w = pair_index.get((s2, q2))
@@ -171,7 +164,10 @@ def build_product(
                     state_pairs.append((s2, q2))
                     frontier.append(w)
                 dist.append((w, p))
+                if p > 0:
+                    support.append(w)
             transitions[(v, a)] = tuple(dist)
+            row[a] = support
 
     groups: dict = {}
     for v, (_, q) in enumerate(state_pairs):
@@ -189,6 +185,7 @@ def build_product(
         pdfa=pdfa,
         state_pairs=tuple(state_pairs),
         transitions=transitions,
+        rows=support_rows,
         initial=0,
         node_members=node_members,
         node_edges=node_edges,
@@ -208,14 +205,14 @@ class WinningRegion:
     strategy: dict  # state -> frozenset of actions (outside the target)
 
 
-def _layers(view: MdpView, goal, allowed: dict) -> dict:
+def _layers(preds: dict, goal, allowed: dict) -> dict:
     """BFS distance to ``goal`` over the allowed actions' edges in ``preds``."""
     dist = dict.fromkeys(goal, 0)
     frontier = list(dist)
     while frontier:
         nxt = []
         for t in frontier:
-            for s, a in view.preds[t]:
+            for s, a in preds[t]:
                 if s not in dist and a in allowed[s]:
                     dist[s] = dist[t] + 1
                     nxt.append(s)
@@ -223,50 +220,56 @@ def _layers(view: MdpView, goal, allowed: dict) -> dict:
     return dist
 
 
-def _reach(view: MdpView, target, kind: str) -> WinningRegion:
+def _reach(rows: dict, target, kind: str) -> WinningRegion:
     """``pwin`` stops after the first search; ``aswin`` prunes until stable."""
     target = frozenset(target)
-    region = set(view.states)
-    allowed = {s: set() if s in target else set(view.rows[s]) for s in region}
+    preds = {s: [] for s in rows}  # state -> [(predecessor, action)]
+    for s, row in rows.items():
+        for a, succ in row.items():
+            for t in succ:
+                preds[t].append((s, a))
+    region = set(rows)
+    allowed = {s: set() if s in target else set(row) for s, row in rows.items()}
     while True:
-        dist = _layers(view, target & region, allowed)
+        dist = _layers(preds, target & region, allowed)
         bad = region.difference(dist)
         region -= bad
         if kind == "positive" or not bad:
             break
         for t in bad:
             allowed[t].clear()
-            for s, a in view.preds[t]:
+            for s, a in preds[t]:
                 allowed[s].discard(a)
     strategy = {
         s: frozenset(
             a
             for a in allowed[s]
-            if any(dist.get(t, -1) == dist[s] - 1 for t in view.rows[s][a])
+            if any(dist.get(t, -1) == dist[s] - 1 for t in rows[s][a])
         )
         for s in sorted(region - target)
     }
     return WinningRegion(kind=kind, target=target, region=frozenset(region), strategy=strategy)
 
 
-def pwin(view: MdpView, target) -> WinningRegion:
-    """Positive-probability reachability: one backward BFS over ``preds``.
+def pwin(rows: dict, target) -> WinningRegion:
+    """Positive-probability reachability over support rows: one backward BFS.
 
     The strategy keeps every action with a successor strictly closer to the
     target, so any tie-break of it witnesses positive reachability.
     """
-    return _reach(view, target, "positive")
+    return _reach(rows, target, "positive")
 
 
-def aswin(view: MdpView, target) -> WinningRegion:
-    """Almost-sure reachability by the alternating fixpoint.
+def aswin(rows: dict, target) -> WinningRegion:
+    """Almost-sure reachability over support rows by the alternating fixpoint.
 
     Repeatedly drop the states that cannot reach the target under the allowed
-    actions; each dropped state disables, through ``preds``, every action
-    that may lead into it.  Target states are treated as absorbing and always
-    stay in the region.  The strategy is chosen as in ``pwin``.
+    actions; each dropped state disables, through the predecessor index,
+    every action that may lead into it.  Target states are treated as
+    absorbing and always stay in the region.  The strategy is chosen as in
+    ``pwin``.
     """
-    return _reach(view, target, "almost-sure")
+    return _reach(rows, target, "almost-sure")
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +295,8 @@ class ImprovementCache:
 
     def __post_init__(self):
         pm = self.product
-        view = pm.view()
         for node_id, members in sorted(pm.node_members.items()):
-            self.aswin_by_node[node_id] = aswin(view, members)
+            self.aswin_by_node[node_id] = aswin(pm.rows, members)
         z_sets = [[] for _ in range(pm.n_states())]
         for node_id, region in self.aswin_by_node.items():
             for v in region.region:
@@ -361,13 +363,14 @@ class ImprovementMdp:
     """The product restricted to non-regressing actions, with every improving
     edge redirected to the absorbing target state ``improved``.
 
-    An action is enabled only if none of its successors would be a
+    ``rows`` are the support rows the solvers take, ``improved``'s empty one
+    included.  An action is kept only if none of its successors would be a
     regression; ``dead`` holds the states left with no action, which are
     never positively winning.
     """
 
     product: ProductMdp
-    enabled_actions: dict  # v -> tuple of enabled product actions
+    rows: dict  # v -> {kept action: [successors, improving ones as ``improved``]}
     dead: frozenset  # product states with no enabled action
     _improving_pairs: frozenset  # (v, w) product edges that improve
 
@@ -375,37 +378,25 @@ class ImprovementMdp:
     def improved(self) -> int:
         return self.product.n_states()
 
-    def view(self) -> MdpView:
-        improved, pairs, product_dist = self.improved, self._improving_pairs, self.product.dist
-
-        def dist(v, a):
-            return tuple([(improved if (v, w) in pairs else w, p) for w, p in product_dist(v, a)])
-
-        return MdpView(
-            states=tuple(range(improved + 1)),
-            enabled=lambda v: self.enabled_actions.get(v, ()),
-            dist=dist,
-        )
-
 
 def build_improvement_mdp(pm: ProductMdp, cache: ImprovementCache) -> ImprovementMdp:
     cls, improves = cache.mp_class, cache.improves
-    enabled_actions = {}
+    improved = pm.n_states()
+    rows = {improved: {}}
     improving_pairs = set()
-    for v in range(pm.n_states()):
-        up, keep = improves[cls[v]], []
-        for a in pm.enabled(v):
-            successors = [w for w, p in pm.dist(v, a) if p > 0]
+    for v in range(improved):
+        up = improves[cls[v]]
+        rows[v] = row = {}
+        for a, successors in pm.rows[v].items():
             # Regression guard: drop the action if the move could lose ground.
             if any(improves[cls[w]][cls[v]] for w in successors):
                 continue
-            keep.append(a)
+            row[a] = [improved if up[cls[w]] else w for w in successors]
             improving_pairs.update((v, w) for w in successors if up[cls[w]])
-        enabled_actions[v] = tuple(keep)
     return ImprovementMdp(
         product=pm,
-        enabled_actions=enabled_actions,
-        dead=frozenset(v for v, keep in enabled_actions.items() if not keep),
+        rows=rows,
+        dead=frozenset(v for v in range(improved) if not rows[v]),
         _improving_pairs=frozenset(improving_pairs),
     )
 
@@ -449,9 +440,8 @@ def synthesize(pm: ProductMdp, cache: ImprovementCache = None) -> SynthesisResul
     if cache is None:
         cache = aswin_by_node(pm)
     im = build_improvement_mdp(pm, cache)
-    view = im.view()
-    positive = pwin(view, {im.improved})
-    almost = aswin(view, {im.improved})
+    positive = pwin(im.rows, {im.improved})
+    almost = aswin(im.rows, {im.improved})
 
     def project(region: WinningRegion, mode: str) -> Strategy:
         actions = {v: acts for v, acts in sorted(region.strategy.items()) if acts}
@@ -492,7 +482,6 @@ class CompositePolicy:
         self._choices = {}  # v -> (sorted action tuple, phase)
 
     def _satisficing_actions(self, v: int):
-        pm = self.result.product
         cache = self.result.cache
         mp = cache.mp_of(v)
         if mp == frozenset({BOTTOM}):
@@ -505,12 +494,9 @@ class CompositePolicy:
         # Already inside the node (or at its target): prefer actions that
         # keep every successor in the almost-sure region; a node once
         # achieved stays achieved, so anything enabled is acceptable.
-        keep = [
-            a
-            for a in pm.enabled(v)
-            if all(t in region.region for t, p in pm.dist(v, a) if p > 0)
-        ]
-        return frozenset(keep) if keep else frozenset(pm.enabled(v))
+        row = self.result.product.rows[v]
+        keep = [a for a, succ in row.items() if all(t in region.region for t in succ)]
+        return frozenset(keep) if keep else frozenset(row)
 
     def _choose(self, v: int):
         if self.improvement_strategy.defined_at(v):
@@ -566,19 +552,19 @@ def strategy_to_json(pm: ProductMdp, strategy: Strategy) -> dict:
 def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
     ids = {product_state_id(pm, v): v for v in range(pm.n_states())}
     action_index = {name: a for a, name in enumerate(pm.mdp.actions)}
-    mode, entries = json_fields(doc, "strategy file", ValueError, {"mode": str, "entries": list})
+    mode, entries = json_fields(doc, "strategy file", StrategyError, {"mode": str, "entries": list})
     actions = {}
     for entry in entries:
-        (sid,) = json_fields(entry, "strategy entry", ValueError, {"state": str})
+        (sid,) = json_fields(entry, "strategy entry", StrategyError, {"state": str})
         if sid not in ids:
-            raise ValueError(f"strategy references unknown product state {sid!r}")
-        (names,) = json_fields(entry, f"strategy entry for {sid!r}", ValueError, {"actions": STRINGS})
+            raise StrategyError(f"strategy references unknown product state {sid!r}")
+        (names,) = json_fields(entry, f"strategy entry for {sid!r}", StrategyError, {"actions": STRINGS})
         unknown = [name for name in names if name not in action_index]
         if unknown:
-            raise ValueError(f"strategy entry for {sid!r} names unknown action {unknown[0]!r}")
+            raise StrategyError(f"strategy entry for {sid!r} names unknown action {unknown[0]!r}")
         chosen = frozenset(action_index[name] for name in names)
         if not chosen:
-            raise ValueError(f"empty action set at {sid!r}")
+            raise StrategyError(f"empty action set at {sid!r}")
         actions[ids[sid]] = chosen
     return Strategy(mode=mode, actions=actions)
 
@@ -613,7 +599,7 @@ def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
             src = name(v, flag)
             if v in im.dead:
                 lines.append(f'  {src} -> {src} [label="dead:1"];')
-            for a in im.enabled_actions[v]:
+            for a in im.rows[v]:
                 for w, p in pm.dist(v, a):
                     dst = name(w, not flag and (v, w) in im._improving_pairs)
                     lines.append(f'  {src} -> {dst} [label="{pm.mdp.actions[a]}:{p:g}"];')

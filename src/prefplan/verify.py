@@ -203,12 +203,9 @@ def check_strategy_conditions(
     if not strategy.actions:
         raise ValueError("strategy domain is empty")
 
-    integrity = []
-    for v, actions in strategy.actions.items():
-        enabled = set(pm.enabled(v))
-        for a in actions:
-            if a not in enabled:
-                integrity.append((v, a))
+    integrity = [
+        (v, a) for v, actions in strategy.actions.items() for a in actions if a not in pm.rows[v]
+    ]
     if integrity:
         return StrategyReport(
             mode=mode,
@@ -225,32 +222,17 @@ def check_strategy_conditions(
     condition_b = not chain.regressing
 
     # The set-valued strategy induces a Markov chain (every chosen action is
-    # taken with positive probability), so per state the actions collapse
-    # into one uniform mixture; only the support matters for (a).  Improving
-    # edges lead to one absorbing target state; execution stops where the
-    # strategy is undefined (no action there).
+    # taken with positive probability), so only the union of the chosen
+    # actions' supports matters for (a): one row per chain state under a
+    # single action.  Improving edges lead to one absorbing target state;
+    # execution stops where the strategy is undefined (an empty row).
     improved = pm.n_states()
-    succ = {}
-    for v, a, w, p in chain.edges:
-        succ.setdefault(v, {}).setdefault(a, []).append((w, p))
-
-    def dist(v, a):
-        by_action = succ[v]
-        share = 1.0 / len(by_action)
-        mixed: dict = {}
-        for pairs in by_action.values():
-            for w, p in pairs:
-                key = improved if (v, w) in chain.improving else w
-                mixed[key] = mixed.get(key, 0.0) + share * p
-        return tuple(sorted(mixed.items()))
-
-    chain_view = MdpView(
-        states=tuple(sorted(chain.states)) + (improved,),
-        enabled=lambda v: [0] if v in succ else [],
-        dist=dist,
-    )
+    rows = {v: {} for v in chain.states}
+    rows[improved] = {}
+    for v, _, w, _ in chain.edges:
+        rows[v].setdefault(0, []).append(improved if (v, w) in chain.improving else w)
     solve = pwin if mode == "spi" else aswin
-    region = solve(chain_view, {improved}).region
+    region = solve(rows, {improved}).region
     stuck = tuple(v for v in sorted(strategy.actions) if v not in region)
     condition_a = not stuck
 

@@ -2,11 +2,77 @@
 
 Test-only oracles: ``aswin`` rebuilds its predecessor map on every pass of its
 outer fixpoint through the view's ``enabled``/``dist`` callables, so it is slow
-but independent of ``MdpView.rows``/``preds``.  The fast solvers in
-``prefplan.synthesis`` must return the same regions and strategies.
+but independent of the support rows the fast solvers in ``prefplan.synthesis``
+take.  Those must return the same regions and strategies.
+
+The views below describe the three models the pipeline solves as closures,
+the way the pipeline did before each model built its own rows: the product
+from its transition dict, the improvement MDP from the regression guard and
+the improving pairs, and the verifier's induced chain as a uniform mixture of
+the chosen actions.
 """
 
-from prefplan.synthesis import MdpView, WinningRegion
+from prefplan.synthesis import MdpView, WinningRegion, is_improvement
+from prefplan.verify import build_induced_chain
+
+
+def _product_enabled(pm, v):
+    s, _ = pm.state_pairs[v]
+    return [a for a in pm.mdp.enabled(s) if (v, a) in pm.transitions]
+
+
+def product_view(pm) -> MdpView:
+    return MdpView(
+        states=tuple(range(pm.n_states())),
+        enabled=lambda v: _product_enabled(pm, v),
+        dist=pm.dist,
+    )
+
+
+def improvement_view(im, cache) -> MdpView:
+    """The product's non-regressing actions, each improving pair of
+    ``im._improving_pairs`` routed to ``im.improved``."""
+    pm, improved, pairs = im.product, im.improved, im._improving_pairs
+
+    def enabled(v):
+        if v == improved:
+            return []
+        return [
+            a
+            for a in _product_enabled(pm, v)
+            if not any(p > 0 and is_improvement(pm, w, v, cache) for w, p in pm.dist(v, a))
+        ]
+
+    def dist(v, a):
+        return tuple((improved if (v, w) in pairs else w, p) for w, p in pm.dist(v, a))
+
+    return MdpView(states=tuple(range(improved + 1)), enabled=enabled, dist=dist)
+
+
+def chain_view(pm, strategy, cache) -> MdpView:
+    """The strategy's induced chain: per state one action that mixes the
+    chosen actions uniformly, improving edges routed to ``pm.n_states()``."""
+    chain = build_induced_chain(pm, strategy, cache)
+    improved = pm.n_states()
+    succ = {}
+    for v, a, w, p in chain.edges:
+        succ.setdefault(v, {}).setdefault(a, []).append((w, p))
+
+    def dist(v, a):
+        by_action = succ[v]
+        share = 1.0 / len(by_action)
+        mixed: dict = {}
+        for pairs in by_action.values():
+            for w, p in pairs:
+                key = improved if (v, w) in chain.improving else w
+                mixed[key] = mixed.get(key, 0.0) + share * p
+        return tuple(sorted(mixed.items()))
+
+    return MdpView(
+        states=tuple(sorted(chain.states)) + (improved,),
+        enabled=lambda v: [0] if v in succ else [],
+        dist=dist,
+    )
 
 
 def _predecessor_map(view: MdpView, allowed=None):

@@ -231,8 +231,8 @@ def test_criterion_4_solver_soundness():
         rng = random.Random(seed + 1000)
         target = frozenset(rng.sample(range(n), 3))
         values = value_iteration(view, target)
-        almost = aswin(view, target).region
-        positive = pwin(view, target).region
+        almost = aswin(view.rows, target).region
+        positive = pwin(view.rows, target).region
         for s in view.states:
             states_checked += 1
             if (s in almost) != (values[s] >= 1 - 1e-6):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from prefplan import cli
 from prefplan.cli import main
 from prefplan.mdp import load_mdp
 from prefplan.scltl import dfa_from_json
@@ -68,6 +69,19 @@ def _replace(doc, key, index, **fields):
     return {**doc, key: entries}
 
 
+def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
+    """A one-action MDP over states s and t, each stepping to s."""
+    return {
+        "atoms": list(atoms),
+        "states": [{"id": "s", "label": []}, {"id": "t", "label": []}],
+        "actions": ["a"],
+        "transitions": [
+            {"from": sid, "action": "a", "to": [{"state": "s", "prob": prob}]} for sid in ("s", "t")
+        ],
+        "initial": [{"state": sid, "prob": p} for sid, p in initial],
+    }
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
@@ -101,12 +115,19 @@ def _replace(doc, key, index, **fields):
          "malformed gridworld config: 'width' must be a number, got '7'"),
         ("gridworld", {**PO1_GRID4_DOC, "drift": [1]},
          "malformed gridworld config: drift entry must be a JSON object, got 1"),
+        ("gridworld", {**PO1_GRID4_DOC, "start": [1, 2, 3]},
+         "malformed gridworld config: too many values to unpack"),
+        ("synth", _mdp_doc(prob="half"), "successor of ('s','a'): 'prob' must be a number, got 'half'"),
+        ("synth", _mdp_doc(atoms=["Z"]), "MDP atoms ['Z'] not covered by preference alphabet"),
+        ("synth", _mdp_doc(initial=(("s", 0.5), ("t", 0.5))),
+         "product construction expects a single initial state"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
         "pref-entry-int", "pref-strict-no-better", "pref-formula-int", "mdp-state-no-id",
         "mdp-state-int", "grid-regions-list", "grid-list", "grid-no-width", "grid-no-height",
         "grid-no-start", "grid-no-battery", "grid-width-string", "grid-drift-int",
+        "grid-start-3d", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -183,6 +204,51 @@ def test_wide_alphabet_exports_pinned(workdir):
     assert run("--out", "art", "compile", str(formula)) == 0
     for command, pinned in WIDE_SHA256.items():
         assert _digests(workdir / "art", pinned) == pinned, command
+
+
+# sha256 of the synth, verify and simulate (300 episodes, default seed) exports
+# on the bundled gridworlds, recorded before each model handed the solvers its
+# own support rows; a change here changes bytes.
+PIPELINE_SHA256 = {
+    "po1/gridworld_battery2.json": {
+        "episodes.csv": "1b47e78c701129346abe9ca0a6fbc29c04463fa6b2d0c1f8a0e9c9cd3ebd3247",
+        "improvement_mdp.dot": "5a5fa70fd84af9655d20de4909c1e81d41059efa9a31ea7242649c2a47d8ca3e",
+        "stats.json": "81d8f052ebdd9e268dd764e6327c6a4064de28e36127dcbe9f61a1f798326689",
+        "strategy_sasi.json": "867356d949c722a85589071fbe1d20c1c841693549d4ced970f081e19c309ac2",
+        "strategy_spi.json": "bdbce6938afb5e3cf5354abfe3f45faee670d96295206dc1daf0a0f7ab581413",
+        "verify_report.json": "2b0bdcedd8e53b2cd4e821aeed4c0fd7696a19b42ac3404db9acca7dffd0e356",
+        "winning_regions.json": "9587edb7b33d386d31b7a28ec9f1f30f60e82e259ed45cb37bfda57a3d411301",
+    },
+    "po1/gridworld_battery4.json": {
+        "episodes.csv": "f5b3f86e81cc90b4e08fd13ba596aeefb9b1f15e03fff2a71716e9ffddb7911b",
+        "improvement_mdp.dot": "2f528be52fd2794a164f43f054306e3d9cda13a6e5206b90f15bfcef1b622a3e",
+        "stats.json": "21884fb91b58a4159affcafa3f96a88af06d744b9199c07f1bcf214cc394953f",
+        "strategy_sasi.json": "8ed08285fc827fbd64455233a30b5b75a49ca56afe3b9ef147cedd62984a2e21",
+        "strategy_spi.json": "0ea16ac626ad353ea30807c3028d508e05ff0465280b9ee06bbb9c2ff8c991c0",
+        "verify_report.json": "6b3e058d22ae2ff1a4e29cbfccfd26b72f57dcea766ab760d244833213366ad0",
+        "winning_regions.json": "d91b438546e192bd5c1b374181d98b261c5f2ed000345bf679146a515358da79",
+    },
+    "po2/gridworld_battery4.json": {
+        "episodes.csv": "81320c52415cd803eb655a4ebf9bf2dafde6a2677416f712917361bac4db4cf8",
+        "improvement_mdp.dot": "52e7ba0670149ea2d6256de948f6cd4440ec51640efaa81252f5b78a6e806670",
+        "stats.json": "217d0878d2bb1a4dc566919419ff015f2eb5cbcedc0d71c7b41a67e07821b0a3",
+        "strategy_sasi.json": "9e9c7335df4de0b56f14b2cf7cb08f4680d8a078de4d2f75b9fb2f89f6094b54",
+        "strategy_spi.json": "07c38a597c8ae23313a6c7c236ecb0ca8ecbca885a0d74eb243911b34a685ec9",
+        "verify_report.json": "88ed922863847e296c18ba5973bb96fcee9f1cf574800088d18f785e3dab599b",
+        "winning_regions.json": "97da909bd1a265b90daaf73540113147379e237eb3ac162be52eebb2e19628b3",
+    },
+}
+
+
+@pytest.mark.parametrize("grid", sorted(PIPELINE_SHA256))
+def test_pipeline_exports_pinned(workdir, grid):
+    pref = str(BUNDLES / grid.split("/")[0] / "preferences.json")
+    assert run("--out", "g", "gridworld", str(BUNDLES / grid)) == 0
+    mdp_path = str(workdir / "g" / "mdp.json")
+    assert run("--out", "art", "synth", mdp_path, pref) == 0
+    assert run("--out", "art", "verify", mdp_path, pref) == 0
+    assert run("--out", "art", "simulate", mdp_path, pref, "--episodes", "300") == 0
+    assert _digests(workdir / "art", PIPELINE_SHA256[grid]) == PIPELINE_SHA256[grid]
 
 
 def test_gridworld_roundtrip(workdir):
@@ -273,6 +339,39 @@ def test_verify_rejects_malformed_strategy_in_one_line(workdir, capsys, damage, 
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(state=doc["entries"][0]["state"]))
     assert err.count("\n") == 1
+
+
+def test_undecodable_input_in_one_line(workdir, capsys):
+    path = workdir / "input.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run("--out", "art", "prefdfa", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--episodes", "0"), ("--episodes", "-3"), ("--horizon", "0"), ("--horizon", "x")]
+)
+def test_simulate_rejects_nonpositive_counts_as_usage_errors(workdir, capsys, flag, value):
+    assert run("--out", "g", "gridworld", PO1_GRID4) == 0
+    capsys.readouterr()
+    assert run("--out", "m", "simulate", str(workdir / "g" / "mdp.json"), PO1_PREF, flag, value) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+    assert not (workdir / "m").exists()
+
+
+def test_internal_value_error_is_not_an_input_error(workdir, monkeypatch):
+    # A ValueError from inside the pipeline is a bug, not bad input: it must
+    # surface as a traceback rather than as "error: ..." with exit 1.
+    def broken(product):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "synthesize", broken)
+    assert run("--out", "g", "gridworld", PO1_GRID4) == 0
+    with pytest.raises(ValueError, match="internal fault"):
+        run("--out", "s", "synth", str(workdir / "g" / "mdp.json"), PO1_PREF)
 
 
 def test_usage_error_exit_code():

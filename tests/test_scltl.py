@@ -108,6 +108,12 @@ def test_parse_f_as_proposition():
     assert parse("F F", ("F",)) == Eventually(Atom("F"))
 
 
+def test_parse_collapses_f_chains():
+    assert parse("F " * DEPTH + "a", AB) == Eventually(Atom("a"))
+    assert parse("F (F (a & F F F b))", AB) == Eventually(And(Atom("a"), Eventually(Atom("b"))))
+    assert parse("F X F a", AB) == Eventually(Next(Eventually(Atom("a"))))
+
+
 def test_parse_precedence():
     # U binds tighter than &, which binds tighter than |.
     f = parse("a U b & a | b", AB)
@@ -128,8 +134,9 @@ DEPTH = MAX_FORMULA_DEPTH
         "(" * DEPTH + "a" + ")" * DEPTH,
         " & ".join(["a"] * (DEPTH + 1)),
         " U ".join(["a"] * (DEPTH + 1)),
+        "F " * DEPTH + "a",
     ],
-    ids=["X", "not", "parens", "and", "until"],
+    ids=["X", "not", "parens", "and", "until", "F"],
 )
 def test_formula_at_depth_bound_compiles(text):
     dfa = to_dfa(parse(text, AB), AB)
@@ -144,8 +151,9 @@ def test_formula_at_depth_bound_compiles(text):
         ("(" * (DEPTH + 1) + "a" + ")" * (DEPTH + 1), DEPTH),
         (" & ".join(["a"] * (DEPTH + 2)), 4 * DEPTH + 2),
         (" U ".join(["a"] * (DEPTH + 2)), 4 * DEPTH + 2),
+        ("F " * (DEPTH + 1) + "a", 2 * DEPTH),
     ],
-    ids=["X", "not", "parens", "and", "until"],
+    ids=["X", "not", "parens", "and", "until", "F"],
 )
 def test_parse_rejects_nesting_beyond_bound(text, position):
     with pytest.raises(ParseError) as err:
@@ -386,6 +394,40 @@ def test_oracle_equivalence_random_formulas(f, data):
     syms = all_symbols(AB)
     word = data.draw(st.lists(st.sampled_from(syms), max_size=6))
     assert accepts(dfa, word) == good_prefix_oracle(f, word)
+
+
+def f_chains(atoms=AB):
+    """Random formulas whose eventualities come in chains of one to four F."""
+    leaves = st.sampled_from([Atom(a) for a in atoms] + [NegAtom(a) for a in atoms] + [TrueF()])
+
+    def chain(child, length):
+        for _ in range(length):
+            child = Eventually(child)
+        return child
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda t: And(*t)),
+            st.tuples(children, children).map(lambda t: Or(*t)),
+            children.map(Next),
+            st.tuples(children, st.integers(1, 4)).map(lambda t: chain(*t)),
+            st.tuples(children, children).map(lambda t: Until(*t)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+@given(f=f_chains(), seed=st.integers(0, 10**6))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_collapsed_f_chains_match_oracle(f, seed):
+    # The DFA of the parsed (collapsed) text must accept exactly the good
+    # prefixes of the formula as written, F chains and all.
+    dfa = to_dfa(parse(fmt(f), AB), AB)
+    syms = all_symbols(AB)
+    rng = random.Random(seed)
+    for _ in range(30):
+        word = [syms[rng.randrange(len(syms))] for _ in range(rng.randrange(9))]
+        assert accepts(dfa, word) == good_prefix_oracle(f, word), (fmt(f), word)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Differential tests: the indexed solvers against the reference oracles.
 
-``prefplan.synthesis.pwin``/``aswin`` solve over each view's compiled
-``rows``/``preds`` index; ``reference_solvers`` rebuilds the predecessor map
-from ``enabled``/``dist`` on every fixpoint pass.  Both must return the same
-region and the same action set per state on every view the pipeline solves.
+``prefplan.synthesis.pwin``/``aswin`` solve over the support rows each model
+builds; ``reference_solvers`` rebuilds the predecessor map from a closure
+view's ``enabled``/``dist`` on every fixpoint pass.  Both must return the same
+region and the same action set per state on every model the pipeline solves.
+The views for the pipeline's models come from ``reference_solvers`` too, so
+the oracle never reads the rows under test.
 """
 
 import random
@@ -29,29 +31,55 @@ SOLVERS = (
 
 
 def solve_both(fast, slow, view, target):
-    got, want = fast(view, target), slow(view, target)
+    got, want = fast(view.rows, target), slow(view, target)
     assert got.region == want.region
     assert got.strategy == want.strategy
     return got
 
 
 @contextmanager
-def checked_solvers(module):
-    """Route ``module``'s pwin/aswin calls through both implementations,
-    comparing them; yields the list of solved views."""
-    solved = []
+def recorded_solves(module):
+    """Let ``module``'s pwin/aswin calls run the fast solvers, recording each
+    as (reference solver, target, result) for ``check_against``."""
+    calls = []
 
-    def checked(fast, slow):
-        def solve(view, target):
-            solved.append(view)
-            return solve_both(fast, slow, view, target)
+    def recording(fast, slow):
+        def solve(rows, target):
+            got = fast(rows, target)
+            calls.append((slow, frozenset(target), got))
+            return got
 
         return solve
 
     (pwin, ref_pwin), (aswin, ref_aswin) = SOLVERS
-    with mock.patch.object(module, "pwin", checked(pwin, ref_pwin)), \
-            mock.patch.object(module, "aswin", checked(aswin, ref_aswin)):
-        yield solved
+    with mock.patch.object(module, "pwin", recording(pwin, ref_pwin)), \
+            mock.patch.object(module, "aswin", recording(aswin, ref_aswin)):
+        yield calls
+
+
+def check_against(calls, view_of):
+    """Solve each recorded call again with its reference solver on the view
+    ``view_of(target)``, and compare."""
+    for slow, target, got in calls:
+        want = slow(view_of(target), target)
+        assert got.region == want.region
+        assert got.strategy == want.strategy
+
+
+def check_synthesize(pm):
+    with recorded_solves(synthesis) as calls:
+        result = synthesize(pm)
+    im = result.improvement_mdp
+    product = reference_solvers.product_view(pm)
+    improvement = reference_solvers.improvement_view(im, result.cache)
+    check_against(calls, lambda target: improvement if target == {im.improved} else product)
+    # One aswin per node, then pwin and aswin on the improvement MDP.
+    nodes = sorted(pm.node_members.items())
+    assert [(slow, target) for slow, target, _ in calls] == [
+        *((reference_solvers.aswin, members) for _, members in nodes),
+        (reference_solvers.pwin, {im.improved}),
+        (reference_solvers.aswin, {im.improved}),
+    ]
 
 
 @given(
@@ -86,19 +114,12 @@ def test_random_mdps_need_several_fixpoint_passes():
 @given(seed=st.integers(0, 10**4))
 @settings(derandomize=True, max_examples=40, deadline=None)
 def test_random_product_solves_match_reference(seed):
-    pm = random_product(seed)[3]
-    with checked_solvers(synthesis) as solved:
-        synthesize(pm)
-    # One aswin per node, then pwin and aswin on the improvement MDP.
-    assert len(solved) == len(pm.node_members) + 2
+    check_synthesize(random_product(seed)[3])
 
 
 @pytest.mark.parametrize("bundle", BUNDLES)
 def test_bundle_solves_match_reference(bundle, request):
-    pm = request.getfixturevalue(bundle)[4]
-    with checked_solvers(synthesis) as solved:
-        synthesize(pm)
-    assert len(solved) == len(pm.node_members) + 2
+    check_synthesize(request.getfixturevalue(bundle)[4])
 
 
 @pytest.mark.parametrize("bundle", BUNDLES)
@@ -109,9 +130,11 @@ def test_chain_view_solves_match_reference(bundle, request):
     for strategy in (result.spi, result.sasi):
         if not strategy.actions:
             continue
+        view = reference_solvers.chain_view(pm, strategy, result.cache)
         for mode in ("spi", "sasi"):
-            with checked_solvers(verify) as solved:
+            with recorded_solves(verify) as calls:
                 verify.check_strategy_conditions(pm, strategy, mode, result.cache)
-            assert len(solved) == 1
+            assert len(calls) == 1
+            check_against(calls, lambda target: view)
             checked += 1
     assert checked >= 2

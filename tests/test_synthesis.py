@@ -57,22 +57,22 @@ def coin_view():
 
 
 def test_pwin_chain():
-    region = pwin(chain_view(), {2})
+    region = pwin(chain_view().rows, {2})
     assert region.region == {0, 1, 2}
     assert region.strategy[0] == {0}
     assert region.strategy[1] == {0}
 
 
 def test_pwin_excludes_trap():
-    region = pwin(coin_view(), {2})
+    region = pwin(coin_view().rows, {2})
     assert 3 not in region.region
     assert 0 in region.region  # positive probability suffices
 
 
 def test_aswin_separates_positive_from_almost_sure():
-    view = coin_view()
-    almost = aswin(view, {2})
-    positive = pwin(view, {2})
+    rows = coin_view().rows
+    almost = aswin(rows, {2})
+    positive = pwin(rows, {2})
     assert 0 in positive.region and 0 not in almost.region
     assert 1 in almost.region  # the only exit from s1 is the target
     assert 2 in almost.region  # target states always count
@@ -87,8 +87,8 @@ def test_aswin_on_random_mdps_matches_value_iteration():
         rng = _r.Random(seed + 1)
         target = frozenset(rng.sample(range(mdp.n_states()), 4))
         values = value_iteration(view, target)
-        almost = aswin(view, target).region
-        positive = pwin(view, target).region
+        almost = aswin(view.rows, target).region
+        positive = pwin(view.rows, target).region
         for s in view.states:
             assert (s in almost) == (values[s] >= 1 - 1e-6), (seed, s, values[s])
             assert (s in positive) == (values[s] > 1e-9), (seed, s, values[s])
@@ -103,8 +103,8 @@ def test_solver_strategies_are_themselves_winning():
         import random as _r
 
         target = frozenset(_r.Random(seed).sample(range(mdp.n_states()), 3))
-        almost = aswin(view, target)
-        positive = pwin(view, target)
+        almost = aswin(view.rows, target)
+        positive = pwin(view.rows, target)
 
         def restricted(region):
             def enabled(s):
@@ -127,7 +127,7 @@ def test_aswin_strategy_stays_inside_region():
         mdp = random_mdp(seed, n_states=30)
         view = view_of_mdp(mdp)
         target = frozenset({0, 1})
-        region = aswin(view, target)
+        region = aswin(view.rows, target)
         for s, actions in region.strategy.items():
             for a in actions:
                 for t, p in view.dist(s, a):
@@ -244,26 +244,26 @@ def test_improvement_mdp_adds_one_target_state(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     cache = aswin_by_node(pm)
     im = build_improvement_mdp(pm, cache)
-    view = im.view()
     assert im.improved == pm.n_states()
-    assert view.states == tuple(range(pm.n_states() + 1))
-    assert not view.enabled(im.improved)
+    assert sorted(im.rows) == list(range(pm.n_states() + 1))
+    assert im.rows[im.improved] == {}
 
 
 def test_improvement_mdp_routing(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     cache = aswin_by_node(pm)
     im = build_improvement_mdp(pm, cache)
-    view = im.view()
+    routed_somewhere = False
     for v in range(pm.n_states()):
-        assert tuple(view.enabled(v)) == im.enabled_actions[v]
-        for a in im.enabled_actions[v]:
-            routed = view.dist(v, a)
-            assert [p for _, p in routed] == [p for _, p in pm.dist(v, a)]
-            for (t, p), (w, _) in zip(routed, pm.dist(v, a)):
+        for a, routed in im.rows[v].items():
+            support = [w for w, p in pm.dist(v, a) if p > 0]
+            assert len(routed) == len(support)
+            for t, w in zip(routed, support):
                 assert (t == im.improved) == is_improvement(pm, v, w, cache)
                 if t != im.improved:
                     assert t == w
+                routed_somewhere |= t == im.improved
+    assert routed_somewhere
 
 
 def test_improvement_mdp_disables_regressing_actions(po1_b4):
@@ -275,7 +275,7 @@ def test_improvement_mdp_disables_regressing_actions(po1_b4):
             regresses = any(
                 is_improvement(pm, w, v, cache) for w, p in pm.dist(v, a) if p > 0
             )
-            assert (a in im.enabled_actions[v]) == (not regresses)
+            assert (a in im.rows[v]) == (not regresses)
 
 
 def test_dead_states_never_positively_winning():
@@ -283,7 +283,7 @@ def test_dead_states_never_positively_winning():
     cache = aswin_by_node(pm)
     im = build_improvement_mdp(pm, cache)
     assert im.dead == {0}
-    assert list(im.view().enabled(0)) == []
+    assert im.rows[0] == {}
     assert len(pm.enabled(0)) == 2  # both product actions regress
     result = synthesize(pm, cache)
     for v in im.dead:
@@ -377,7 +377,7 @@ def doubled_reference(im):
 
     def enabled(state):
         v, _ = state
-        return [-1] if v in im.dead else list(im.enabled_actions[v])
+        return [-1] if v in im.dead else list(im.rows[v])
 
     def dist(state, a):
         v, flag = state
@@ -410,8 +410,8 @@ def test_merged_target_matches_doubled_reference(instance, request):
         pm = request.getfixturevalue(instance)[4]
     result = synthesize(pm)
     view, marked = doubled_reference(result.improvement_mdp)
-    assert result.spi.actions == project_doubled(pwin(view, marked))
-    assert result.sasi.actions == project_doubled(aswin(view, marked))
+    assert result.spi.actions == project_doubled(pwin(view.rows, marked))
+    assert result.sasi.actions == project_doubled(aswin(view.rows, marked))
 
 
 def test_monotone_improvement_classes_along_induced_paths(po2_b4):
