@@ -39,6 +39,7 @@ from .scltl import (
 from .synthesis import (
     CompositePolicy,
     StrategyError,
+    aswin_by_node,
     build_product,
     improvement_mdp_to_dot,
     product_state_id,
@@ -162,19 +163,21 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     mdp, spec, pdfa, product = _load_pipeline(args.mdp, args.pref_file, args.state_cap)
-    result = synthesize(product)
     if args.strategy:
-        strategy = strategy_from_json(product, _read_json(args.strategy))
-        to_check = [(args.mode, strategy)]
+        # A given strategy needs only the improvement relation, not synthesis.
+        to_check = [(args.mode, strategy_from_json(product, _read_json(args.strategy)))]
+        cache = aswin_by_node(product)
     else:
+        result = synthesize(product)
         to_check = [("spi", result.spi), ("sasi", result.sasi)]
+        cache = result.cache
     report_doc = {}
     all_ok = True
     for mode, strategy in to_check:
         if not strategy.actions:
             report_doc[mode] = {"defined": False}
             continue
-        report = check_strategy_conditions(product, strategy, mode, result.cache)
+        report = check_strategy_conditions(product, strategy, mode, cache)
         all_ok = all_ok and report.ok
         report_doc[mode] = {
             "defined": True,

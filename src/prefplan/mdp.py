@@ -249,6 +249,8 @@ class GridworldConfig:
         col, row = cell
         if not (0 <= col < self.width and 0 <= row < self.height):
             raise MdpError(f"{what} at {cell} is outside the {self.width}x{self.height} grid")
+        if col != int(col) or row != int(row):
+            raise MdpError(f"{what} at {cell} is not a grid cell: coordinates must be integers")
 
     def walkable(self):
         return [
@@ -283,7 +285,7 @@ def gridworld_config_from_json(doc: dict) -> GridworldConfig:
             regions={atom: frozenset(tuple(c) for c in cells) for atom, cells in regions.items()},
             stay_probability=float(stay),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise MdpError(f"{where}: {e}") from e
 
 

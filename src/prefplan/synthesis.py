@@ -14,8 +14,14 @@ The solvers take support rows, ``state -> {action: [positive-probability
 successors]}``, which is all qualitative reachability depends on.  Each model
 builds its rows in the loop that visits its edges anyway: ``build_product``,
 the improvement MDP's regression guard and the verifier's induced chain.
-``pwin`` is one backward search over a predecessor index built per solve;
-``aswin`` prunes the actions that lead into dropped states incrementally.
+``pwin`` is one backward search over a predecessor index built per solve.
+``aswin`` decides the strongly connected components of the support graph
+one at a time, sinks first (``scc_order``): a single state in one step, a
+larger component by the alternating fixpoint on its own states.  The
+product's order serves every ``aswin`` of a synthesis, since the improvement
+MDP and the verifier's chain only drop product edges and add edges into one
+target sink.  A region's strategy is derived when first read; only the
+composite policy reads the per-node ones.
 
 The improvement relation is filled in once per product, right after the
 per-node solves, as a table over the states' most-preferred node sets;
@@ -25,8 +31,11 @@ it up.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 from .mdp import LabeledMdp, MdpError
 from .prefdfa import PreferenceDfa, tag_labels
@@ -48,6 +57,8 @@ __all__ = [
     "pwin",
     "aswin",
     "aswin_by_node",
+    "SccOrder",
+    "scc_order",
     "z_set",
     "mp_nodes",
     "is_improvement",
@@ -197,12 +208,107 @@ def build_product(
 # ---------------------------------------------------------------------------
 
 
+class SccOrder(NamedTuple):
+    """The strongly connected components of a support graph, sinks first:
+    every edge stays inside its component or leads to an earlier one."""
+
+    roots: list  # one state per component, in order
+    members: dict  # root -> tuple of its component's states, for components of two or more
+
+
+_DONE = sys.maxsize  # the DFS number of a state whose component is emitted
+_GOAL = object()  # a component's exit into states already known to win
+
+
+def scc_order(rows: dict) -> SccOrder:
+    """Tarjan's algorithm over the support rows' edges, without recursion.
+
+    A component is emitted once every component it can reach has been, so
+    the emission order is the order ``aswin`` sweeps.  A state whose
+    component is emitted takes the number ``_DONE``, which lowers no lowlink.
+    """
+    num, low = {}, {}  # state -> DFS number, lowlink
+    stack, roots, members = [], [], {}
+    for start in rows:
+        if start in num:
+            continue
+        num[start] = low[start] = len(num)
+        stack.append(start)
+        work = [(start, chain.from_iterable(rows[start].values()))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                n = num.get(w)
+                if n is None:
+                    num[w] = low[w] = len(num)
+                    stack.append(w)
+                    work.append((w, chain.from_iterable(rows[w].values())))
+                    break
+                if n < low[v]:
+                    low[v] = n
+            else:
+                work.pop()
+                lv = low[v]
+                if lv == num[v]:
+                    w = stack.pop()
+                    num[w] = _DONE
+                    if w != v:
+                        group = [w]
+                        while w != v:
+                            w = stack.pop()
+                            num[w] = _DONE
+                            group.append(w)
+                        members[v] = tuple(group)
+                    roots.append(v)
+                if work:
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+    return SccOrder(roots, members)
+
+
 @dataclass(frozen=True)
 class WinningRegion:
+    """A solver's region, with its strategy worked out on first read.
+
+    ``strategy`` maps each region state outside the target to the actions
+    that step strictly closer to the target, by breadth-first distance over
+    the allowed actions: all actions for ``pwin``, those whose successors all
+    stay in the region for ``aswin``.  Only the composite policy reads the
+    per-node strategies, so ``synth`` and ``verify`` never compute them.
+    """
+
     kind: str  # "almost-sure" | "positive"
     target: frozenset
     region: frozenset
-    strategy: dict  # state -> frozenset of actions (outside the target)
+    rows: dict = field(repr=False, compare=False)  # the solved model's support rows
+
+    @cached_property
+    def strategy(self) -> dict:
+        """state -> frozenset of actions, for the region's states outside the target."""
+        rows, target, region = self.rows, self.target, self.region
+        # Only edges between region states can lie on a path to the target.
+        allowed, preds = {}, {s: [] for s in region}
+        for s in region - target:
+            row = rows[s]
+            allowed[s] = row if self.kind == "positive" else [
+                a for a, succ in row.items() if all(t in region for t in succ)
+            ]
+            for a in allowed[s]:
+                for t in row[a]:
+                    if t in region:
+                        preds[t].append((s, a))
+        return _closer(rows, target, _layers(preds, target & region, allowed), allowed)
+
+
+def _preds(rows: dict) -> dict:
+    """state -> [(predecessor, action)] over the rows' edges."""
+    preds = {s: [] for s in rows}
+    for s, row in rows.items():
+        for a, succ in row.items():
+            for t in succ:
+                preds[t].append((s, a))
+    return preds
 
 
 def _layers(preds: dict, goal, allowed: dict) -> dict:
@@ -220,56 +326,124 @@ def _layers(preds: dict, goal, allowed: dict) -> dict:
     return dist
 
 
-def _reach(rows: dict, target, kind: str) -> WinningRegion:
-    """``pwin`` stops after the first search; ``aswin`` prunes until stable."""
-    target = frozenset(target)
-    preds = {s: [] for s in rows}  # state -> [(predecessor, action)]
-    for s, row in rows.items():
-        for a, succ in row.items():
-            for t in succ:
-                preds[t].append((s, a))
-    region = set(rows)
-    allowed = {s: set() if s in target else set(row) for s, row in rows.items()}
-    while True:
-        dist = _layers(preds, target & region, allowed)
-        bad = region.difference(dist)
-        region -= bad
-        if kind == "positive" or not bad:
-            break
-        for t in bad:
-            allowed[t].clear()
-            for s, a in preds[t]:
-                allowed[s].discard(a)
-    strategy = {
+def _closer(rows: dict, target, dist: dict, allowed: dict) -> dict:
+    """Per state at a positive distance, the allowed actions with a successor
+    one step closer."""
+    return {
         s: frozenset(
             a
             for a in allowed[s]
             if any(dist.get(t, -1) == dist[s] - 1 for t in rows[s][a])
         )
-        for s in sorted(region - target)
+        for s in sorted(dist.keys() - target)
     }
-    return WinningRegion(kind=kind, target=target, region=frozenset(region), strategy=strategy)
+
+
+def _fixpoint(rows: dict, target) -> set:
+    """The alternating fixpoint: drop the states that cannot reach the
+    target under the allowed actions, disable through the predecessor index
+    every action that may lead into them, and repeat until none drops."""
+    preds = _preds(rows)
+    region = set(rows)
+    allowed = {s: set() if s in target else set(row) for s, row in rows.items()}
+    while True:
+        bad = region.difference(_layers(preds, target & region, allowed))
+        if not bad:
+            return region
+        region -= bad
+        for t in bad:
+            allowed[t].clear()
+            for s, a in preds[t]:
+                allowed[s].discard(a)
+
+
+def _component_region(rows: dict, win: set, group) -> set:
+    """The states of one component that almost surely reach ``win``, which
+    holds the target and every winning state of the earlier components.
+
+    The fixpoint runs on the component alone: a successor in ``win`` becomes
+    one goal state, and an action with a successor outside both the
+    component and ``win`` (a losing state) is dropped.
+    """
+    inside = set(group)
+    local = {_GOAL: {}}
+    for s in group:
+        if s in win:
+            continue  # a target state
+        local[s] = row = {}
+        for a, succ in rows[s].items():
+            mapped = []
+            for t in succ:
+                if t in win:
+                    mapped.append(_GOAL)
+                elif t in inside:
+                    mapped.append(t)
+                else:
+                    break
+            else:
+                row[a] = mapped
+    region = _fixpoint(local, {_GOAL})
+    region.discard(_GOAL)
+    return region
 
 
 def pwin(rows: dict, target) -> WinningRegion:
     """Positive-probability reachability over support rows: one backward BFS.
 
     The strategy keeps every action with a successor strictly closer to the
-    target, so any tie-break of it witnesses positive reachability.
+    target, so any tie-break of it witnesses positive reachability; it comes
+    from the same search.
     """
-    return _reach(rows, target, "positive")
+    target = frozenset(target)
+    allowed = {s: () if s in target else row for s, row in rows.items()}
+    dist = _layers(_preds(rows), [s for s in target if s in rows], allowed)
+    result = WinningRegion("positive", target, frozenset(dist), rows)
+    vars(result)["strategy"] = _closer(rows, target, dist, allowed)  # fills the cached property
+    return result
 
 
-def aswin(rows: dict, target) -> WinningRegion:
-    """Almost-sure reachability over support rows by the alternating fixpoint.
+def aswin(rows: dict, target, order: SccOrder = None) -> WinningRegion:
+    """Almost-sure reachability over support rows, one component at a time.
 
-    Repeatedly drop the states that cannot reach the target under the allowed
-    actions; each dropped state disables, through the predecessor index,
-    every action that may lead into it.  Target states are treated as
-    absorbing and always stay in the region.  The strategy is chosen as in
-    ``pwin``.
+    Components are decided in ``order``, sinks first, so every successor
+    outside a component is already known to win or lose.  A single state
+    wins if it is in the target, or if some action has a successor other
+    than the state itself and every such successor wins.  A larger
+    component runs the alternating fixpoint on its own states
+    (``_component_region``).  Target states always stay in the region.
+
+    ``order`` defaults to ``scc_order(rows)``.  The order of a model whose
+    edges include these rows' edges serves as well: where one of its
+    components holds several of the rows' components they are solved
+    together, and its states missing from ``rows`` are skipped.  States of
+    ``rows`` outside it must have empty rows, like the ``improved`` target
+    state of the improvement MDP and of the verifier's chain.
     """
-    return _reach(rows, target, "almost-sure")
+    target = frozenset(target)
+    if order is None:
+        order = scc_order(rows)
+    win = {s for s in target if s in rows}
+    members = order.members
+    for v in order.roots:
+        group = members.get(v)
+        if group is not None:
+            win |= _component_region(rows, win, [s for s in group if s in rows])
+            continue
+        row = rows.get(v)
+        if row is None or v in win:
+            continue
+        for succ in row.values():
+            leaves = False
+            for t in succ:
+                if t in win:
+                    leaves = True
+                elif t != v:
+                    break  # a losing successor
+            else:
+                if leaves:  # a self-loop only delays leaving
+                    win.add(v)
+                    break
+    return WinningRegion("almost-sure", target, frozenset(win), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +455,16 @@ def aswin(rows: dict, target) -> WinningRegion:
 class ImprovementCache:
     """Per-product facts shared by the improvement machinery, computed once.
 
-    ``aswin_by_node`` holds the per-node almost-sure regions.  Every product
+    ``order`` is the product's SCC order, which every ``aswin`` on the
+    product or a model derived from it sweeps.  ``aswin_by_node`` holds the
+    per-node almost-sure regions.  Every product
     state's most-preferred (MP) node set is interned into a class id:
     ``mp_class[v]`` indexes ``mp_sets``, and ``improves[c1][c2]`` tells
     whether a state of class c2 improves on one of class c1.
     """
 
     product: ProductMdp
+    order: SccOrder = field(init=False)
     aswin_by_node: dict = field(default_factory=dict)
     mp_class: list = field(default_factory=list)  # state -> class id
     mp_sets: list = field(default_factory=list)  # class id -> frozenset of MP nodes
@@ -295,8 +472,9 @@ class ImprovementCache:
 
     def __post_init__(self):
         pm = self.product
+        self.order = scc_order(pm.rows)
         for node_id, members in sorted(pm.node_members.items()):
-            self.aswin_by_node[node_id] = aswin(pm.rows, members)
+            self.aswin_by_node[node_id] = aswin(pm.rows, members, self.order)
         z_sets = [[] for _ in range(pm.n_states())]
         for node_id, region in self.aswin_by_node.items():
             for v in region.region:
@@ -441,7 +619,7 @@ def synthesize(pm: ProductMdp, cache: ImprovementCache = None) -> SynthesisResul
         cache = aswin_by_node(pm)
     im = build_improvement_mdp(pm, cache)
     positive = pwin(im.rows, {im.improved})
-    almost = aswin(im.rows, {im.improved})
+    almost = aswin(im.rows, {im.improved}, cache.order)
 
     def project(region: WinningRegion, mode: str) -> Strategy:
         actions = {v: acts for v, acts in sorted(region.strategy.items()) if acts}
@@ -582,26 +760,26 @@ def regions_to_json(pm: ProductMdp, cache: ImprovementCache) -> dict:
 
 def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
     """The paper's doubled improvement MDP: node ``v<i>T`` is product state i
-    just entered by an improving edge, ``v<i>B`` the same state otherwise."""
-    pm = im.product
-
-    def name(v, flag):
-        return f"v{v}{'T' if flag else 'B'}"
-
+    just entered by an improving edge, ``v<i>B`` the same state otherwise.
+    Both copies of a state share its edges, so each edge's label is rendered
+    once."""
+    pm, improving, names = im.product, im._improving_pairs, im.product.mdp.actions
     lines = ["digraph improvement_mdp {", "  rankdir=LR;"]
     for v in range(pm.n_states()):
-        for flag in (False, True):
-            label = product_state_id(pm, v) + (" top" if flag else " bot")
-            style = ' style=filled fillcolor="palegreen"' if flag else ""
-            lines.append(f'  {name(v, flag)} [shape=box label="{label}"{style}];')
+        sid = product_state_id(pm, v)
+        lines.append(f'  v{v}B [shape=box label="{sid} bot"];')
+        lines.append(f'  v{v}T [shape=box label="{sid} top" style=filled fillcolor="palegreen"];')
     for v in range(pm.n_states()):
-        for flag in (False, True):
-            src = name(v, flag)
+        # (successor, improving, label) per edge of the kept actions
+        edges = [
+            (w, (v, w) in improving, f'[label="{names[a]}:{p:g}"];')
+            for a in im.rows[v]
+            for w, p in pm.dist(v, a)
+        ]
+        for src, entered in ((f"v{v}B", False), (f"v{v}T", True)):
             if v in im.dead:
                 lines.append(f'  {src} -> {src} [label="dead:1"];')
-            for a in im.rows[v]:
-                for w, p in pm.dist(v, a):
-                    dst = name(w, not flag and (v, w) in im._improving_pairs)
-                    lines.append(f'  {src} -> {dst} [label="{pm.mdp.actions[a]}:{p:g}"];')
+            for w, up, label in edges:
+                lines.append(f"  {src} -> v{w}{'T' if up and not entered else 'B'} {label}")
     lines.append("}")
     return "\n".join(lines) + "\n"

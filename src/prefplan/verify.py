@@ -231,8 +231,11 @@ def check_strategy_conditions(
     rows[improved] = {}
     for v, _, w, _ in chain.edges:
         rows[v].setdefault(0, []).append(improved if (v, w) in chain.improving else w)
-    solve = pwin if mode == "spi" else aswin
-    region = solve(rows, {improved}).region
+    if mode == "spi":
+        region = pwin(rows, {improved}).region
+    else:
+        # The chain's edges are product edges plus those into ``improved``.
+        region = aswin(rows, {improved}, cache.order).region
     stuck = tuple(v for v in sorted(strategy.actions) if v not in region)
     condition_a = not stuck
 

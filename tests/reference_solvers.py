@@ -12,8 +12,19 @@ the improving pairs, and the verifier's induced chain as a uniform mixture of
 the chosen actions.
 """
 
-from prefplan.synthesis import MdpView, WinningRegion, is_improvement
+from typing import NamedTuple
+
+from prefplan.synthesis import MdpView, is_improvement
 from prefplan.verify import build_induced_chain
+
+
+class Solved(NamedTuple):
+    """A reference solver's answer, with its strategy computed up front."""
+
+    kind: str
+    target: frozenset
+    region: frozenset
+    strategy: dict
 
 
 def _product_enabled(pm, v):
@@ -102,7 +113,7 @@ def _distances_to(view: MdpView, target, allowed=None):
     return dist
 
 
-def pwin(view: MdpView, target) -> WinningRegion:
+def pwin(view: MdpView, target) -> Solved:
     """Positive-probability reachability: backward closure over the graph.
 
     The strategy keeps every action with a successor strictly closer to the
@@ -119,10 +130,10 @@ def pwin(view: MdpView, target) -> WinningRegion:
             if any(p > 0 and dist.get(t, -1) == dist[s] - 1 for t, p in view.dist(s, a))
         )
         strategy[s] = keep
-    return WinningRegion(kind="positive", target=target, region=region, strategy=strategy)
+    return Solved(kind="positive", target=target, region=region, strategy=strategy)
 
 
-def aswin(view: MdpView, target) -> WinningRegion:
+def aswin(view: MdpView, target) -> Solved:
     """Almost-sure reachability by the alternating fixpoint.
 
     Repeatedly restrict to the sub-MDP whose states can still reach the
@@ -158,6 +169,6 @@ def aswin(view: MdpView, target) -> WinningRegion:
             if any(p > 0 and dist.get(t, -1) == dist[s] - 1 for t, p in view.dist(s, a))
         )
         strategy[s] = keep
-    return WinningRegion(
+    return Solved(
         kind="almost-sure", target=target, region=frozenset(region), strategy=strategy
     )

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -117,6 +118,15 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "malformed gridworld config: drift entry must be a JSON object, got 1"),
         ("gridworld", {**PO1_GRID4_DOC, "start": [1, 2, 3]},
          "malformed gridworld config: too many values to unpack"),
+        *[
+            ("gridworld", {**PO1_GRID4_DOC, field: float("inf")},
+             "malformed gridworld config: cannot convert float infinity to integer")
+            for field in ("width", "height", "battery_capacity")
+        ],
+        ("gridworld", {**PO1_GRID4_DOC, "start": [1.5, 1]},
+         "malformed gridworld config: start at (1.5, 1) is not a grid cell"),
+        ("gridworld", {**PO1_GRID4_DOC, "start": [2, 1.5]},
+         "malformed gridworld config: start at (2, 1.5) is not a grid cell"),
         ("synth", _mdp_doc(prob="half"), "successor of ('s','a'): 'prob' must be a number, got 'half'"),
         ("synth", _mdp_doc(atoms=["Z"]), "MDP atoms ['Z'] not covered by preference alphabet"),
         ("synth", _mdp_doc(initial=(("s", 0.5), ("t", 0.5))),
@@ -127,7 +137,8 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "pref-entry-int", "pref-strict-no-better", "pref-formula-int", "mdp-state-no-id",
         "mdp-state-int", "grid-regions-list", "grid-list", "grid-no-width", "grid-no-height",
         "grid-no-start", "grid-no-battery", "grid-width-string", "grid-drift-int",
-        "grid-start-3d", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
+        "grid-start-3d", "grid-width-inf", "grid-height-inf", "grid-battery-inf",
+        "grid-start-col-half", "grid-start-row-half", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -249,6 +260,48 @@ def test_pipeline_exports_pinned(workdir, grid):
     assert run("--out", "art", "verify", mdp_path, pref) == 0
     assert run("--out", "art", "simulate", mdp_path, pref, "--episodes", "300") == 0
     assert _digests(workdir / "art", PIPELINE_SHA256[grid]) == PIPELINE_SHA256[grid]
+
+
+# sha256 of verify_report.json for ``verify --strategy FILE --mode MODE`` on
+# each bundle's exported (FILE, MODE) strategies, recorded while ``verify``
+# still ran the whole synthesis.  An SPI strategy fails the SASI conditions
+# on every bundle.
+VERIFY_STRATEGY_SHA256 = {
+    "po1/gridworld_battery2.json": {
+        ("spi", "spi"): "eb5a7618aaa605de5e64e29ceccbe460ae44b1398d047d0543aafee2902276fc",
+        ("spi", "sasi"): "0c37b386365f8f6bf7115bad67700c96d6da6fd0eccbb49e4f2e735c6d79de2b",
+        ("sasi", "spi"): "29c14928da6562fb177f8a0a0ba9e9ef6b789ecff3601337c912710157f643ec",
+        ("sasi", "sasi"): "da2a73ef02a26195d2705ec3de535ab256814142fdf5948d070cc06f12e2b75f",
+    },
+    "po1/gridworld_battery4.json": {
+        ("spi", "spi"): "8ec518b51d209ad2e3f96fff094f45d0e9e8ec2d4ded314b99ddc25fe079ef2c",
+        ("spi", "sasi"): "bfa2a2b08bd5fbf044ab58f2a140a959c34105a4e9b076d81b7089f2b49e1e67",
+        ("sasi", "spi"): "500b87a6a9c510e9a0140ae1d016695b31e9b31eb61c90ea849142eac5169c4a",
+        ("sasi", "sasi"): "b885a5e6afef73b3e89510bdaed116d67f0d45367b6fefb5a2510e2327227900",
+    },
+    "po2/gridworld_battery4.json": {
+        ("spi", "spi"): "e3ffe2b244140686fc6a3d450ba08cbfb6f44f2dbf05a91fc39da27071c867da",
+        ("spi", "sasi"): "47265be515d09ab5835b36506fdb5c7a8b528e2d49a2de088170c1c795e2c104",
+        ("sasi", "spi"): "426383ef386305d90505eec144e27398b7f34a7992e1a5499e4a911f738926d1",
+        ("sasi", "sasi"): "e9ed3a24750296f9cf80593bbd1b1f70760c8404e3f0988afed34ac3d6aecdef",
+    },
+}
+
+
+@pytest.mark.parametrize("grid", sorted(VERIFY_STRATEGY_SHA256))
+def test_verify_given_strategy_needs_no_synthesis(workdir, grid):
+    pref = str(BUNDLES / grid.split("/")[0] / "preferences.json")
+    assert run("--out", "g", "gridworld", str(BUNDLES / grid)) == 0
+    mdp_path = str(workdir / "g" / "mdp.json")
+    assert run("--out", "art", "synth", mdp_path, pref) == 0
+    with mock.patch.object(cli, "synthesize", side_effect=AssertionError("synthesize ran")) as synth:
+        for (exported, mode), digest in VERIFY_STRATEGY_SHA256[grid].items():
+            out = workdir / f"v_{exported}_{mode}"
+            strategy = str(workdir / "art" / f"strategy_{exported}.json")
+            code = run("--out", str(out), "verify", mdp_path, pref, "--strategy", strategy, "--mode", mode)
+            assert code == (2 if (exported, mode) == ("spi", "sasi") else 0)
+            assert _digests(out, ["verify_report.json"]) == {"verify_report.json": digest}
+    assert not synth.called
 
 
 def test_gridworld_roundtrip(workdir):
