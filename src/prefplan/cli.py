@@ -188,11 +188,13 @@ def cmd_verify(args) -> int:
             "stuck_states": [product_state_id(product, v) for v in report.stuck_states],
             "regressing_edges": [
                 {
-                    "path": [product_state_id(product, v) for v in trace],
+                    # Every chain edge starts in the strategy's domain, so the
+                    # path to it is its source alone; kept for the format.
+                    "path": [product_state_id(product, v)],
                     "from": product_state_id(product, v),
                     "to": product_state_id(product, w),
                 }
-                for trace, v, w in report.regressing_edges
+                for v, w in report.regressing_edges
             ],
             "bottom_based_improvements": [
                 [product_state_id(product, v), product_state_id(product, w)]

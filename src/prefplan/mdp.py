@@ -10,6 +10,7 @@ onto the intended cell.  Battery-0 states are absorbing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .schema import STRINGS, json_fields
@@ -89,6 +90,10 @@ class LabeledMdp:
             for t, p in dist:
                 if not 0 <= t < n:
                     raise MdpError(f"dangling successor index {t}")
+                if not math.isfinite(p):
+                    raise MdpError(
+                        f"probability {p} at ({self.states[s]!r},{self.actions[a]!r}) is not a finite number"
+                    )
                 if p < 0:
                     raise MdpError(f"negative probability {p} at ({self.states[s]!r},{self.actions[a]!r})")
                 total += p
@@ -103,9 +108,11 @@ class LabeledMdp:
         total = sum(p for _, p in self.initial)
         if abs(total - 1.0) > PROB_TOL:
             raise MdpError(f"initial distribution sums to {total}")
-        for t, _ in self.initial:
+        for t, p in self.initial:
             if not 0 <= t < n:
                 raise MdpError(f"dangling initial state index {t}")
+            if not math.isfinite(p):
+                raise MdpError(f"initial probability {p} is not a finite number")
 
 
 def load_mdp(doc: dict) -> LabeledMdp:

@@ -13,8 +13,6 @@ import io
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .synthesis import (
     BOTTOM,
     CompositePolicy,
@@ -45,10 +43,12 @@ class ValueIterationError(RuntimeError):
 
 
 def value_iteration(view: MdpView, target, max_iter: int = 100000, tol: float = 1e-12):
-    """Max reachability probabilities via Bellman backups.
+    """Max reachability probabilities via synchronous Bellman backups.
 
     Returns a dict state -> probability.  Target states are clamped to one;
-    iteration stops when the sup-norm change drops below ``tol``.
+    iteration stops when the sup-norm change drops below ``tol``.  Per state,
+    each action's positive-probability terms are summed left to right and
+    the max over actions starts at 0.0.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -57,52 +57,41 @@ def value_iteration(view: MdpView, target, max_iter: int = 100000, tol: float = 
         raise ValueError("target must be nonempty")
     states = list(view.states)
     index = {s: i for i, s in enumerate(states)}
-    n = len(states)
 
-    # One sparse triplet block per (state, action); backups are vectorized
-    # with segment maxima over the per-action expectations.
-    src_rows = []
-    succ_cols = []
-    probs = []
-    row_of_entry = []
-    entry = 0
+    # Per non-target state with a move: one list of (successor index,
+    # probability) pairs per action with a positive-probability successor.
+    rows = []
     for s in states:
         if s in target:
             continue
-        for a in view.enabled(s):
-            pairs = [(index[t], p) for t, p in view.dist(s, a) if p > 0]
-            if not pairs:
-                continue
-            for t, p in pairs:
-                src_rows.append(entry)
-                succ_cols.append(t)
-                probs.append(p)
-            row_of_entry.append(index[s])
-            entry += 1
-    src_rows = np.asarray(src_rows, dtype=np.int64)
-    succ_cols = np.asarray(succ_cols, dtype=np.int64)
-    probs = np.asarray(probs, dtype=np.float64)
-    row_of_entry = np.asarray(row_of_entry, dtype=np.int64)
+        moves = [[(index[t], p) for t, p in view.dist(s, a) if p > 0] for a in view.enabled(s)]
+        moves = [pairs for pairs in moves if pairs]
+        if moves:
+            rows.append((index[s], moves))
 
-    values = np.zeros(n, dtype=np.float64)
+    values = [0.0] * len(states)
     for s in target:
         values[index[s]] = 1.0
     residual = 0.0
     for _ in range(max_iter):
-        expectations = np.zeros(entry, dtype=np.float64)
-        np.add.at(expectations, src_rows, probs * values[succ_cols])
-        new = values.copy()
-        if entry:
-            best = np.zeros(n, dtype=np.float64)
-            np.maximum.at(best, row_of_entry, expectations)
-            new[row_of_entry] = best[row_of_entry]
-        residual = float(np.max(np.abs(new - values)))
+        new = values[:]
+        residual = 0.0
+        for i, moves in rows:
+            best = 0.0
+            for pairs in moves:
+                total = 0.0
+                for t, p in pairs:
+                    total += p * values[t]
+                if total > best:
+                    best = total
+            new[i] = best
+            residual = max(residual, abs(best - values[i]))
         values = new
         if residual < tol:
             break
     else:
         raise ValueIterationError(f"no convergence after {max_iter} iterations (residual {residual:g})")
-    return {s: float(values[index[s]]) for s in states}
+    return dict(zip(states, values))
 
 
 # ---------------------------------------------------------------------------
@@ -112,55 +101,42 @@ def value_iteration(view: MdpView, target, max_iter: int = 100000, tol: float = 
 
 @dataclass(frozen=True)
 class InducedChain:
-    """States and edges reachable from a strategy's domain under its actions.
+    """A strategy's domain and every edge its actions take, with the states
+    those edges reach.
 
-    Edges carry improving/regressing marks derived from the improvement
-    relation on the underlying product states.
+    Execution stops where the strategy is undefined, so the chain is the
+    one-step image of the domain.  Edges carry improving/regressing marks
+    derived from the improvement relation on the underlying product states.
     """
 
     states: frozenset
     edges: tuple  # of (v, action, v2, prob)
     improving: frozenset  # of (v, v2)
     regressing: frozenset  # of (v, v2)
-    parents: dict  # v2 -> (v, action) witness for counterexample paths
 
 
 def build_induced_chain(pm: ProductMdp, strategy: Strategy, cache: ImprovementCache) -> InducedChain:
     cls, improves = cache.mp_class, cache.improves
     reached = set(strategy.actions)
-    frontier = sorted(reached)
     edges = []
     improving = set()
     regressing = set()
-    parents = {}
-    seen_edges = set()
-    while frontier:
-        nxt = []
-        for v in frontier:
-            actions = strategy.actions.get(v)
-            if actions is None:
-                continue  # left the domain; execution stops here
-            for a in sorted(actions):
-                for w, p in pm.dist(v, a):
-                    if p <= 0 or (v, a, w) in seen_edges:
-                        continue
-                    seen_edges.add((v, a, w))
-                    edges.append((v, a, w, p))
-                    if improves[cls[v]][cls[w]]:
-                        improving.add((v, w))
-                    if improves[cls[w]][cls[v]]:
-                        regressing.add((v, w))
-                    if w not in reached:
-                        reached.add(w)
-                        parents[w] = (v, a)
-                        nxt.append(w)
-        frontier = nxt
+    for v in sorted(strategy.actions):
+        for a in sorted(strategy.actions[v]):
+            for w, p in pm.dist(v, a):
+                if p <= 0:
+                    continue
+                edges.append((v, a, w, p))
+                reached.add(w)
+                if improves[cls[v]][cls[w]]:
+                    improving.add((v, w))
+                if improves[cls[w]][cls[v]]:
+                    regressing.add((v, w))
     return InducedChain(
         states=frozenset(reached),
         edges=tuple(edges),
         improving=frozenset(improving),
         regressing=frozenset(regressing),
-        parents=parents,
     )
 
 
@@ -170,18 +146,10 @@ class StrategyReport:
     ok: bool
     condition_a: bool
     condition_b: bool
-    regressing_edges: tuple
+    regressing_edges: tuple  # of (v, v2)
     stuck_states: tuple  # domain states violating condition (a)
     bottom_based_improvements: tuple  # improving edges that exist only via the bottom node
     integrity_errors: tuple
-
-
-def _trace(chain: InducedChain, v):
-    path = [v]
-    while path[0] in chain.parents:
-        parent, _ = chain.parents[path[0]]
-        path.insert(0, parent)
-    return tuple(path)
 
 
 def check_strategy_conditions(
@@ -251,7 +219,7 @@ def check_strategy_conditions(
         ok=condition_a and condition_b,
         condition_a=condition_a,
         condition_b=condition_b,
-        regressing_edges=tuple(sorted((_trace(chain, v), v, w) for v, w in chain.regressing)),
+        regressing_edges=tuple(sorted(chain.regressing)),
         stuck_states=stuck,
         bottom_based_improvements=bottom,
         integrity_errors=(),

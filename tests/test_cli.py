@@ -131,6 +131,8 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         ("synth", _mdp_doc(atoms=["Z"]), "MDP atoms ['Z'] not covered by preference alphabet"),
         ("synth", _mdp_doc(initial=(("s", 0.5), ("t", 0.5))),
          "product construction expects a single initial state"),
+        ("synth", _mdp_doc(prob=float("nan")), "probability nan at ('s','a') is not a finite number"),
+        ("synth", _mdp_doc(initial=(("s", float("nan")),)), "initial probability nan is not a finite number"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -139,6 +141,7 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-no-start", "grid-no-battery", "grid-width-string", "grid-drift-int",
         "grid-start-3d", "grid-width-inf", "grid-height-inf", "grid-battery-inf",
         "grid-start-col-half", "grid-start-row-half", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
+        "mdp-prob-nan", "mdp-initial-nan",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -345,6 +348,29 @@ def test_verify_failure_exit_code(workdir):
     assert run("--out", "v", "verify", mdp_path, PO1_PREF, "--strategy", spi_path, "--mode", "sasi") == 2
     report = json.loads((workdir / "v" / "verify_report.json").read_text())
     assert report["sasi"]["condition_a"] is False
+
+
+def test_verify_reports_regressing_edges(workdir):
+    # The po2 SPI strategy widened to every action still improves with
+    # positive probability but takes regressing edges: condition (b) fails.
+    # The digest was recorded while the induced chain was built by a search
+    # that traced a path to each regressing edge.
+    assert run("--out", "g", "gridworld", PO2_GRID4) == 0
+    mdp_path = str(workdir / "g" / "mdp.json")
+    assert run("--out", "s", "synth", mdp_path, PO2_PREF) == 0
+    doc = json.loads((workdir / "s" / "strategy_spi.json").read_text())
+    for entry in doc["entries"]:
+        entry["actions"] = ["East", "North", "South", "West"]
+    wide = workdir / "wide_spi.json"
+    wide.write_text(json.dumps(doc))
+    assert run("--out", "v", "verify", mdp_path, PO2_PREF, "--strategy", str(wide), "--mode", "spi") == 2
+    report = json.loads((workdir / "v" / "verify_report.json").read_text())["spi"]
+    assert report["condition_a"] and not report["condition_b"]
+    assert len(report["regressing_edges"]) == 6
+    assert all(edge["path"] == [edge["from"]] for edge in report["regressing_edges"])
+    assert _digests(workdir / "v", ["verify_report.json"]) == {
+        "verify_report.json": "579abd3e640897bcd24dbc6f6c8880f7af55225c10de7031e0863bfeff85882c"
+    }
 
 
 def test_verify_external_strategy_pass(workdir):

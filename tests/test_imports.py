@@ -1,7 +1,7 @@
-"""``src/prefplan`` imports only the standard library, numpy and itself.
+"""``src/prefplan`` imports only the standard library and itself.
 
-numpy is the one declared dependency; other packages that happen to be
-installed (scipy, networkx) must not creep in.
+The package declares no dependency; packages that happen to be installed
+(numpy, scipy, networkx) must not creep in.
 """
 
 import ast
@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "prefplan"
-ALLOWED = frozenset({"numpy", "prefplan"})
+ALLOWED = frozenset({"prefplan"})
 
 
 def imported_roots(source: str) -> set:
@@ -37,10 +37,10 @@ def test_checker_flags_undeclared_packages():
         "    import networkx\n"
     )
     assert imported_roots(source) == {"os", "numpy", "scipy", "networkx"}
-    assert foreign(imported_roots(source)) == {"scipy", "networkx"}
+    assert foreign(imported_roots(source)) == {"numpy", "scipy", "networkx"}
 
 
-def test_prefplan_imports_only_stdlib_numpy_and_itself():
+def test_prefplan_imports_only_stdlib_and_itself():
     files = sorted(SRC.rglob("*.py"))
     assert len(files) >= 9
     found = {

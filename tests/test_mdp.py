@@ -1,10 +1,13 @@
 """MDP ingestion/validation and the gridworld generator rules."""
 
+import math
+
 import pytest
 
 from prefplan.mdp import (
     GRID_ACTIONS,
     GridworldConfig,
+    LabeledMdp,
     MdpError,
     build_gridworld,
     gridworld_config_from_json,
@@ -83,6 +86,21 @@ def test_load_rejects_negative_probability():
     ]
     with pytest.raises(MdpError, match="negative"):
         load_mdp(doc)
+
+
+@pytest.mark.parametrize(
+    "prob, initial", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)], ids=["nan", "inf", "initial-nan"]
+)
+def test_rejects_non_finite_probability(prob, initial):
+    with pytest.raises(MdpError, match="not a finite number"):
+        LabeledMdp(
+            atoms=(),
+            states=("s0",),
+            actions=("go",),
+            labels=(frozenset(),),
+            transitions={(0, 0): ((0, prob),)},
+            initial=((0, initial),),
+        )
 
 
 def test_mdp_json_roundtrip():

@@ -51,6 +51,31 @@ def test_value_iteration_examples():
     values = value_iteration(MdpView(states, enabled, dist_retry), {1})
     assert values[0] == pytest.approx(1.0, abs=1e-6)
 
+    # A third of the mass to the target, a third back, a third to a trap.
+    def dist_thirds(s, a):
+        if s == 0:
+            return ((1, 1 / 3), (0, 1 / 3), (2, 1 / 3))
+        return ((s, 1.0),)
+
+    values = value_iteration(MdpView(states, enabled, dist_thirds), {1})
+    assert values[0] == pytest.approx(0.5, abs=1e-9)
+    assert values[2] == 0.0
+
+    # Two actions at states 0 and 3, listed in opposite orders: the max
+    # picks the better one wherever it stands.
+    moves = {0: (((1, 0.3), (2, 0.7)), ((1, 0.8), (2, 0.2))), 3: (((1, 0.9), (2, 0.1)), ((1, 0.4), (2, 0.6)))}
+
+    def enabled_two(s):
+        return [0, 1] if s in moves else [0]
+
+    def dist_two(s, a):
+        return moves[s][a] if s in moves else ((s, 1.0),)
+
+    values = value_iteration(MdpView((0, 1, 2, 3), enabled_two, dist_two), {1})
+    assert values[0] == 0.8
+    assert values[3] == 0.9
+    assert values[2] == 0.0
+
 
 def test_value_iteration_reports_nonconvergence():
     states = (0, 1)
