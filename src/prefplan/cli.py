@@ -165,7 +165,8 @@ def cmd_verify(args) -> int:
     mdp, spec, pdfa, product = _load_pipeline(args.mdp, args.pref_file, args.state_cap)
     if args.strategy:
         # A given strategy needs only the improvement relation, not synthesis.
-        to_check = [(args.mode, strategy_from_json(product, _read_json(args.strategy)))]
+        strategy = strategy_from_json(product, _read_json(args.strategy))
+        to_check = [(args.mode or strategy.mode, strategy)]
         cache = aswin_by_node(product)
     else:
         result = synthesize(product)
@@ -295,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="check this exported strategy JSON instead of the synthesized ones",
     )
-    p.add_argument("--mode", choices=("spi", "sasi"), default="sasi",
-                   help="conditions to hold for --strategy")
+    p.add_argument("--mode", choices=("spi", "sasi"), default=None,
+                   help="conditions to hold for --strategy (default: the file's mode)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="roll out the composite policy and collect statistics")

@@ -139,6 +139,13 @@ def load_mdp(doc: dict) -> LabeledMdp:
                 raise MdpError(f"reference to undeclared state {sid!r}")
             return state_index[sid]
 
+        def weighted(entry):
+            # float() reads a JSON boolean as 0 or 1; _check_entries names it.
+            p = entry["prob"]
+            if p is True or p is False:
+                raise TypeError("a probability must be a number")
+            return resolve_state(entry["state"]), float(p)
+
         transitions = {}
         for entry in transition_entries:
             s = resolve_state(entry["from"])
@@ -147,18 +154,14 @@ def load_mdp(doc: dict) -> LabeledMdp:
             a = action_index[entry["action"]]
             if (s, a) in transitions:
                 raise MdpError(f"duplicate transition for ({entry['from']!r},{entry['action']!r})")
-            dist = tuple((resolve_state(t["state"]), float(t["prob"])) for t in entry["to"])
+            dist = tuple(map(weighted, entry["to"]))
             total = sum(p for _, p in dist)
-            if abs(total - 1.0) > PROB_TOL:
-                raise MdpError(
-                    f"distribution at ({entry['from']!r},{entry['action']!r}) sums to {total}"
-                )
-            if total != 1.0 and total > 0:
-                # Rounding drift within tolerance is normalized away.
+            if total != 1.0 and abs(total - 1.0) <= PROB_TOL:
+                # Rounding drift is normalized away; validate rejects a larger error.
                 dist = tuple((t, p / total) for t, p in dist)
             transitions[(s, a)] = dist
 
-        initial = tuple((resolve_state(e["state"]), float(e["prob"])) for e in initial_entries)
+        initial = tuple(map(weighted, initial_entries))
     except (KeyError, TypeError, AttributeError, ValueError):
         # Entries are checked only once reading them failed: checking each
         # one up front doubles the load time of a large MDP.

@@ -1,10 +1,10 @@
 """Preference structures over temporal goals.
 
-An outcome set carries a strict-preference relation P and an incomparability
-relation J that, together with P's converse and the diagonal, partition all
-outcome pairs.  Indifference between outcomes is eliminated up front by
-replacing each indifference class with the disjunction of its members, so the
-runtime structure never stores an indifference relation.
+An outcome set carries a strict-preference relation P; incomparability J is
+derived as the distinct pairs P orders in neither direction.  Indifference
+between outcomes is eliminated up front by replacing each indifference class
+with the disjunction of its members, so the runtime structure never stores an
+indifference relation.
 """
 
 from __future__ import annotations
@@ -56,15 +56,14 @@ class Outcome:
 
 @dataclass(frozen=True)
 class PreferenceSpec:
-    """Validated outcome set with strict relation P and incomparability J.
+    """Validated outcome set with strict relation P.
 
-    ``strict`` holds (better, worse) index pairs and is transitively closed;
-    ``incomparable`` is symmetric.  The diagonal belongs to neither.
+    ``strict`` holds (better, worse) index pairs and is irreflexive,
+    asymmetric and transitively closed.
     """
 
     outcomes: tuple[Outcome, ...]
     strict: frozenset
-    incomparable: frozenset
 
     def __post_init__(self):
         self.validate()
@@ -73,6 +72,13 @@ class PreferenceSpec:
     def n(self) -> int:
         return len(self.outcomes)
 
+    @property
+    def incomparable(self) -> frozenset:
+        """J: the distinct pairs that P orders in neither direction."""
+        ordered = self.strict | {(j, i) for i, j in self.strict}
+        idx = range(self.n)
+        return frozenset((i, j) for i in idx for j in idx if i != j and (i, j) not in ordered)
+
     def index_of(self, name: str) -> int:
         for i, o in enumerate(self.outcomes):
             if o.name == name:
@@ -80,12 +86,10 @@ class PreferenceSpec:
         raise PreferenceError(f"unknown outcome name {name!r}")
 
     def validate(self):
-        n = self.n
-        idx = range(n)
-        for i, j in self.strict | self.incomparable:
+        idx = range(self.n)
+        for i, j in self.strict:
             if i not in idx or j not in idx:
                 raise PreferenceError(f"relation references unknown outcome index ({i},{j})")
-        for i, j in self.strict:
             if i == j:
                 raise PreferenceError(f"strict preference is irreflexive, got ({i},{i})")
             if (j, i) in self.strict:
@@ -94,17 +98,6 @@ class PreferenceSpec:
             for j2, k in self.strict:
                 if j2 == j and (i, k) not in self.strict and i != k:
                     raise PreferenceError(f"strict preference not transitively closed at ({i},{k})")
-        for i, j in self.incomparable:
-            if i == j:
-                raise PreferenceError("incomparability is irreflexive")
-            if (j, i) not in self.incomparable:
-                raise PreferenceError(f"incomparability not symmetric at ({i},{j})")
-        converse = {(j, i) for i, j in self.strict}
-        if self.strict & converse or self.strict & self.incomparable or converse & self.incomparable:
-            raise PreferenceError("P, P-converse and J are not pairwise disjoint")
-        everything = {(i, j) for i in idx for j in idx if i != j}
-        if self.strict | converse | self.incomparable != everything:
-            raise PreferenceError("P, P-converse and J do not cover all distinct pairs")
 
     def mp(self, psi) -> frozenset:
         """Most-preferred (maximal under P) outcomes among ``psi`` (indices)."""
@@ -193,7 +186,7 @@ def build_spec(decl: PreferenceDeclarations) -> PreferenceSpec:
 
     Indifference classes are merged into disjunctions first, strict
     statements are retargeted to class representatives and transitively
-    closed, and every remaining distinct pair becomes incomparable.
+    closed; every remaining distinct pair is incomparable.
     """
     formulas = dict(decl.outcomes)
     classes, find = _merge_indifference_classes(decl)
@@ -221,7 +214,6 @@ def build_spec(decl: PreferenceDeclarations) -> PreferenceSpec:
         strict.add((i, j))
 
     # Transitive closure (Warshall); a self-pair afterwards is a cycle.
-    n = len(merged)
     changed = True
     while changed:
         changed = False
@@ -235,17 +227,7 @@ def build_spec(decl: PreferenceDeclarations) -> PreferenceSpec:
             a, b = merged[i].name, merged[j].name
             raise PreferenceError(f"cycle in strict preferences involving {a!r} and {b!r}")
 
-    incomparable = set()
-    for i in range(n):
-        for j in range(n):
-            if i != j and (i, j) not in strict and (j, i) not in strict:
-                incomparable.add((i, j))
-
-    return PreferenceSpec(
-        outcomes=tuple(merged),
-        strict=frozenset(strict),
-        incomparable=frozenset(incomparable),
-    )
+    return PreferenceSpec(outcomes=tuple(merged), strict=frozenset(strict))
 
 
 def load_preference_document(doc: dict) -> tuple[tuple[str, ...], PreferenceSpec]:

@@ -12,7 +12,8 @@ _KIND_NAMES = {
 def _matches(value, kind) -> bool:
     if kind is STRINGS:
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    return isinstance(value, kind)
+    # bool subclasses int, but a JSON true or false is not a number.
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def json_fields(doc, where: str, error: type, kinds: dict, defaults=None) -> list:

@@ -25,7 +25,6 @@ __all__ = [
     "Or",
     "Next",
     "Until",
-    "Eventually",
     "MAX_FORMULA_DEPTH",
     "ParseError",
     "AlphabetError",
@@ -125,13 +124,6 @@ class Until(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    """Shorthand for ``true U child``; all semantic operations unfold it."""
-
-    child: Formula
-
-
 TRUE = TrueF()
 FALSE = FalseF()
 
@@ -153,14 +145,13 @@ def fmt(f: Formula) -> str:
     if isinstance(f, Next):
         return f"X ({fmt(f.child)})"
     if isinstance(f, Until):
+        if isinstance(f.left, TrueF):
+            return f"F ({fmt(f.right)})"
         return f"({fmt(f.left)} U {fmt(f.right)})"
-    if isinstance(f, Eventually):
-        return f"F ({fmt(f.child)})"
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _key(f: Formula) -> str:
-    # Identity key: Eventually is unfolded so F g and (true U g) coincide.
     if isinstance(f, TrueF):
         return "1"
     if isinstance(f, FalseF):
@@ -177,8 +168,6 @@ def _key(f: Formula) -> str:
         return f"X({_key(f.child)})"
     if isinstance(f, Until):
         return f"U({_key(f.left)},{_key(f.right)})"
-    if isinstance(f, Eventually):
-        return f"U(1,{_key(f.child)})"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -188,8 +177,6 @@ def atoms_of(f: Formula) -> frozenset[str]:
     if isinstance(f, (And, Or, Until)):
         return atoms_of(f.left) | atoms_of(f.right)
     if isinstance(f, Next):
-        return atoms_of(f.child)
-    if isinstance(f, Eventually):
         return atoms_of(f.child)
     return frozenset()
 
@@ -356,9 +343,9 @@ class _Parser:
         if self._is_prefix_op(tok):
             self.advance()
             child, h = self._nested(tok, self.parse_unary)
-            if tok[1] == "F" and isinstance(child, Eventually):
+            if tok[1] == "F" and isinstance(child, Until) and isinstance(child.left, TrueF):
                 return child, h  # F F g is equivalent to F g
-            f = Next(child) if tok[1] == "X" else Eventually(child)
+            f = Next(child) if tok[1] == "X" else Until(TRUE, child)
             return f, self._bounded(h + 1, tok)
         return self.parse_primary()
 
@@ -392,7 +379,7 @@ def _negate(f: Formula, pos: int) -> Formula:
         return Or(_negate(f.left, pos), _negate(f.right, pos))
     if isinstance(f, Or):
         return And(_negate(f.left, pos), _negate(f.right, pos))
-    if isinstance(f, (Next, Until, Eventually)):
+    if isinstance(f, (Next, Until)):
         raise ParseError("negation over a temporal operator is outside the fragment", pos)
     if isinstance(f, TrueF):
         raise ParseError("cannot negate 'true'", pos)
@@ -404,9 +391,9 @@ def parse(text: str, alphabet) -> Formula:
 
     Raises :class:`ParseError` on syntax errors, undeclared propositions,
     negation applied over a temporal operator, and nesting deeper than
-    ``MAX_FORMULA_DEPTH``.  A chain of ``F`` operators is read as one ``F``
-    (``F F g`` is equivalent to ``F g``), so a deep chain compiles as fast as
-    a single ``F``.
+    ``MAX_FORMULA_DEPTH``.  ``F g`` is read as ``true U g``, and a chain of
+    ``F`` operators as one (``F F g`` is equivalent to ``F g``), so a deep
+    chain compiles as fast as a single ``F``.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty formula", 0)
@@ -468,8 +455,6 @@ def progress(f: Formula, sigma: frozenset) -> Formula:
         return f.child
     if isinstance(f, Until):
         return _mk_or(progress(f.right, sigma), _mk_and(progress(f.left, sigma), f))
-    if isinstance(f, Eventually):
-        return _mk_or(progress(f.child, sigma), f)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -477,7 +462,7 @@ def _temporal_atoms(f: Formula, acc: dict):
     """Collect maximal subformulas rooted at a literal, Next or Until."""
     if isinstance(f, (TrueF, FalseF)):
         return
-    if isinstance(f, (Atom, NegAtom, Next, Until, Eventually)):
+    if isinstance(f, (Atom, NegAtom, Next, Until)):
         acc.setdefault(_key(f), f)
         return
     if isinstance(f, (And, Or)):
@@ -491,7 +476,7 @@ def _subst(f: Formula, target_key: str, value: Formula) -> Formula:
     """Replace every temporal atom with key ``target_key`` by a constant."""
     if isinstance(f, (TrueF, FalseF)):
         return f
-    if isinstance(f, (Atom, NegAtom, Next, Until, Eventually)):
+    if isinstance(f, (Atom, NegAtom, Next, Until)):
         return value if _key(f) == target_key else f
     if isinstance(f, And):
         return _mk_and(_subst(f.left, target_key, value), _subst(f.right, target_key, value))
@@ -676,8 +661,6 @@ def good_prefix_oracle(f: Formula, word) -> bool:
                 ev(g.right, k) and all(ev(g.left, j) for j in range(i, k))
                 for k in range(i, n)
             )
-        elif isinstance(g, Eventually):
-            res = any(ev(g.child, k) for k in range(i, n))
         else:
             raise TypeError(f"not a formula: {g!r}")
         memo[key] = res

@@ -71,7 +71,7 @@ __all__ = [
 ]
 
 class StrategyError(ValueError):
-    """Raised for a malformed strategy file, or one naming unknown states or actions."""
+    """Raised for a malformed strategy file, or one naming unknown states or disabled actions."""
 
 
 # Virtual bottom node: a state from which nothing is almost-surely winnable
@@ -118,8 +118,8 @@ class ProductMdp:
     mdp: LabeledMdp
     pdfa: PreferenceDfa
     state_pairs: tuple  # of (s, q)
-    transitions: dict  # (v, a) -> ((v', p), ...)
-    rows: dict  # v -> {a: [v' with positive probability]}: the solvers' input
+    transitions: dict  # (v, a) -> ((v', p), ...), every p > 0: a zero is no edge
+    rows: dict  # v -> {a: [v' of transitions[(v, a)], in order]}: the solvers' input
     initial: int
     node_members: dict  # node id -> frozenset of product states
     node_edges: frozenset  # (worse node id, better node id)
@@ -165,6 +165,8 @@ def build_product(
         for a in mdp.enabled(s):
             dist, support = [], []
             for s2, p in mdp.transitions[(s, a)]:
+                if not p:
+                    continue  # a zero-probability successor is not an edge
                 q2 = rows[q][letter[s2]]
                 w = pair_index.get((s2, q2))
                 if w is None:
@@ -175,8 +177,7 @@ def build_product(
                     state_pairs.append((s2, q2))
                     frontier.append(w)
                 dist.append((w, p))
-                if p > 0:
-                    support.append(w)
+                support.append(w)
             transitions[(v, a)] = tuple(dist)
             row[a] = support
 
@@ -731,6 +732,8 @@ def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
     ids = {product_state_id(pm, v): v for v in range(pm.n_states())}
     action_index = {name: a for a, name in enumerate(pm.mdp.actions)}
     mode, entries = json_fields(doc, "strategy file", StrategyError, {"mode": str, "entries": list})
+    if mode not in ("spi", "sasi"):
+        raise StrategyError(f"strategy file: unknown mode {mode!r}")
     actions = {}
     for entry in entries:
         (sid,) = json_fields(entry, "strategy entry", StrategyError, {"state": str})
@@ -743,6 +746,9 @@ def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
         chosen = frozenset(action_index[name] for name in names)
         if not chosen:
             raise StrategyError(f"empty action set at {sid!r}")
+        disabled = sorted(pm.mdp.actions[a] for a in chosen - pm.rows[ids[sid]].keys())
+        if disabled:
+            raise StrategyError(f"strategy entry for {sid!r} names action {disabled[0]!r}, not enabled there")
         actions[ids[sid]] = chosen
     return Strategy(mode=mode, actions=actions)
 

@@ -124,8 +124,6 @@ def build_induced_chain(pm: ProductMdp, strategy: Strategy, cache: ImprovementCa
     for v in sorted(strategy.actions):
         for a in sorted(strategy.actions[v]):
             for w, p in pm.dist(v, a):
-                if p <= 0:
-                    continue
                 edges.append((v, a, w, p))
                 reached.add(w)
                 if improves[cls[v]][cls[w]]:

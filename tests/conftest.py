@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from prefplan.mdp import LabeledMdp, build_gridworld, gridworld_config_from_json
+from prefplan.mdp import LabeledMdp, build_gridworld, gridworld_config_from_json, load_mdp
 from prefplan.prefdfa import build_preference_dfa
 from prefplan.preferences import (
     PreferenceDeclarations,
@@ -239,3 +239,37 @@ def dead_start_product():
         initial=((s["s0"], 1.0),),
     )
     return build_product(mdp, pdfa)
+
+
+# Outcomes F A and F B with B strictly better, over the MDP of
+# ``three_state_mdp_doc``.
+THREE_STATE_PREF_DOC = {
+    "atoms": ["A", "B"],
+    "outcomes": [{"name": "visit_A", "formula": "F A"}, {"name": "visit_B", "formula": "F B"}],
+    "preferences": [{"kind": "strict", "better": "visit_B", "worse": "visit_A"}],
+}
+
+
+def three_state_mdp_doc(zero_successor=False):
+    """s0 steps under action a to s1 (labeled A) or s2 (labeled B) with
+    probability 1/2 each, and both absorb; only s2 enables action b.  With
+    ``zero_successor`` the self-loop of s2 under a also lists s1 with
+    probability 0, which must change nothing."""
+    loop = [{"state": "s2", "prob": 1.0}] + ([{"state": "s1", "prob": 0}] if zero_successor else [])
+    return {
+        "atoms": ["A", "B"],
+        "states": [{"id": "s0", "label": []}, {"id": "s1", "label": ["A"]}, {"id": "s2", "label": ["B"]}],
+        "actions": ["a", "b"],
+        "transitions": [
+            {"from": "s0", "action": "a", "to": [{"state": "s1", "prob": 0.5}, {"state": "s2", "prob": 0.5}]},
+            {"from": "s1", "action": "a", "to": [{"state": "s1", "prob": 1.0}]},
+            {"from": "s2", "action": "a", "to": loop},
+            {"from": "s2", "action": "b", "to": [{"state": "s2", "prob": 1.0}]},
+        ],
+        "initial": [{"state": "s0", "prob": 1.0}],
+    }
+
+
+def three_state_product(zero_successor=False):
+    atoms, spec = load_preference_document(THREE_STATE_PREF_DOC)
+    return build_product(load_mdp(three_state_mdp_doc(zero_successor)), build_preference_dfa(spec, atoms))

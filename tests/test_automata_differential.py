@@ -23,7 +23,6 @@ from prefplan.scltl import (
     And,
     Atom,
     CapacityError,
-    Eventually,
     NegAtom,
     Next,
     Or,
@@ -111,7 +110,7 @@ def _extend(children):
         st.tuples(children, children).map(lambda t: And(*t)),
         st.tuples(children, children).map(lambda t: Or(*t)),
         children.map(Next),
-        children.map(Eventually),
+        children.map(lambda c: Until(TrueF(), c)),
         st.tuples(children, children).map(lambda t: Until(*t)),
     )
 

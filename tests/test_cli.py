@@ -11,7 +11,7 @@ from prefplan.cli import main
 from prefplan.mdp import load_mdp
 from prefplan.scltl import dfa_from_json
 
-from conftest import BUNDLES, WIDE_PREF_DOC
+from conftest import BUNDLES, THREE_STATE_PREF_DOC, WIDE_PREF_DOC, three_state_mdp_doc
 
 PO1_PREF = str(BUNDLES / "po1" / "preferences.json")
 PO1_GRID4 = str(BUNDLES / "po1" / "gridworld_battery4.json")
@@ -133,6 +133,10 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "product construction expects a single initial state"),
         ("synth", _mdp_doc(prob=float("nan")), "probability nan at ('s','a') is not a finite number"),
         ("synth", _mdp_doc(initial=(("s", float("nan")),)), "initial probability nan is not a finite number"),
+        ("gridworld", {**PO1_GRID4_DOC, "battery_capacity": True},
+         "malformed gridworld config: 'battery_capacity' must be a number, got True"),
+        ("synth", _mdp_doc(prob=True), "successor of ('s','a'): 'prob' must be a number, got True"),
+        ("synth", _mdp_doc(initial=(("s", True),)), "initial entry: 'prob' must be a number, got True"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -141,7 +145,7 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-no-start", "grid-no-battery", "grid-width-string", "grid-drift-int",
         "grid-start-3d", "grid-width-inf", "grid-height-inf", "grid-battery-inf",
         "grid-start-col-half", "grid-start-row-half", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
-        "mdp-prob-nan", "mdp-initial-nan",
+        "mdp-prob-nan", "mdp-initial-nan", "grid-battery-bool", "mdp-prob-bool", "mdp-initial-bool",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -304,6 +308,11 @@ def test_verify_given_strategy_needs_no_synthesis(workdir, grid):
             code = run("--out", str(out), "verify", mdp_path, pref, "--strategy", strategy, "--mode", mode)
             assert code == (2 if (exported, mode) == ("spi", "sasi") else 0)
             assert _digests(out, ["verify_report.json"]) == {"verify_report.json": digest}
+            if exported == mode:
+                # Without --mode the file's own mode is checked.
+                out = workdir / f"v_{exported}"
+                assert run("--out", str(out), "verify", mdp_path, pref, "--strategy", strategy) == 0
+                assert _digests(out, ["verify_report.json"]) == {"verify_report.json": digest}
     assert not synth.called
 
 
@@ -400,10 +409,11 @@ def test_verify_external_strategy_pass(workdir):
         (lambda doc: {"mode": doc["mode"]}, "strategy file has no 'entries' field"),
         (lambda doc: {"entries": doc["entries"]}, "strategy file has no 'mode' field"),
         (lambda doc: [doc], "strategy file must be a JSON object, got ["),
+        (lambda doc: {**doc, "mode": "foo"}, "strategy file: unknown mode 'foo'"),
     ],
     ids=[
         "unknown-action", "missing-actions", "string-actions", "missing-state",
-        "missing-entries", "missing-mode", "list",
+        "missing-entries", "missing-mode", "list", "unknown-mode",
     ],
 )
 def test_verify_rejects_malformed_strategy_in_one_line(workdir, capsys, damage, message):
@@ -418,6 +428,40 @@ def test_verify_rejects_malformed_strategy_in_one_line(workdir, capsys, damage, 
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(state=doc["entries"][0]["state"]))
     assert err.count("\n") == 1
+
+
+def _three_state_inputs(workdir, zero_successor=False):
+    mdp, pref = workdir / f"mdp_{zero_successor}.json", workdir / "pref.json"
+    mdp.write_text(json.dumps(three_state_mdp_doc(zero_successor)))
+    pref.write_text(json.dumps(THREE_STATE_PREF_DOC))
+    return str(mdp), str(pref)
+
+
+def test_verify_rejects_disabled_strategy_action_in_one_line(workdir, capsys):
+    # Action b exists but s0 does not enable it.
+    mdp, pref = _three_state_inputs(workdir)
+    assert run("--out", "s", "synth", mdp, pref) == 0
+    doc = json.loads((workdir / "s" / "strategy_spi.json").read_text())
+    assert doc["entries"] == [{"state": "s0#q0", "actions": ["a"]}]
+    doc["entries"][0]["actions"] = ["b"]
+    bad = workdir / "bad_strategy.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("--out", "v", "verify", mdp, pref, "--strategy", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: strategy entry for 's0#q0' names action 'b', not enabled there\n"
+
+
+def test_zero_probability_successor_changes_nothing(workdir):
+    for zero in (False, True):
+        mdp, pref = _three_state_inputs(workdir, zero)
+        out = f"art_{zero}"
+        assert run("--out", out, "synth", mdp, pref) == 0
+        assert run("--out", out, "simulate", mdp, pref, "--episodes", "4", "--horizon", "5") == 0
+    names = sorted(p.name for p in (workdir / "art_False").iterdir())
+    assert names == sorted(p.name for p in (workdir / "art_True").iterdir())
+    for name in names:
+        assert (workdir / "art_False" / name).read_bytes() == (workdir / "art_True" / name).read_bytes(), name
 
 
 def test_undecodable_input_in_one_line(workdir, capsys):

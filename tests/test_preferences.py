@@ -213,6 +213,10 @@ def test_partition_after_build(po2_spec):
     assert not spec.strict & converse
     assert not spec.strict & spec.incomparable
     assert not converse & spec.incomparable
+    # J is exactly the distinct pairs P orders in neither direction.
+    assert spec.incomparable == {
+        (i, j) for i, j in everything if (i, j) not in spec.strict and (j, i) not in spec.strict
+    }
 
 
 def test_build_spec_idempotent(po2_spec):
@@ -265,7 +269,6 @@ def test_validation_rejects_untransitive():
                 Outcome("z", parse("a U b", ("a", "b"))),
             ),
             strict=frozenset({(0, 1), (1, 2)}),  # missing (0, 2)
-            incomparable=frozenset({(0, 2), (2, 0)}),
         )
 
 

@@ -13,7 +13,6 @@ from prefplan.scltl import (
     Atom,
     CapacityError,
     MAX_FORMULA_DEPTH,
-    Eventually,
     FalseF,
     NegAtom,
     Next,
@@ -50,7 +49,11 @@ def words_up_to(alphabet, max_len):
 
 
 def test_parse_eventually():
-    assert parse("F A", ("A",)) == Eventually(Atom("A"))
+    # F g is true U g: one node, printed as F, and an F over it collapses.
+    assert parse("F A", ("A",)) == Until(TrueF(), Atom("A"))
+    assert parse("F a", AB) == Until(TrueF(), Atom("a"))
+    assert fmt(parse("true U a", AB)) == "F (a)"
+    assert parse("F (true U a)", AB) == parse("F a", AB)
 
 
 def test_parse_po2_guarded_until():
@@ -105,13 +108,13 @@ def test_parse_f_as_proposition():
     # F doubles as region name: prefix operator only when an operand follows.
     f = parse("!(A | B | C | D) U F", ("A", "B", "C", "D", "F"))
     assert f.right == Atom("F")
-    assert parse("F F", ("F",)) == Eventually(Atom("F"))
+    assert parse("F F", ("F",)) == Until(TrueF(), Atom("F"))
 
 
 def test_parse_collapses_f_chains():
-    assert parse("F " * DEPTH + "a", AB) == Eventually(Atom("a"))
-    assert parse("F (F (a & F F F b))", AB) == Eventually(And(Atom("a"), Eventually(Atom("b"))))
-    assert parse("F X F a", AB) == Eventually(Next(Eventually(Atom("a"))))
+    assert parse("F " * DEPTH + "a", AB) == Until(TrueF(), Atom("a"))
+    assert parse("F (F (a & F F F b))", AB) == Until(TrueF(), And(Atom("a"), Until(TrueF(), Atom("b"))))
+    assert parse("F X F a", AB) == Until(TrueF(), Next(Until(TrueF(), Atom("a"))))
 
 
 def test_parse_precedence():
@@ -179,7 +182,7 @@ def test_alphabet_declaration_errors():
 
 
 def test_progress_eventuality_fulfilled():
-    assert progress(Eventually(Atom("a")), frozenset({"a"})) == TrueF()
+    assert progress(Until(TrueF(), Atom("a")), frozenset({"a"})) == TrueF()
 
 
 def test_progress_next_unfolds():
@@ -380,7 +383,7 @@ def formulas(atoms=AB, depth=3):
             st.tuples(children, children).map(lambda t: And(*t)),
             st.tuples(children, children).map(lambda t: Or(*t)),
             children.map(Next),
-            children.map(Eventually),
+            children.map(lambda c: Until(TrueF(), c)),
             st.tuples(children, children).map(lambda t: Until(*t)),
         )
 
@@ -402,7 +405,7 @@ def f_chains(atoms=AB):
 
     def chain(child, length):
         for _ in range(length):
-            child = Eventually(child)
+            child = Until(TrueF(), child)
         return child
 
     def extend(children):

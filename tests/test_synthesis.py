@@ -22,7 +22,7 @@ from prefplan.synthesis import (
 )
 from prefplan.verify import value_iteration
 
-from conftest import dead_start_product, random_mdp, random_product
+from conftest import dead_start_product, random_mdp, random_product, three_state_product
 
 
 def chain_view():
@@ -151,6 +151,22 @@ def test_product_shape_and_probabilities(po1_b4):
             s2, q2 = pm.state_pairs[w]
             assert q2 == pdfa.step(q, mdp.labels[s2])
             assert source[s2] == pytest.approx(p)
+
+
+@pytest.mark.parametrize("source", ["po1_b2", "po1_b4", "po2_b4", *range(20), "zero"])
+def test_rows_list_the_successors_of_dist(source, request):
+    # A zero-probability successor is not an edge: the solvers' rows and the
+    # distributions list the same successors, in the same order.
+    if source == "zero":
+        pm = three_state_product(zero_successor=True)
+        assert pm.n_states() == three_state_product().n_states() == 3
+    elif isinstance(source, str):
+        pm = request.getfixturevalue(source)[4]
+    else:
+        pm = random_product(source)[3]
+    for v, row in pm.rows.items():
+        for a, succ in row.items():
+            assert succ == [w for w, _ in pm.dist(v, a)]
 
 
 def test_product_initial_consumes_start_label(po1_b4):
