@@ -642,11 +642,12 @@ class CompositePolicy:
     almost-sure strategy for a most-preferred winnable node.
 
     Deterministic for a fixed tie-break; the "uniform" mode draws from the
-    permissive action set with the caller-supplied RNG.  Each state's sorted
-    candidate actions and phase are worked out on its first visit and looked
-    up afterwards; ``step`` makes the same RNG draws as deriving them anew
-    would (one ``randrange`` per uniform pick among several actions, none
-    otherwise), so rollouts stay byte-reproducible.
+    permissive action set with the caller-supplied RNG.  ``choice`` works out
+    a state's sorted candidate actions and phase on its first visit and looks
+    them up afterwards; ``step`` picks from them with the draws deriving them
+    anew would make (one ``randrange`` per uniform pick among several actions,
+    none otherwise), so rollouts stay byte-reproducible.  Where a state's pick
+    draws nothing, ``step`` keeps its result and returns it on later visits.
     """
 
     def __init__(self, result: SynthesisResult, mode: str = "sasi", tie_break: str = "lowest"):
@@ -659,6 +660,7 @@ class CompositePolicy:
         self.tie_break = tie_break
         self.improvement_strategy = result.spi if mode == "spi" else result.sasi
         self._choices = {}  # v -> (sorted action tuple, phase)
+        self._picks = {}  # v -> step's result where it draws nothing
 
     def _satisficing_actions(self, v: int):
         cache = self.result.cache
@@ -677,16 +679,8 @@ class CompositePolicy:
         keep = [a for a, succ in row.items() if all(t in region.region for t in succ)]
         return frozenset(keep) if keep else frozenset(row)
 
-    def _choose(self, v: int):
-        if self.improvement_strategy.defined_at(v):
-            return tuple(sorted(self.improvement_strategy.get(v))), "improve"
-        acts = self._satisficing_actions(v)
-        if acts:
-            return tuple(sorted(acts)), "satisfice"
-        return tuple(sorted(self.result.product.enabled(v))), "unsatisfiable"
-
-    def step(self, v: int, rng=None):
-        """Action for product state v plus the phase that produced it.
+    def choice(self, v: int):
+        """(sorted candidate actions, phase) at product state v.
 
         Phases: "improve" while the improvement strategy is defined,
         "satisfice" under the almost-sure strategy of the chosen node, and
@@ -694,11 +688,25 @@ class CompositePolicy:
         """
         choice = self._choices.get(v)
         if choice is None:
-            choice = self._choices[v] = self._choose(v)
-        actions, phase = choice
-        if self.tie_break == "uniform" and rng is not None and len(actions) > 1:
-            return actions[rng.randrange(len(actions))], phase
-        return actions[0], phase
+            if self.improvement_strategy.defined_at(v):
+                acts, phase = self.improvement_strategy.get(v), "improve"
+            else:
+                acts, phase = self._satisficing_actions(v), "satisfice"
+                if not acts:
+                    acts, phase = self.result.product.rows[v], "unsatisfiable"
+            choice = self._choices[v] = tuple(sorted(acts)), phase
+        return choice
+
+    def step(self, v: int, rng=None):
+        """Action for product state v plus the phase that produced it."""
+        pick = self._picks.get(v)
+        if pick is not None:
+            return pick
+        actions, phase = self.choice(v)
+        if len(actions) > 1 and self.tie_break == "uniform":
+            return actions[rng.randrange(len(actions)) if rng is not None else 0], phase
+        pick = self._picks[v] = actions[0], phase
+        return pick
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +747,8 @@ def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
         (sid,) = json_fields(entry, "strategy entry", StrategyError, {"state": str})
         if sid not in ids:
             raise StrategyError(f"strategy references unknown product state {sid!r}")
+        if ids[sid] in actions:
+            raise StrategyError(f"strategy lists product state {sid!r} twice")
         (names,) = json_fields(entry, f"strategy entry for {sid!r}", StrategyError, {"actions": STRINGS})
         unknown = [name for name in names if name not in action_index]
         if unknown:

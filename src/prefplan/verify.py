@@ -8,10 +8,9 @@ edge reachable), independent of how the strategy was synthesized.
 
 from __future__ import annotations
 
-import csv
-import io
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .synthesis import (
     BOTTOM,
@@ -229,8 +228,7 @@ def check_strategy_conditions(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EpisodeRow:
+class EpisodeRow(NamedTuple):
     episode: int
     seed: int
     steps: int
@@ -264,19 +262,6 @@ def _episode_seed(seed: int, episode: int) -> int:
     return ((seed * 0x100000001B3) ^ (episode * _MIX)) & _MASK
 
 
-def _rollout_row(pm: ProductMdp, cache: ImprovementCache, v: int, a: int):
-    """(absorbing, ((threshold, successor, improving, regressing), ...)) for
-    action a at v; thresholds are the running sums of the probabilities."""
-    dist = pm.dist(v, a)
-    cls, improves = cache.mp_class, cache.improves
-    entries = []
-    acc = 0.0
-    for t, p in dist:
-        acc += p
-        entries.append((acc, t, improves[cls[v]][cls[t]], improves[cls[t]][cls[v]]))
-    return len(dist) == 1 and dist[0][0] == v, tuple(entries)
-
-
 def monte_carlo(
     pm: ProductMdp,
     policy: CompositePolicy,
@@ -289,13 +274,17 @@ def monte_carlo(
     Improvements and regressions are counted per traversed edge; episodes
     stop at the horizon (flagged truncated) or in an absorbing state.
 
-    Each (state, action) row is compiled on first use.  Per step the loop
-    calls ``policy.step`` once and, unless the state is absorbing,
-    ``rng.random()`` once, and picks the first successor whose threshold,
-    summed left to right over the distribution, exceeds the draw (the last
-    successor if none does).  Draws and sums are those of sampling straight
-    from ``pm.dist``, so ``stats.json`` and ``episodes.csv`` stay
-    byte-reproducible.
+    Per step the loop calls ``policy.step`` once and looks the picked
+    action's row up in a table indexed by product state.  A state's entry is
+    filled on first visit: one row (absorbing, ((threshold, successor,
+    improving, regressing), ...)) per candidate action of ``policy.choice``,
+    thresholds being the running sums of the probabilities.  Unless the
+    state is absorbing, a step draws ``rng.random()`` once and takes the
+    first successor whose threshold exceeds it (the last if none does).  One
+    generator is reseeded per episode with ``_episode_seed``, the state a
+    fresh ``random.Random(seed)`` starts in.  Draws and sums are those of
+    sampling straight from ``pm.dist``, so ``stats.json`` and
+    ``episodes.csv`` stay byte-reproducible.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
@@ -304,12 +293,30 @@ def monte_carlo(
     if horizon < 1:
         raise ValueError("horizon must be positive")
     cache = policy.result.cache
-    stats = EpisodeStats(episodes=episodes, seed=seed, horizon=horizon)
-    rows = {}  # (v, a) -> _rollout_row(pm, cache, v, a)
+    cls, improves = cache.mp_class, cache.improves
+
+    def compile_row(v: int, a: int):
+        dist = pm.dist(v, a)
+        entries = []
+        acc = 0.0
+        for t, p in dist:
+            acc += p
+            entries.append((acc, t, improves[cls[v]][cls[t]], improves[cls[t]][cls[v]]))
+        return len(dist) == 1 and dist[0][0] == v, tuple(entries)
+
+    # v -> {candidate action: compiled row}
+    table = [None] * pm.n_states()
+    node_of_state, state_pairs = pm.pdfa.node_of_state, pm.state_pairs
+    rng = random.Random()
+    reseed, draw, step = rng.seed, rng.random, policy.step
+    rows = []
+    histogram = {}
+    final_nodes = {}
+    regressions_observed = truncated_episodes = unsatisfiable_episodes = 0
 
     for ep in range(episodes):
         ep_seed = _episode_seed(seed, ep)
-        rng = random.Random(ep_seed)
+        reseed(ep_seed)
         v = pm.initial
         improvements = 0
         regressions = 0
@@ -317,17 +324,17 @@ def monte_carlo(
         truncated = True
         steps = 0
         for _ in range(horizon):
-            a, phase = policy.step(v, rng)
+            a, phase = step(v, rng)
             if phase == "unsatisfiable":
                 unsatisfiable = True
-            row = rows.get((v, a))
-            if row is None:
-                row = rows[(v, a)] = _rollout_row(pm, cache, v, a)
-            absorbing, entries = row
+            rows_at = table[v]
+            if rows_at is None:
+                rows_at = table[v] = {a: compile_row(v, a) for a in policy.choice(v)[0]}
+            absorbing, entries = rows_at[a]
             if absorbing:
                 truncated = False
                 break
-            r = rng.random()
+            r = draw()
             # Without a break the loop leaves the last successor bound.
             for threshold, nxt, improving, regressing in entries:
                 if r < threshold:
@@ -336,30 +343,20 @@ def monte_carlo(
             improvements += improving
             regressions += regressing
             v = nxt
-        final_node = pm.pdfa.node_of_state.get(pm.state_pairs[v][1])
-        stats.rows.append(
-            EpisodeRow(
-                episode=ep,
-                seed=ep_seed,
-                steps=steps,
-                improvements=improvements,
-                regressions=regressions,
-                final_node=final_node,
-                truncated=truncated,
-                unsatisfiable=unsatisfiable,
-            )
+        final_node = node_of_state.get(state_pairs[v][1])
+        rows.append(
+            EpisodeRow(ep, ep_seed, steps, improvements, regressions, final_node, truncated, unsatisfiable)
         )
-        stats.improvements_histogram[improvements] = (
-            stats.improvements_histogram.get(improvements, 0) + 1
-        )
+        histogram[improvements] = histogram.get(improvements, 0) + 1
         key = "none" if final_node is None else str(final_node)
-        stats.final_node_distribution[key] = stats.final_node_distribution.get(key, 0) + 1
-        stats.regressions_observed += regressions
-        if truncated:
-            stats.truncated_episodes += 1
-        if unsatisfiable:
-            stats.unsatisfiable_episodes += 1
-    return stats
+        final_nodes[key] = final_nodes.get(key, 0) + 1
+        regressions_observed += regressions
+        truncated_episodes += truncated
+        unsatisfiable_episodes += unsatisfiable
+    return EpisodeStats(
+        episodes, seed, horizon, histogram, final_nodes,
+        regressions_observed, truncated_episodes, unsatisfiable_episodes, rows,
+    )
 
 
 def stats_to_json(stats: EpisodeStats) -> dict:
@@ -381,23 +378,12 @@ def stats_to_json(stats: EpisodeStats) -> dict:
     }
 
 
+_CSV_HEADER = ",".join(EpisodeRow._fields) + "\n"
+
+
 def stats_to_csv(stats: EpisodeStats) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["episode", "seed", "steps", "improvements", "regressions", "final_node", "truncated", "unsatisfiable"]
-    )
-    for row in stats.rows:
-        writer.writerow(
-            [
-                row.episode,
-                row.seed,
-                row.steps,
-                row.improvements,
-                row.regressions,
-                "" if row.final_node is None else row.final_node,
-                int(row.truncated),
-                int(row.unsatisfiable),
-            ]
-        )
-    return buf.getvalue()
+    # Every field is an int or "", which csv.writer would write unquoted.
+    return _CSV_HEADER + "".join([
+        f"{ep},{seed},{steps},{up},{down},{'' if node is None else node},{1 if cut else 0},{1 if unsat else 0}\n"
+        for ep, seed, steps, up, down, node, cut, unsat in stats.rows
+    ])

@@ -241,6 +241,23 @@ def dead_start_product():
     return build_product(mdp, pdfa)
 
 
+def unsatisfiable_product():
+    """One outcome F g on an MDP that never sees g: the start can guarantee
+    nothing, never improves and steps into an absorbing trap."""
+    atoms = ("g",)
+    decl = PreferenceDeclarations(atoms=atoms, outcomes=[("win", parse("F g", atoms))], statements=[])
+    pdfa = build_preference_dfa(build_spec(decl), atoms)
+    mdp = LabeledMdp(
+        atoms=atoms,
+        states=("s", "trap"),
+        actions=("a",),
+        labels=(frozenset(), frozenset()),
+        transitions={(0, 0): ((1, 1.0),), (1, 0): ((1, 1.0),)},
+        initial=((0, 1.0),),
+    )
+    return build_product(mdp, pdfa)
+
+
 # Outcomes F A and F B with B strictly better, over the MDP of
 # ``three_state_mdp_doc``.
 THREE_STATE_PREF_DOC = {

@@ -3,11 +3,14 @@
 Test-only oracle: ``is_improvement`` re-derives both states' most-preferred
 (MP) node sets from the per-node regions on every call, ``CompositePolicy``
 rebuilds and re-sorts its action set on every step, and ``monte_carlo``
-samples straight from ``pm.dist``.  The compiled versions in
-``prefplan.synthesis``/``prefplan.verify`` must give the same answers, the
-same RNG draws and therefore the same bytes.
+samples straight from ``pm.dist`` with a fresh ``random.Random`` per
+episode, and ``stats_to_csv`` writes through ``csv.writer``.  The compiled
+versions in ``prefplan.synthesis``/``prefplan.verify`` must give the same
+answers, the same RNG draws and therefore the same bytes.
 """
 
+import csv
+import io
 import random
 
 from prefplan.synthesis import BOTTOM, ImprovementCache, ProductMdp, SynthesisResult, mp_nodes, z_set
@@ -157,3 +160,25 @@ def monte_carlo(
         if unsatisfiable:
             stats.unsatisfiable_episodes += 1
     return stats
+
+
+def stats_to_csv(stats: EpisodeStats) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["episode", "seed", "steps", "improvements", "regressions", "final_node", "truncated", "unsatisfiable"]
+    )
+    for row in stats.rows:
+        writer.writerow(
+            [
+                row.episode,
+                row.seed,
+                row.steps,
+                row.improvements,
+                row.regressions,
+                "" if row.final_node is None else row.final_node,
+                int(row.truncated),
+                int(row.unsatisfiable),
+            ]
+        )
+    return buf.getvalue()

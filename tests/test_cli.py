@@ -269,6 +269,68 @@ def test_pipeline_exports_pinned(workdir, grid):
     assert _digests(workdir / "art", PIPELINE_SHA256[grid]) == PIPELINE_SHA256[grid]
 
 
+# sha256 of the simulate exports (300 episodes, default seed) in the modes
+# the pipeline pins above leave out, recorded while every rollout step still
+# called ``CompositePolicy.step``; keyed by the extra simulate arguments.  No
+# state of po1 battery 4 has two candidate actions, so its uniform runs
+# repeat the default bytes.
+SIMULATE_VARIANT_SHA256 = {
+    "po1/gridworld_battery2.json": {
+        ("--mode", "spi", "--tie-break", "uniform"): {
+            "episodes.csv": "6bf075ce4b95f662f4a6f395e1c7aee83095282196713e7123acba61e09ff5c5",
+            "stats.json": "86553d6b8fceaf56a1e132f45922d4246dde03883c492821a3cbf26758c174b1",
+        },
+        ("--mode", "sasi", "--tie-break", "uniform"): {
+            "episodes.csv": "4d4df5d1bf438828e8d81de93726365a70610eec3f7f03f793f4b0a33cbdfe60",
+            "stats.json": "ffaa2099b3efda1c9809ee0f37d75f2d5d63a307a8d57330adc5057f98df5d45",
+        },
+        ("--horizon", "3"): {
+            "episodes.csv": "1b47e78c701129346abe9ca0a6fbc29c04463fa6b2d0c1f8a0e9c9cd3ebd3247",
+            "stats.json": "289e0bcdaa0dfad60396220b48b98f303ae54822a9627b27ea5b8c489b1be128",
+        },
+    },
+    "po1/gridworld_battery4.json": {
+        ("--mode", "spi", "--tie-break", "uniform"): {
+            "episodes.csv": "f5b3f86e81cc90b4e08fd13ba596aeefb9b1f15e03fff2a71716e9ffddb7911b",
+            "stats.json": "21884fb91b58a4159affcafa3f96a88af06d744b9199c07f1bcf214cc394953f",
+        },
+        ("--mode", "sasi", "--tie-break", "uniform"): {
+            "episodes.csv": "f5b3f86e81cc90b4e08fd13ba596aeefb9b1f15e03fff2a71716e9ffddb7911b",
+            "stats.json": "21884fb91b58a4159affcafa3f96a88af06d744b9199c07f1bcf214cc394953f",
+        },
+        ("--horizon", "3"): {
+            "episodes.csv": "0376e39d9e474feb5b5547eaa59dd9ebf0ee2edf805ba4e9f80f388a342fa7ed",
+            "stats.json": "ff077daf0679e4715bb50ba99f323087d6cec737bc33b5dd09ad18f460f855af",
+        },
+    },
+    "po2/gridworld_battery4.json": {
+        ("--mode", "spi", "--tie-break", "uniform"): {
+            "episodes.csv": "63e78b643d56894ec066e85edd77f654236e79e5ac2837a1268eebde23e81e7e",
+            "stats.json": "0725381a2c964a4115c1446a977d02e8ea0933d41ffeb6beea1ca3a49d3dbe07",
+        },
+        ("--mode", "sasi", "--tie-break", "uniform"): {
+            "episodes.csv": "81320c52415cd803eb655a4ebf9bf2dafde6a2677416f712917361bac4db4cf8",
+            "stats.json": "217d0878d2bb1a4dc566919419ff015f2eb5cbcedc0d71c7b41a67e07821b0a3",
+        },
+        ("--horizon", "3"): {
+            "episodes.csv": "7b975a017115edc853b2a0304ecf9c3a71c0d65af828a18a7be1ab88f929a636",
+            "stats.json": "2298f1bdcb00489592947b90609055004622f842714828e560f9bf8c2a678a09",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SIMULATE_VARIANT_SHA256))
+def test_simulate_variant_exports_pinned(workdir, grid):
+    pref = str(BUNDLES / grid.split("/")[0] / "preferences.json")
+    assert run("--out", "g", "gridworld", str(BUNDLES / grid)) == 0
+    mdp_path = str(workdir / "g" / "mdp.json")
+    for extra, pinned in SIMULATE_VARIANT_SHA256[grid].items():
+        out = workdir / "_".join(extra)
+        assert run("--out", str(out), "simulate", mdp_path, pref, "--episodes", "300", *extra) == 0
+        assert _digests(out, pinned) == pinned, extra
+
+
 # sha256 of verify_report.json for ``verify --strategy FILE --mode MODE`` on
 # each bundle's exported (FILE, MODE) strategies, recorded while ``verify``
 # still ran the whole synthesis.  An SPI strategy fails the SASI conditions
@@ -410,10 +472,12 @@ def test_verify_external_strategy_pass(workdir):
         (lambda doc: {"entries": doc["entries"]}, "strategy file has no 'mode' field"),
         (lambda doc: [doc], "strategy file must be a JSON object, got ["),
         (lambda doc: {**doc, "mode": "foo"}, "strategy file: unknown mode 'foo'"),
+        (lambda doc: {**doc, "entries": doc["entries"] + doc["entries"][:1]},
+         "strategy lists product state {state!r} twice"),
     ],
     ids=[
         "unknown-action", "missing-actions", "string-actions", "missing-state",
-        "missing-entries", "missing-mode", "list", "unknown-mode",
+        "missing-entries", "missing-mode", "list", "unknown-mode", "duplicate-state",
     ],
 )
 def test_verify_rejects_malformed_strategy_in_one_line(workdir, capsys, damage, message):

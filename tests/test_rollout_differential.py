@@ -1,10 +1,13 @@
 """Differential tests: the compiled rollouts against the reference oracle.
 
-``prefplan.verify.monte_carlo`` samples from per-(state, action) rows
-compiled on first use, and ``CompositePolicy.step`` looks up a per-state
-action tuple; ``reference_rollout`` re-derives the improvement relation, the
-action set and the cumulative sums at every step.  Both must make the same
-RNG draws and write the same ``stats.json`` and ``episodes.csv`` bytes.
+``prefplan.verify.monte_carlo`` looks each step's row up in one table
+indexed by product state, filled on first visit from
+``CompositePolicy.choice``, and reseeds one generator per episode;
+``reference_rollout`` re-derives the improvement relation, the action set
+and the cumulative sums at every step, and builds a fresh generator per
+episode.  Both must make the
+same RNG draws and write the same ``stats.json`` and ``episodes.csv`` bytes,
+the latter compared with the ``csv.writer`` version of the writer.
 
 Real draws land within one rounding step of a threshold almost never, so
 every rollout also runs with draws that often hit the thresholds exactly,
@@ -27,7 +30,7 @@ import reference_rollout
 from prefplan.synthesis import CompositePolicy, synthesize
 from prefplan.verify import monte_carlo, stats_to_csv, stats_to_json
 
-from conftest import DIST_SHAPES, dead_start_product, random_product
+from conftest import DIST_SHAPES, dead_start_product, random_product, unsatisfiable_product
 
 BUNDLES = ["po1_b2", "po1_b4", "po2_b4"]
 MODES = [(mode, tie_break) for mode in ("spi", "sasi") for tie_break in ("lowest", "uniform")]
@@ -67,10 +70,25 @@ def assert_same_steps(result, mode, tie_break):
         assert rng_fast.random() == rng_slow.random()
 
 
+def counting_pick(seen):
+    """The oracle's ``_pick``, counting its uniform picks among several
+    actions into ``seen``."""
+    pick = reference_rollout.CompositePolicy._pick
+
+    def counted(self, actions, rng=None):
+        if self.tie_break == "uniform" and rng is not None and len(actions) > 1:
+            seen["uniform picks"] += 1
+        return pick(self, actions, rng)
+
+    return counted
+
+
 def assert_same_rollouts(pm, episodes, seed):
-    """Every mode, tie-break, horizon and draw source; returns the summed
-    improvements, regressions and truncated episodes, to show what the
-    inputs exercise."""
+    """Every mode, tie-break, horizon and draw source; returns what the
+    oracle met, to show what the inputs exercise: summed improvements and
+    regressions, uniform picks among several actions, and episodes that are
+    unsatisfiable, stop in an absorbing state, are cut at the horizon or end
+    outside every graph node."""
     result = synthesize(pm)
     seen = Counter()
     for mode, tie_break in MODES:
@@ -81,14 +99,18 @@ def assert_same_rollouts(pm, episodes, seed):
                 with mock.patch.object(verify, "random", draws), \
                         mock.patch.object(reference_rollout, "random", draws):
                     fast = monte_carlo(pm, CompositePolicy(result, mode, tie_break), episodes, horizon, seed)
-                    slow = reference_rollout.monte_carlo(
-                        pm, reference_rollout.CompositePolicy(result, mode, tie_break), episodes, horizon, seed
-                    )
+                    with mock.patch.object(reference_rollout.CompositePolicy, "_pick", counting_pick(seen)):
+                        slow = reference_rollout.monte_carlo(
+                            pm, reference_rollout.CompositePolicy(result, mode, tie_break), episodes, horizon, seed
+                        )
                 assert json.dumps(stats_to_json(fast)) == json.dumps(stats_to_json(slow))
-                assert stats_to_csv(fast) == stats_to_csv(slow)
-                seen["improvements"] += sum(k * n for k, n in fast.improvements_histogram.items())
-                seen["regressions"] += fast.regressions_observed
-                seen["truncated"] += fast.truncated_episodes
+                assert stats_to_csv(fast) == reference_rollout.stats_to_csv(slow)
+                seen["improvements"] += sum(k * n for k, n in slow.improvements_histogram.items())
+                seen["regressions"] += slow.regressions_observed
+                seen["unsatisfiable"] += slow.unsatisfiable_episodes
+                seen["absorbed"] += slow.episodes - slow.truncated_episodes
+                seen["truncated"] += slow.truncated_episodes
+                seen["no final node"] += sum(row.final_node is None for row in slow.rows)
     return seen
 
 
@@ -113,3 +135,17 @@ def test_bundle_rollouts_match_reference(bundle, request):
 def test_dead_start_rollouts_match_reference():
     # Every move from the dead start state regresses.
     assert assert_same_rollouts(dead_start_product(), 50, 3)["regressions"] > 0
+
+
+def test_rollout_inputs_reach_every_branch_of_the_step_table(po1_b2, po1_b4, po2_b4):
+    # The fixed inputs above, plus a product whose every episode is
+    # unsatisfiable and ends outside every graph node (compared only here),
+    # must meet each kind of table entry, each way an episode ends and each
+    # kind of CSV field.
+    seen = Counter()
+    for bundle in (po1_b2, po1_b4, po2_b4):
+        seen += assert_same_rollouts(bundle[4], 200, 7)
+    seen += assert_same_rollouts(dead_start_product(), 50, 3)
+    seen += assert_same_rollouts(unsatisfiable_product(), 20, 5)
+    wanted = ("uniform picks", "unsatisfiable", "absorbed", "truncated", "no final node")
+    assert all(seen[k] > 0 for k in wanted), seen

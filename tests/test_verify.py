@@ -26,6 +26,8 @@ from prefplan.verify import (
     value_iteration,
 )
 
+from conftest import unsatisfiable_product
+
 
 def test_value_iteration_examples():
     states = (0, 1, 2)
@@ -372,22 +374,7 @@ def test_monte_carlo_improvements_every_episode(po1_b4):
 
 
 def test_monte_carlo_flags_unsatisfiable_episodes():
-    # A product whose start can guarantee nothing and never improves.
-    atoms = ("g",)
-    decl = PreferenceDeclarations(
-        atoms=atoms, outcomes=[("win", parse("F g", atoms))], statements=[]
-    )
-    spec = build_spec(decl)
-    pdfa = build_preference_dfa(spec, atoms)
-    mdp = LabeledMdp(
-        atoms=atoms,
-        states=("s", "trap"),
-        actions=("a",),
-        labels=(frozenset(), frozenset()),
-        transitions={(0, 0): ((1, 1.0),), (1, 0): ((1, 1.0),)},
-        initial=((0, 1.0),),
-    )
-    pm = build_product(mdp, pdfa)
+    pm = unsatisfiable_product()
     result = synthesize(pm)
     policy = CompositePolicy(result, mode="sasi")
     stats = monte_carlo(pm, policy, episodes=10, seed=1)
