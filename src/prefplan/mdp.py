@@ -128,10 +128,13 @@ def load_mdp(doc: dict) -> LabeledMdp:
     )
     try:
         states = tuple(entry["id"] for entry in state_entries)
+        labels = tuple(entry.get("label", []) for entry in state_entries)
+        # A number would pass as an id and a string as a set of atoms; _check_entries names the field.
+        if any(sid.__class__ is not str for sid in states) or any(x.__class__ is not list for x in labels):
+            raise TypeError("a state id must be a string and its label a list")
         state_index = {sid: i for i, sid in enumerate(states)}
         if len(state_index) != len(states):
             raise MdpError("duplicate state ids")
-        labels = tuple(frozenset(entry.get("label", [])) for entry in state_entries)
         action_index = {a: i for i, a in enumerate(actions)}
 
         def resolve_state(sid):
@@ -140,9 +143,9 @@ def load_mdp(doc: dict) -> LabeledMdp:
             return state_index[sid]
 
         def weighted(entry):
-            # float() reads a JSON boolean as 0 or 1; _check_entries names it.
+            # float() reads a string or a JSON boolean; _check_entries names it.
             p = entry["prob"]
-            if p is True or p is False:
+            if p.__class__ is not float and p.__class__ is not int:
                 raise TypeError("a probability must be a number")
             return resolve_state(entry["state"]), float(p)
 
@@ -171,7 +174,7 @@ def load_mdp(doc: dict) -> LabeledMdp:
         atoms=tuple(atoms),
         states=states,
         actions=tuple(actions),
-        labels=labels,
+        labels=tuple(map(frozenset, labels)),
         transitions=transitions,
         initial=initial,
     )

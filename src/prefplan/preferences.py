@@ -192,12 +192,16 @@ def build_spec(decl: PreferenceDeclarations) -> PreferenceSpec:
     classes, find = _merge_indifference_classes(decl)
 
     merged: list[Outcome] = []
+    names: set = set()
     rep_index: dict = {}
     for rep, members in classes.items():
         f = formulas[members[0]]
         for m in members[1:]:
             f = Or(f, formulas[m])
         name = "|".join(members)
+        if name in names:
+            raise PreferenceError(f"two outcomes are named {name!r} once indifference classes are merged")
+        names.add(name)
         rep_index[rep] = len(merged)
         merged.append(Outcome(name, f))
 

@@ -12,21 +12,22 @@ still draws the doubled form).
 
 The solvers take support rows, ``state -> {action: [positive-probability
 successors]}``, which is all qualitative reachability depends on.  Each model
-builds its rows in the loop that visits its edges anyway: ``build_product``,
-the improvement MDP's regression guard and the verifier's induced chain.
+builds its rows in the loop that visits its edges anyway, and keeps no other
+copy of them: ``build_product`` (``ProductMdp.dist`` pairs its rows with the
+MDP's probabilities), the improvement MDP's one pass and the verifier's chain.
 ``pwin`` is one backward search over a predecessor index built per solve.
 ``aswin`` decides the strongly connected components of the support graph
 one at a time, sinks first (``scc_order``): a single state in one step, a
 larger component by the alternating fixpoint on its own states.  The
 product's order serves every ``aswin`` of a synthesis, since the improvement
 MDP and the verifier's chain only drop product edges and add edges into one
-target sink.  A region's strategy is derived when first read; only the
-composite policy reads the per-node ones.
+target sink.  A region's strategy is derived when first read; only
+``synthesize`` and the composite policy read strategies.
 
 The improvement relation is filled in once per product, right after the
-per-node solves, as a table over the states' most-preferred node sets;
-``is_improvement``, the improvement MDP, the verifier and the rollouts look
-it up.
+per-node solves, as a table over the states' most-preferred node sets; the
+improvement MDP, the verifier's chain and the rollout rows look it up, and
+``is_improvement`` is the lookup for one pair of states.
 """
 
 from __future__ import annotations
@@ -113,13 +114,13 @@ class ProductMdp:
     States are indices into ``state_pairs`` (mdp state, dfa state) pairs;
     ``node_members`` maps each preference-graph node to its product states
     and ``node_edges`` mirrors the graph edges over nonempty members.
+    The automaton adds no probabilities: ``dist`` reads them off the MDP.
     """
 
     mdp: LabeledMdp
     pdfa: PreferenceDfa
     state_pairs: tuple  # of (s, q)
-    transitions: dict  # (v, a) -> ((v', p), ...), every p > 0: a zero is no edge
-    rows: dict  # v -> {a: [v' of transitions[(v, a)], in order]}: the solvers' input
+    rows: dict  # v -> {a: [v' per positive entry of the MDP's (s, a), in order]}: the solvers' input
     initial: int
     node_members: dict  # node id -> frozenset of product states
     node_edges: frozenset  # (worse node id, better node id)
@@ -130,8 +131,14 @@ class ProductMdp:
     def enabled(self, v: int):
         return list(self.rows[v])
 
-    def dist(self, v: int, a: int):
-        return self.transitions[(v, a)]
+    def dist(self, v: int, a: int) -> tuple:  # ((v', p), ...) over rows[v][a]
+        probs = [p for _, p in self.mdp.transitions[(self.state_pairs[v][0], a)] if p]
+        return tuple(zip(self.rows[v][a], probs))
+
+    @property
+    def transitions(self) -> dict:
+        """(v, a) -> ``dist(v, a)``, built on each read; read by ``perfbench/tracing.py`` only."""
+        return {(v, a): self.dist(v, a) for v, row in self.rows.items() for a in row}
 
 
 def build_product(
@@ -155,7 +162,6 @@ def build_product(
 
     pair_index = {(s0, q0): 0}
     state_pairs = [(s0, q0)]
-    transitions = {}
     support_rows = {}
     frontier = [0]
     while frontier:
@@ -163,7 +169,7 @@ def build_product(
         s, q = state_pairs[v]
         support_rows[v] = row = {}
         for a in mdp.enabled(s):
-            dist, support = [], []
+            row[a] = support = []
             for s2, p in mdp.transitions[(s, a)]:
                 if not p:
                     continue  # a zero-probability successor is not an edge
@@ -176,10 +182,7 @@ def build_product(
                     pair_index[(s2, q2)] = w
                     state_pairs.append((s2, q2))
                     frontier.append(w)
-                dist.append((w, p))
                 support.append(w)
-            transitions[(v, a)] = tuple(dist)
-            row[a] = support
 
     groups: dict = {}
     for v, (_, q) in enumerate(state_pairs):
@@ -196,7 +199,6 @@ def build_product(
         mdp=mdp,
         pdfa=pdfa,
         state_pairs=tuple(state_pairs),
-        transitions=transitions,
         rows=support_rows,
         initial=0,
         node_members=node_members,
@@ -391,16 +393,14 @@ def _component_region(rows: dict, win: set, group) -> set:
 def pwin(rows: dict, target) -> WinningRegion:
     """Positive-probability reachability over support rows: one backward BFS.
 
-    The strategy keeps every action with a successor strictly closer to the
-    target, so any tie-break of it witnesses positive reachability; it comes
-    from the same search.
+    The strategy, derived on first read like every region's, keeps every
+    action with a successor strictly closer to the target, so any tie-break
+    of it witnesses positive reachability.
     """
     target = frozenset(target)
     allowed = {s: () if s in target else row for s, row in rows.items()}
     dist = _layers(_preds(rows), [s for s in target if s in rows], allowed)
-    result = WinningRegion("positive", target, frozenset(dist), rows)
-    vars(result)["strategy"] = _closer(rows, target, dist, allowed)  # fills the cached property
-    return result
+    return WinningRegion("positive", target, frozenset(dist), rows)
 
 
 def aswin(rows: dict, target, order: SccOrder = None) -> WinningRegion:
@@ -545,38 +545,51 @@ class ImprovementMdp:
     ``rows`` are the support rows the solvers take, ``improved``'s empty one
     included.  An action is kept only if none of its successors would be a
     regression; ``dead`` holds the states left with no action, which are
-    never positively winning.
+    never positively winning.  An edge improves iff its kept row routes it
+    to ``improved``.
     """
 
     product: ProductMdp
     rows: dict  # v -> {kept action: [successors, improving ones as ``improved``]}
     dead: frozenset  # product states with no enabled action
-    _improving_pairs: frozenset  # (v, w) product edges that improve
 
     @property
     def improved(self) -> int:
         return self.product.n_states()
+
+    @cached_property
+    def _improving_pairs(self) -> frozenset:
+        """(v, w) product edges that improve; read by ``perfbench/tracing.py`` only."""
+        return frozenset(
+            (v, w)
+            for v, row in self.rows.items()
+            for a, routed in row.items()
+            for w, t in zip(self.product.rows[v][a], routed)
+            if t == self.improved
+        )
 
 
 def build_improvement_mdp(pm: ProductMdp, cache: ImprovementCache) -> ImprovementMdp:
     cls, improves = cache.mp_class, cache.improves
     improved = pm.n_states()
     rows = {improved: {}}
-    improving_pairs = set()
     for v in range(improved):
-        up = improves[cls[v]]
+        c = cls[v]
+        up = improves[c]
         rows[v] = row = {}
         for a, successors in pm.rows[v].items():
-            # Regression guard: drop the action if the move could lose ground.
-            if any(improves[cls[w]][cls[v]] for w in successors):
-                continue
-            row[a] = [improved if up[cls[w]] else w for w in successors]
-            improving_pairs.update((v, w) for w in successors if up[cls[w]])
+            routed = []
+            for w in successors:
+                d = cls[w]
+                if improves[d][c]:
+                    break  # regression guard: the move could lose ground
+                routed.append(improved if up[d] else w)
+            else:
+                row[a] = routed
     return ImprovementMdp(
         product=pm,
         rows=rows,
         dead=frozenset(v for v in range(improved) if not rows[v]),
-        _improving_pairs=frozenset(improving_pairs),
     )
 
 
@@ -621,17 +634,12 @@ def synthesize(pm: ProductMdp, cache: ImprovementCache = None) -> SynthesisResul
     im = build_improvement_mdp(pm, cache)
     positive = pwin(im.rows, {im.improved})
     almost = aswin(im.rows, {im.improved}, cache.order)
-
-    def project(region: WinningRegion, mode: str) -> Strategy:
-        actions = {v: acts for v, acts in sorted(region.strategy.items()) if acts}
-        return Strategy(mode=mode, actions=actions)
-
     return SynthesisResult(
         product=pm,
         cache=cache,
         improvement_mdp=im,
-        spi=project(positive, "spi"),
-        sasi=project(almost, "sasi"),
+        spi=Strategy("spi", positive.strategy),
+        sasi=Strategy("sasi", almost.strategy),
         spi_region=positive,
         sasi_region=almost,
     )
@@ -779,7 +787,7 @@ def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
     just entered by an improving edge, ``v<i>B`` the same state otherwise.
     Both copies of a state share its edges, so each edge's label is rendered
     once."""
-    pm, improving, names = im.product, im._improving_pairs, im.product.mdp.actions
+    pm, improved, names = im.product, im.improved, im.product.mdp.actions
     lines = ["digraph improvement_mdp {", "  rankdir=LR;"]
     for v in range(pm.n_states()):
         sid = product_state_id(pm, v)
@@ -788,9 +796,9 @@ def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
     for v in range(pm.n_states()):
         # (successor, improving, label) per edge of the kept actions
         edges = [
-            (w, (v, w) in improving, f'[label="{names[a]}:{p:g}"];')
-            for a in im.rows[v]
-            for w, p in pm.dist(v, a)
+            (w, routed == improved, f'[label="{names[a]}:{p:g}"];')
+            for a, row in im.rows[v].items()
+            for (w, p), routed in zip(pm.dist(v, a), row)
         ]
         for src, entered in ((f"v{v}B", False), (f"v{v}T", True)):
             if v in im.dead:

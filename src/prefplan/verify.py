@@ -100,38 +100,42 @@ def value_iteration(view: MdpView, target, max_iter: int = 100000, tol: float = 
 
 @dataclass(frozen=True)
 class InducedChain:
-    """A strategy's domain and every edge its actions take, with the states
-    those edges reach.
+    """A strategy's induced chain as the solvers' support rows.
 
-    Execution stops where the strategy is undefined, so the chain is the
-    one-step image of the domain.  Edges carry improving/regressing marks
-    derived from the improvement relation on the underlying product states.
+    Every chosen action is taken with positive probability, so a domain
+    state has one row, the union of its actions' supports, with improving
+    successors routed to one absorbing target ``pm.n_states()``.  Execution
+    stops where the strategy is undefined: every other reached state, and
+    the target, has an empty row.  Edges are marked improving/regressing by
+    the improvement relation on the underlying product states.
     """
 
-    states: frozenset
-    edges: tuple  # of (v, action, v2, prob)
+    states: frozenset  # the domain and the states its edges reach
+    rows: dict  # v -> {0: [successors, improving ones as pm.n_states()]} or {}
     improving: frozenset  # of (v, v2)
     regressing: frozenset  # of (v, v2)
 
 
 def build_induced_chain(pm: ProductMdp, strategy: Strategy, cache: ImprovementCache) -> InducedChain:
     cls, improves = cache.mp_class, cache.improves
-    reached = set(strategy.actions)
-    edges = []
-    improving = set()
-    regressing = set()
+    improved = pm.n_states()
+    rows = {improved: {}}
+    improving, regressing = set(), set()
     for v in sorted(strategy.actions):
+        c, successors = cls[v], []
         for a in sorted(strategy.actions[v]):
-            for w, p in pm.dist(v, a):
-                edges.append((v, a, w, p))
-                reached.add(w)
-                if improves[cls[v]][cls[w]]:
-                    improving.add((v, w))
-                if improves[cls[w]][cls[v]]:
+            for w in pm.rows[v][a]:
+                rows.setdefault(w, {})
+                if improves[cls[w]][c]:
                     regressing.add((v, w))
+                if improves[c][cls[w]]:
+                    improving.add((v, w))
+                    w = improved  # the chain routes the edge to the target
+                successors.append(w)
+        rows[v] = {0: successors}
     return InducedChain(
-        states=frozenset(reached),
-        edges=tuple(edges),
+        states=frozenset(rows).difference((improved,)),
+        rows=rows,
         improving=frozenset(improving),
         regressing=frozenset(regressing),
     )
@@ -143,10 +147,10 @@ class StrategyReport:
     ok: bool
     condition_a: bool
     condition_b: bool
-    regressing_edges: tuple  # of (v, v2)
-    stuck_states: tuple  # domain states violating condition (a)
-    bottom_based_improvements: tuple  # improving edges that exist only via the bottom node
-    integrity_errors: tuple
+    regressing_edges: tuple = ()  # of (v, v2)
+    stuck_states: tuple = ()  # domain states violating condition (a)
+    bottom_based_improvements: tuple = ()  # improving edges that exist only via the bottom node
+    integrity_errors: tuple = ()
 
 
 def check_strategy_conditions(
@@ -172,35 +176,16 @@ def check_strategy_conditions(
         (v, a) for v, actions in strategy.actions.items() for a in actions if a not in pm.rows[v]
     ]
     if integrity:
-        return StrategyReport(
-            mode=mode,
-            ok=False,
-            condition_a=False,
-            condition_b=False,
-            regressing_edges=(),
-            stuck_states=(),
-            bottom_based_improvements=(),
-            integrity_errors=tuple(sorted(integrity)),
-        )
+        return StrategyReport(mode, False, False, False, integrity_errors=tuple(sorted(integrity)))
 
     chain = build_induced_chain(pm, strategy, cache)
     condition_b = not chain.regressing
-
-    # The set-valued strategy induces a Markov chain (every chosen action is
-    # taken with positive probability), so only the union of the chosen
-    # actions' supports matters for (a): one row per chain state under a
-    # single action.  Improving edges lead to one absorbing target state;
-    # execution stops where the strategy is undefined (an empty row).
-    improved = pm.n_states()
-    rows = {v: {} for v in chain.states}
-    rows[improved] = {}
-    for v, _, w, _ in chain.edges:
-        rows[v].setdefault(0, []).append(improved if (v, w) in chain.improving else w)
+    target = {pm.n_states()}
     if mode == "spi":
-        region = pwin(rows, {improved}).region
+        region = pwin(chain.rows, target).region
     else:
-        # The chain's edges are product edges plus those into ``improved``.
-        region = aswin(rows, {improved}, cache.order).region
+        # The chain's edges are product edges plus those into the target.
+        region = aswin(chain.rows, target, cache.order).region
     stuck = tuple(v for v in sorted(strategy.actions) if v not in region)
     condition_a = not stuck
 
@@ -219,7 +204,6 @@ def check_strategy_conditions(
         regressing_edges=tuple(sorted(chain.regressing)),
         stuck_states=stuck,
         bottom_based_improvements=bottom,
-        integrity_errors=(),
     )
 
 

@@ -6,16 +6,17 @@ but independent of the support rows the fast solvers in ``prefplan.synthesis``
 take.  Those must return the same regions and strategies.
 
 The views below describe the three models the pipeline solves as closures,
-the way the pipeline did before each model built its own rows: the product
-from its transition dict, the improvement MDP from the regression guard and
-the improving pairs, and the verifier's induced chain as a uniform mixture of
-the chosen actions.
+rebuilt from the MDP's transitions, the preference DFA's rows, the strategy
+and ``is_improvement`` alone, so they never read the rows or distributions
+the pipeline builds: the product steps each positive MDP entry through the
+automaton, the improvement MDP keeps the actions without a regressing
+successor and routes improving ones to one target state, and the verifier's
+induced chain mixes the chosen actions uniformly.
 """
 
 from typing import NamedTuple
 
 from prefplan.synthesis import MdpView, is_improvement
-from prefplan.verify import build_induced_chain
 
 
 class Solved(NamedTuple):
@@ -27,23 +28,40 @@ class Solved(NamedTuple):
     strategy: dict
 
 
+def product_dist(pm):
+    """(v, a) -> ((v', p), ...): each positive entry of the MDP's
+    distribution, its successor stepped through the preference DFA on its
+    label and looked up among ``pm.state_pairs``."""
+    mdp, pdfa = pm.mdp, pm.pdfa
+    index = {pair: v for v, pair in enumerate(pm.state_pairs)}
+
+    def dist(v, a):
+        s, q = pm.state_pairs[v]
+        return tuple(
+            (index[(t, pdfa.rows[q][pdfa.position[mdp.labels[t]]])], p)
+            for t, p in mdp.transitions[(s, a)]
+            if p > 0
+        )
+
+    return dist
+
+
 def _product_enabled(pm, v):
-    s, _ = pm.state_pairs[v]
-    return [a for a in pm.mdp.enabled(s) if (v, a) in pm.transitions]
+    return pm.mdp.enabled(pm.state_pairs[v][0])
 
 
 def product_view(pm) -> MdpView:
     return MdpView(
         states=tuple(range(pm.n_states())),
         enabled=lambda v: _product_enabled(pm, v),
-        dist=pm.dist,
+        dist=product_dist(pm),
     )
 
 
-def improvement_view(im, cache) -> MdpView:
-    """The product's non-regressing actions, each improving pair of
-    ``im._improving_pairs`` routed to ``im.improved``."""
-    pm, improved, pairs = im.product, im.improved, im._improving_pairs
+def improvement_view(pm, cache) -> MdpView:
+    """The product's actions without a regressing successor, each improving
+    successor routed to the target state ``pm.n_states()``."""
+    improved, product = pm.n_states(), product_dist(pm)
 
     def enabled(v):
         if v == improved:
@@ -51,11 +69,13 @@ def improvement_view(im, cache) -> MdpView:
         return [
             a
             for a in _product_enabled(pm, v)
-            if not any(p > 0 and is_improvement(pm, w, v, cache) for w, p in pm.dist(v, a))
+            if not any(is_improvement(pm, w, v, cache) for w, _ in product(v, a))
         ]
 
     def dist(v, a):
-        return tuple((improved if (v, w) in pairs else w, p) for w, p in pm.dist(v, a))
+        return tuple(
+            (improved if is_improvement(pm, v, w, cache) else w, p) for w, p in product(v, a)
+        )
 
     return MdpView(states=tuple(range(improved + 1)), enabled=enabled, dist=dist)
 
@@ -63,25 +83,25 @@ def improvement_view(im, cache) -> MdpView:
 def chain_view(pm, strategy, cache) -> MdpView:
     """The strategy's induced chain: per state one action that mixes the
     chosen actions uniformly, improving edges routed to ``pm.n_states()``."""
-    chain = build_induced_chain(pm, strategy, cache)
-    improved = pm.n_states()
-    succ = {}
-    for v, a, w, p in chain.edges:
-        succ.setdefault(v, {}).setdefault(a, []).append((w, p))
+    improved, product = pm.n_states(), product_dist(pm)
+    reached = set(strategy.actions)
+    for v, actions in strategy.actions.items():
+        for a in actions:
+            reached.update(w for w, _ in product(v, a))
 
     def dist(v, a):
-        by_action = succ[v]
-        share = 1.0 / len(by_action)
+        actions = strategy.actions[v]
+        share = 1.0 / len(actions)
         mixed: dict = {}
-        for pairs in by_action.values():
-            for w, p in pairs:
-                key = improved if (v, w) in chain.improving else w
+        for b in actions:
+            for w, p in product(v, b):
+                key = improved if is_improvement(pm, v, w, cache) else w
                 mixed[key] = mixed.get(key, 0.0) + share * p
         return tuple(sorted(mixed.items()))
 
     return MdpView(
-        states=tuple(sorted(chain.states)) + (improved,),
-        enabled=lambda v: [0] if v in succ else [],
+        states=tuple(sorted(reached)) + (improved,),
+        enabled=lambda v: [0] if v in strategy.actions else [],
         dist=dist,
     )
 

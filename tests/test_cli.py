@@ -137,6 +137,18 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "malformed gridworld config: 'battery_capacity' must be a number, got True"),
         ("synth", _mdp_doc(prob=True), "successor of ('s','a'): 'prob' must be a number, got True"),
         ("synth", _mdp_doc(initial=(("s", True),)), "initial entry: 'prob' must be a number, got True"),
+        ("prefdfa", {"atoms": ["a", "b"], "outcomes": [
+            {"name": "A", "formula": "F a"}, {"name": "B", "formula": "F b"}, {"name": "A|B", "formula": "F (a & b)"},
+        ], "preferences": [{"kind": "indifferent", "left": "A", "right": "B"}]},
+         "two outcomes are named 'A|B' once indifference classes are merged"),
+        ("synth", _mdp_doc(prob="1"), "successor of ('s','a'): 'prob' must be a number, got '1'"),
+        ("synth", _mdp_doc(initial=(("s", "1"),)), "initial entry: 'prob' must be a number, got '1'"),
+        ("synth", {"atoms": [], "states": [{"id": 0, "label": []}], "actions": ["a"],
+                   "transitions": [{"from": 0, "action": "a", "to": [{"state": 0, "prob": 1.0}]}],
+                   "initial": [{"state": 0, "prob": 1.0}]},
+         "state entry: 'id' must be a string, got 0"),
+        ("synth", _replace(_mdp_doc(atoms=("A", "B")), "states", 0, label="AB"),
+         "state entry: 'label' must be a list of strings, got 'AB'"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -146,6 +158,8 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-start-3d", "grid-width-inf", "grid-height-inf", "grid-battery-inf",
         "grid-start-col-half", "grid-start-row-half", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
         "mdp-prob-nan", "mdp-initial-nan", "grid-battery-bool", "mdp-prob-bool", "mdp-initial-bool",
+        "pref-class-name-taken", "mdp-prob-numeric-string", "mdp-initial-numeric-string", "mdp-id-int",
+        "mdp-label-string",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):

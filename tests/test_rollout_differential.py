@@ -43,7 +43,7 @@ def boundary_random(pm):
     """A ``random.Random`` whose ``random()`` returns, half of the time, a
     running sum of some distribution of ``pm`` or the float just below it."""
     values = {math.nextafter(1.0, 0.0)}
-    for dist in pm.transitions.values():
+    for dist in pm.mdp.transitions.values():
         acc = 0.0
         for _, p in dist:
             acc += p

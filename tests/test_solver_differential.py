@@ -72,7 +72,7 @@ def check_synthesize(pm):
         result = synthesize(pm)
     im = result.improvement_mdp
     product = reference_solvers.product_view(pm)
-    improvement = reference_solvers.improvement_view(im, result.cache)
+    improvement = reference_solvers.improvement_view(pm, result.cache)
     check_against(calls, lambda target: improvement if target == {im.improved} else product)
     # One aswin per node, then pwin and aswin on the improvement MDP; every
     # aswin sweeps the product's SCC order.

@@ -2,6 +2,10 @@
 
 import pytest
 
+import reference_solvers
+from prefplan.mdp import load_mdp
+from prefplan.prefdfa import build_preference_dfa
+from prefplan.preferences import load_preference_document
 from prefplan.synthesis import (
     BOTTOM,
     CompositePolicy,
@@ -22,7 +26,14 @@ from prefplan.synthesis import (
 )
 from prefplan.verify import value_iteration
 
-from conftest import dead_start_product, random_mdp, random_product, three_state_product
+from conftest import (
+    THREE_STATE_PREF_DOC,
+    dead_start_product,
+    random_mdp,
+    random_product,
+    three_state_mdp_doc,
+    three_state_product,
+)
 
 
 def chain_view():
@@ -144,13 +155,37 @@ def test_product_shape_and_probabilities(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     assert pm.n_states() <= mdp.n_states() * len(pdfa.states)
     # Probabilities are copied verbatim onto the unique successor pair.
-    for (v, a), dist in pm.transitions.items():
-        s, q = pm.state_pairs[v]
-        source = dict(mdp.transitions[(s, a)])
-        for w, p in dist:
-            s2, q2 = pm.state_pairs[w]
-            assert q2 == pdfa.step(q, mdp.labels[s2])
-            assert source[s2] == pytest.approx(p)
+    for v, (s, q) in enumerate(pm.state_pairs):
+        assert pm.enabled(v) == mdp.enabled(s)
+        for a in mdp.enabled(s):
+            stepped = [
+                ((s2, pdfa.rows[q][pdfa.position[mdp.labels[s2]]]), p)
+                for s2, p in mdp.transitions[(s, a)]
+                if p > 0
+            ]
+            assert [(pm.state_pairs[w], p) for w, p in pm.dist(v, a)] == stepped
+
+
+def test_dist_steps_the_positive_mdp_entries_in_order():
+    # A zero-probability entry is no edge, and a successor listed twice stays
+    # two entries: dist is the MDP's distribution stepped through the
+    # automaton, nothing merged or reordered.
+    doc = three_state_mdp_doc(zero_successor=True)
+    doc["transitions"][0]["to"] = [
+        {"state": "s1", "prob": 0.25}, {"state": "s2", "prob": 0.5}, {"state": "s1", "prob": 0.25},
+    ]
+    atoms, spec = load_preference_document(THREE_STATE_PREF_DOC)
+    mdp = load_mdp(doc)
+    pm = build_product(mdp, build_preference_dfa(spec, atoms))
+    oracle = reference_solvers.product_dist(pm)
+    for v, row in pm.rows.items():
+        for a in row:
+            assert pm.dist(v, a) == oracle(v, a)
+    assert pm.n_states() == 3
+    s0, s1, s2 = sorted(range(3), key=pm.state_pairs.__getitem__)  # product state per MDP state
+    assert pm.dist(s0, 0) == ((s1, 0.25), (s2, 0.5), (s1, 0.25))
+    assert mdp.transitions[(2, 0)] == ((2, 1.0), (1, 0.0))
+    assert pm.dist(s2, 0) == ((s2, 1.0),)
 
 
 @pytest.mark.parametrize("source", ["po1_b2", "po1_b4", "po2_b4", *range(20), "zero"])
@@ -385,22 +420,28 @@ def test_theorem_reduction_form(po1_b4):
                 assert strategy.get(v) == region.strategy[v]
 
 
-def doubled_reference(im):
-    """The paper's doubled improvement MDP, rebuilt from the merged model's
-    parts: (v, True) marks v as just entered by an improving edge, and states
-    with no non-regressing action get a self-loop under action -1."""
-    pm = im.product
+def doubled_reference(pm, cache):
+    """The paper's doubled improvement MDP, rebuilt from the MDP, the
+    automaton and the improvement relation: (v, True) marks v as just
+    entered by an improving edge, an action with a regressing successor is
+    dropped, and a state left with none gets a self-loop under action -1."""
+    product = reference_solvers.product_dist(pm)
 
     def enabled(state):
         v, _ = state
-        return [-1] if v in im.dead else list(im.rows[v])
+        kept = [
+            a
+            for a in pm.mdp.enabled(pm.state_pairs[v][0])
+            if not any(is_improvement(pm, w, v, cache) for w, _ in product(v, a))
+        ]
+        return kept or [-1]
 
     def dist(state, a):
         v, flag = state
         if a == -1:
             return ((state, 1.0),)
         return tuple(
-            ((w, not flag and (v, w) in im._improving_pairs), p) for w, p in pm.dist(v, a)
+            ((w, not flag and is_improvement(pm, v, w, cache)), p) for w, p in product(v, a)
         )
 
     states = tuple((v, flag) for v in range(pm.n_states()) for flag in (False, True))
@@ -425,7 +466,7 @@ def test_merged_target_matches_doubled_reference(instance, request):
     else:
         pm = request.getfixturevalue(instance)[4]
     result = synthesize(pm)
-    view, marked = doubled_reference(result.improvement_mdp)
+    view, marked = doubled_reference(pm, result.cache)
     assert result.spi.actions == project_doubled(pwin(view.rows, marked))
     assert result.sasi.actions == project_doubled(aswin(view.rows, marked))
 

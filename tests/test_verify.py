@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import reference_solvers
 from prefplan.mdp import LabeledMdp
 from prefplan.prefdfa import build_preference_dfa
 from prefplan.preferences import PreferenceDeclarations, build_spec
@@ -225,30 +226,30 @@ def test_empty_strategy_rejected(po1_b4):
 def test_induced_chain_marks(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
-    chain = build_induced_chain(pm, result.sasi, result.cache)
+    cache = result.cache
+    chain = build_induced_chain(pm, result.sasi, cache)
     assert chain.improving  # the West resolution improves
     assert not chain.regressing
-    # Every chain edge follows a strategy action.
-    for v, a, w, p in chain.edges:
-        assert a in result.sasi.actions[v]
+    # Every chain row follows the strategy's actions: a domain state's one
+    # row lists the successors of its chosen actions, improving ones routed
+    # to the target, and every other state stops.
+    improved, dist = pm.n_states(), reference_solvers.product_dist(pm)
+    assert chain.rows.keys() == chain.states | {improved}
+    for v, row in chain.rows.items():
+        if v not in result.sasi.actions:
+            assert row == {}
+            continue
+        assert row == {0: [
+            improved if is_improvement(pm, v, w, cache) else w
+            for a in sorted(result.sasi.actions[v])
+            for w, _ in dist(v, a)
+        ]}
 
 
 def improving_reach_values(pm, strategy, cache):
     """Probability of crossing an improving edge from each chain state when
     every chosen action is taken with equal probability."""
-    chain = build_induced_chain(pm, strategy, cache)
-    improved = object()  # absorbing stand-in for "an improving edge was crossed"
-    moves = {}
-    for v, a, w, p in chain.edges:
-        t = improved if (v, w) in chain.improving else w
-        row = moves.setdefault(v, {})
-        row[t] = row.get(t, 0.0) + p / len(strategy.actions[v])
-    view = MdpView(
-        states=tuple(chain.states) + (improved,),
-        enabled=lambda s: [0] if s in moves else [],
-        dist=lambda s, a: tuple(moves[s].items()),
-    )
-    return value_iteration(view, {improved})
+    return value_iteration(reference_solvers.chain_view(pm, strategy, cache), {pm.n_states()})
 
 
 def test_condition_a_agrees_with_value_iteration(po1_b2, po1_b4, po2_b4):
