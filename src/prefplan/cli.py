@@ -37,6 +37,8 @@ from .scltl import (
     to_dfa,
 )
 from .synthesis import (
+    MODES,
+    TIE_BREAKS,
     CompositePolicy,
     StrategyError,
     aswin_by_node,
@@ -151,7 +153,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     _write_json(out / "strategy_spi.json", strategy_to_json(product, result.spi))
     _write_json(out / "strategy_sasi.json", strategy_to_json(product, result.sasi))
-    _write_json(out / "winning_regions.json", regions_to_json(product, result.cache))
+    _write_json(out / "winning_regions.json", regions_to_json(result.cache))
     _write_text(out / "improvement_mdp.dot", improvement_mdp_to_dot(result.improvement_mdp))
     print(
         f"product: {product.n_states()} states; spi defined on {len(result.spi.actions)}, "
@@ -178,7 +180,7 @@ def cmd_verify(args) -> int:
         if not strategy.actions:
             report_doc[mode] = {"defined": False}
             continue
-        report = check_strategy_conditions(product, strategy, mode, cache)
+        report = check_strategy_conditions(strategy, mode, cache)
         all_ok = all_ok and report.ok
         report_doc[mode] = {
             "defined": True,
@@ -220,13 +222,7 @@ def cmd_simulate(args) -> int:
     mdp, spec, pdfa, product = _load_pipeline(args.mdp, args.pref_file, args.state_cap)
     result = synthesize(product)
     policy = CompositePolicy(result, mode=args.mode, tie_break=args.tie_break)
-    stats = monte_carlo(
-        product,
-        policy,
-        episodes=args.episodes,
-        horizon=args.horizon,
-        seed=args.seed,
-    )
+    stats = monte_carlo(policy, episodes=args.episodes, horizon=args.horizon, seed=args.seed)
     out = _out_dir(args)
     _write_json(out / "stats.json", stats_to_json(stats))
     _write_text(out / "episodes.csv", stats_to_csv(stats))
@@ -296,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="check this exported strategy JSON instead of the synthesized ones",
     )
-    p.add_argument("--mode", choices=("spi", "sasi"), default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="conditions to hold for --strategy (default: the file's mode)")
     p.set_defaults(func=cmd_verify)
 
@@ -307,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_positive_int, default=None,
                    help="step cap per episode (default 10x product size)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--mode", choices=("spi", "sasi"), default="sasi")
-    p.add_argument("--tie-break", choices=("lowest", "uniform"), default="lowest")
+    p.add_argument("--mode", choices=MODES, default="sasi")
+    p.add_argument("--tie-break", choices=TIE_BREAKS, default="lowest")
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -22,7 +22,6 @@ __all__ = [
     "load_mdp",
     "mdp_to_json",
     "gridworld_config_from_json",
-    "gridworld_config_to_json",
     "build_gridworld",
     "mdp_to_dot",
     "GRID_ACTIONS",
@@ -58,12 +57,6 @@ class LabeledMdp:
 
     def n_states(self) -> int:
         return len(self.states)
-
-    def state_index(self, state_id: str) -> int:
-        try:
-            return self.states.index(state_id)
-        except ValueError:
-            raise MdpError(f"unknown state id {state_id!r}") from None
 
     def enabled(self, s: int) -> list:
         return [a for a in range(len(self.actions)) if (s, a) in self.transitions]
@@ -165,7 +158,7 @@ def load_mdp(doc: dict) -> LabeledMdp:
             transitions[(s, a)] = dist
 
         initial = tuple(map(weighted, initial_entries))
-    except (KeyError, TypeError, AttributeError, ValueError):
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError):
         # Entries are checked only once reading them failed: checking each
         # one up front doubles the load time of a large MDP.
         _check_entries(state_entries, transition_entries, initial_entries)
@@ -182,7 +175,14 @@ def load_mdp(doc: dict) -> LabeledMdp:
 
 def _check_entries(state_entries, transition_entries, initial_entries):
     """Raise an MdpError naming the first malformed entry field."""
-    weighted = {"state": str, "prob": (int, float)}
+
+    def check_weighted(entry, where):
+        _, p = json_fields(entry, where, MdpError, {"state": str, "prob": (int, float)})
+        try:
+            float(p)
+        except OverflowError:  # an int beyond the float range
+            raise MdpError(f"{where}: 'prob' is too large for a float, got {p!r:.60}") from None
+
     for entry in state_entries:
         json_fields(entry, "state entry", MdpError, {"id": str, "label": STRINGS},
                     defaults={"label": []})
@@ -191,9 +191,9 @@ def _check_entries(state_entries, transition_entries, initial_entries):
             entry, "transition entry", MdpError, {"from": str, "action": str, "to": list}
         )
         for t in to:
-            json_fields(t, f"successor of ({frm!r},{act!r})", MdpError, weighted)
+            check_weighted(t, f"successor of ({frm!r},{act!r})")
     for entry in initial_entries:
-        json_fields(entry, "initial entry", MdpError, weighted)
+        check_weighted(entry, "initial entry")
 
 
 def mdp_to_json(mdp: LabeledMdp) -> dict:
@@ -300,22 +300,6 @@ def gridworld_config_from_json(doc: dict) -> GridworldConfig:
         )
     except (TypeError, ValueError, OverflowError) as e:
         raise MdpError(f"{where}: {e}") from e
-
-
-def gridworld_config_to_json(cfg: GridworldConfig) -> dict:
-    return {
-        "width": cfg.width,
-        "height": cfg.height,
-        "start": list(cfg.start),
-        "battery_capacity": cfg.battery_capacity,
-        "stay_probability": cfg.stay_probability,
-        "obstacles": sorted(list(c) for c in cfg.obstacles),
-        "drift": [
-            {"cell": list(cell), "directions": list(directions)}
-            for cell, directions in sorted(cfg.drift_cells.items())
-        ],
-        "regions": {atom: sorted(list(c) for c in cells) for atom, cells in sorted(cfg.regions.items())},
-    }
 
 
 def _state_id(cell, battery) -> str:

@@ -41,7 +41,6 @@ __all__ = [
     "accepts",
     "good_prefix_oracle",
     "dfa_to_json",
-    "dfa_from_json",
     "dfa_to_dot",
     "symbol_labels",
 ]
@@ -687,35 +686,6 @@ def dfa_to_json(dfa: Dfa) -> dict:
             for name, j in zip(names, row)
         ],
     }
-
-
-def dfa_from_json(doc: dict) -> Dfa:
-    alphabet = declare_alphabet(doc["alphabet"])
-    states = tuple(entry["label"] for entry in sorted(doc["states"], key=lambda e: e["id"]))
-    syms, position = symbol_index(alphabet)
-    rows = [[None] * len(syms) for _ in states]
-
-    def is_state(i):
-        return isinstance(i, int) and 0 <= i < len(states)
-
-    for entry in doc["transitions"]:
-        i, sigma, j = entry["from"], frozenset(entry["symbol"]), entry["to"]
-        if not (is_state(i) and is_state(j) and sigma in position):
-            raise ValueError(f"transition {i!r} -> {j!r} on {sorted(sigma)} outside the states or alphabet")
-        rows[i][position[sigma]] = j
-    for i, row in enumerate(rows):
-        for sigma, j in zip(syms, row):
-            if j is None:
-                raise ValueError(f"transition missing for state {i}, symbol {sorted(sigma)}")
-    return Dfa(
-        alphabet=alphabet,
-        states=states,
-        symbols=syms,
-        position=position,
-        rows=tuple(map(tuple, rows)),
-        initial=doc["initial"],
-        accepting=frozenset(doc["accepting"]),
-    )
 
 
 def symbol_labels(symbols) -> list[str]:

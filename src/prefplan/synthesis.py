@@ -25,9 +25,11 @@ target sink.  A region's strategy is derived when first read; only
 ``synthesize`` and the composite policy read strategies.
 
 The improvement relation is filled in once per product, right after the
-per-node solves, as a table over the states' most-preferred node sets; the
-improvement MDP, the verifier's chain and the rollout rows look it up, and
-``is_improvement`` is the lookup for one pair of states.
+per-node solves, as a table over the states' most-preferred node sets.
+``is_improvement`` is the lookup for one pair of states; the improvement MDP
+reads the table directly, and the verifier's chain and rollout rows call
+``is_improvement``.  ``ImprovementCache.improved`` is the id of the one
+target state that the improvement MDP and the verifier's chain share.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ from .scltl import DEFAULT_STATE_CAP, CapacityError
 
 __all__ = [
     "BOTTOM",
+    "NO_GUARANTEE",
+    "MODES",
+    "TIE_BREAKS",
     "ProductMdp",
     "WinningRegion",
     "ImprovementMdp",
@@ -78,6 +83,10 @@ class StrategyError(ValueError):
 # Virtual bottom node: a state from which nothing is almost-surely winnable
 # sits below every real node, so gaining any guarantee counts as improvement.
 BOTTOM = -1
+NO_GUARANTEE = frozenset({BOTTOM})  # the MP set of a state that can win no node
+
+MODES = ("spi", "sasi")  # safe positively / almost-surely improving
+TIE_BREAKS = ("lowest", "uniform")  # how the composite policy picks among permitted actions
 
 
 @dataclass(frozen=True)
@@ -461,29 +470,32 @@ class ImprovementCache:
     per-node almost-sure regions.  Every product
     state's most-preferred (MP) node set is interned into a class id:
     ``mp_class[v]`` indexes ``mp_sets``, and ``improves[c1][c2]`` tells
-    whether a state of class c2 improves on one of class c1.
+    whether a state of class c2 improves on one of class c1.  Outside this
+    module the relation is read through ``is_improvement`` and ``mp_of``.
     """
 
     product: ProductMdp
     order: SccOrder = field(init=False)
-    aswin_by_node: dict = field(default_factory=dict)
-    mp_class: list = field(default_factory=list)  # state -> class id
-    mp_sets: list = field(default_factory=list)  # class id -> frozenset of MP nodes
-    improves: list = field(default_factory=list)  # class -> class -> bool
+    aswin_by_node: dict = field(init=False)  # node id -> WinningRegion
+    mp_class: list = field(init=False)  # state -> class id
+    mp_sets: list = field(init=False)  # class id -> frozenset of MP nodes
+    improves: list = field(init=False)  # class -> class -> bool
 
     def __post_init__(self):
         pm = self.product
         self.order = scc_order(pm.rows)
-        for node_id, members in sorted(pm.node_members.items()):
-            self.aswin_by_node[node_id] = aswin(pm.rows, members, self.order)
+        self.aswin_by_node = {
+            node_id: aswin(pm.rows, members, self.order)
+            for node_id, members in sorted(pm.node_members.items())
+        }
         z_sets = [[] for _ in range(pm.n_states())]
         for node_id, region in self.aswin_by_node.items():
             for v in region.region:
                 z_sets[v].append(node_id)
         class_of = {}
-        for nodes in z_sets:
-            mp = mp_nodes(pm, frozenset(nodes))
-            self.mp_class.append(class_of.setdefault(mp, len(class_of)))
+        self.mp_class = [
+            class_of.setdefault(mp_nodes(pm, frozenset(nodes)), len(class_of)) for nodes in z_sets
+        ]
         self.mp_sets = list(class_of)
         self.improves = [
             [
@@ -497,8 +509,15 @@ class ImprovementCache:
             for mp1 in self.mp_sets
         ]
 
+    @property
+    def improved(self) -> int:
+        """The absorbing target state to which the improvement MDP and the
+        verifier's chain route every improving edge: one past the product's
+        last state."""
+        return self.product.n_states()
+
     def mp_of(self, v: int) -> frozenset:
-        """MP nodes of product state v: ``mp_nodes(pm, z_set(pm, v, cache))``."""
+        """MP nodes of product state v: ``mp_nodes(pm, z_set(cache, v))``."""
         return self.mp_sets[self.mp_class[v]]
 
 
@@ -506,7 +525,7 @@ def aswin_by_node(pm: ProductMdp) -> ImprovementCache:
     return ImprovementCache(product=pm)
 
 
-def z_set(pm: ProductMdp, v: int, cache: ImprovementCache) -> frozenset:
+def z_set(cache: ImprovementCache, v: int) -> frozenset:
     """Preference-graph nodes almost-surely reachable from v."""
     return frozenset(
         node_id
@@ -519,13 +538,13 @@ def mp_nodes(pm: ProductMdp, nodes: frozenset) -> frozenset:
     """Maximal elements of a node set under the graph edges; empty sets map
     to the virtual bottom node."""
     if not nodes:
-        return frozenset({BOTTOM})
+        return NO_GUARANTEE
     return frozenset(
         n for n in nodes if not any((n, m) in pm.node_edges for m in nodes)
     )
 
 
-def is_improvement(pm: ProductMdp, v1: int, v2: int, cache: ImprovementCache) -> bool:
+def is_improvement(cache: ImprovementCache, v1: int, v2: int) -> bool:
     """True iff v2 improves on v1: some most-preferred almost-surely winnable
     node of v2 sits strictly above one of v1's (every real node sits above
     BOTTOM).  A lookup in the cache's class table."""
@@ -540,38 +559,37 @@ def is_improvement(pm: ProductMdp, v1: int, v2: int, cache: ImprovementCache) ->
 @dataclass(frozen=True)
 class ImprovementMdp:
     """The product restricted to non-regressing actions, with every improving
-    edge redirected to the absorbing target state ``improved``.
+    edge redirected to the absorbing target state ``cache.improved``.
 
-    ``rows`` are the support rows the solvers take, ``improved``'s empty one
+    ``rows`` are the support rows the solvers take, the target's empty one
     included.  An action is kept only if none of its successors would be a
     regression; ``dead`` holds the states left with no action, which are
     never positively winning.  An edge improves iff its kept row routes it
-    to ``improved``.
+    to the target.
     """
 
-    product: ProductMdp
-    rows: dict  # v -> {kept action: [successors, improving ones as ``improved``]}
+    cache: ImprovementCache
+    rows: dict  # v -> {kept action: [successors, improving ones as ``cache.improved``]}
     dead: frozenset  # product states with no enabled action
-
-    @property
-    def improved(self) -> int:
-        return self.product.n_states()
 
     @cached_property
     def _improving_pairs(self) -> frozenset:
         """(v, w) product edges that improve; read by ``perfbench/tracing.py`` only."""
+        product_rows, improved = self.cache.product.rows, self.cache.improved
         return frozenset(
             (v, w)
             for v, row in self.rows.items()
             for a, routed in row.items()
-            for w, t in zip(self.product.rows[v][a], routed)
-            if t == self.improved
+            for w, t in zip(product_rows[v][a], routed)
+            if t == improved
         )
 
 
-def build_improvement_mdp(pm: ProductMdp, cache: ImprovementCache) -> ImprovementMdp:
-    cls, improves = cache.mp_class, cache.improves
-    improved = pm.n_states()
+def build_improvement_mdp(cache: ImprovementCache) -> ImprovementMdp:
+    # Reads the class table directly: the build visits every product edge,
+    # where is_improvement would cost two calls per edge.
+    pm, cls, improves = cache.product, cache.mp_class, cache.improves
+    improved = cache.improved
     rows = {improved: {}}
     for v in range(improved):
         c = cls[v]
@@ -587,7 +605,7 @@ def build_improvement_mdp(pm: ProductMdp, cache: ImprovementCache) -> Improvemen
             else:
                 row[a] = routed
     return ImprovementMdp(
-        product=pm,
+        cache=cache,
         rows=rows,
         dead=frozenset(v for v in range(improved) if not rows[v]),
     )
@@ -614,34 +632,27 @@ class Strategy:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    product: ProductMdp
-    cache: ImprovementCache
+    cache: ImprovementCache  # holds the product
     improvement_mdp: ImprovementMdp
     spi: Strategy
     sasi: Strategy
-    spi_region: WinningRegion
-    sasi_region: WinningRegion
 
 
-def synthesize(pm: ProductMdp, cache: ImprovementCache = None) -> SynthesisResult:
+def synthesize(pm: ProductMdp) -> SynthesisResult:
     """Safe positively improving and safe almost-surely improving strategies.
 
-    Both reduce to reachability of the improvement MDP's ``improved`` state;
-    a strategy is defined where the solver keeps some product action.
+    Both reduce to reachability of the improvement MDP's target state
+    ``cache.improved``; a strategy is defined where the solver keeps some
+    product action.
     """
-    if cache is None:
-        cache = aswin_by_node(pm)
-    im = build_improvement_mdp(pm, cache)
-    positive = pwin(im.rows, {im.improved})
-    almost = aswin(im.rows, {im.improved}, cache.order)
+    cache = aswin_by_node(pm)
+    im = build_improvement_mdp(cache)
+    target = {cache.improved}
     return SynthesisResult(
-        product=pm,
         cache=cache,
         improvement_mdp=im,
-        spi=Strategy("spi", positive.strategy),
-        sasi=Strategy("sasi", almost.strategy),
-        spi_region=positive,
-        sasi_region=almost,
+        spi=Strategy("spi", pwin(im.rows, target).strategy),
+        sasi=Strategy("sasi", aswin(im.rows, target, cache.order).strategy),
     )
 
 
@@ -659,9 +670,9 @@ class CompositePolicy:
     """
 
     def __init__(self, result: SynthesisResult, mode: str = "sasi", tie_break: str = "lowest"):
-        if mode not in ("spi", "sasi"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if tie_break not in ("lowest", "uniform"):
+        if tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown tie-break {tie_break!r}")
         self.result = result
         self.mode = mode
@@ -673,7 +684,7 @@ class CompositePolicy:
     def _satisficing_actions(self, v: int):
         cache = self.result.cache
         mp = cache.mp_of(v)
-        if mp == frozenset({BOTTOM}):
+        if mp == NO_GUARANTEE:
             return None
         node = min(mp)
         region = cache.aswin_by_node[node]
@@ -683,7 +694,7 @@ class CompositePolicy:
         # Already inside the node (or at its target): prefer actions that
         # keep every successor in the almost-sure region; a node once
         # achieved stays achieved, so anything enabled is acceptable.
-        row = self.result.product.rows[v]
+        row = cache.product.rows[v]
         keep = [a for a, succ in row.items() if all(t in region.region for t in succ)]
         return frozenset(keep) if keep else frozenset(row)
 
@@ -701,7 +712,7 @@ class CompositePolicy:
             else:
                 acts, phase = self._satisficing_actions(v), "satisfice"
                 if not acts:
-                    acts, phase = self.result.product.rows[v], "unsatisfiable"
+                    acts, phase = self.result.cache.product.rows[v], "unsatisfiable"
             choice = self._choices[v] = tuple(sorted(acts)), phase
         return choice
 
@@ -748,7 +759,7 @@ def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
     ids = {product_state_id(pm, v): v for v in range(pm.n_states())}
     action_index = {name: a for a, name in enumerate(pm.mdp.actions)}
     mode, entries = json_fields(doc, "strategy file", StrategyError, {"mode": str, "entries": list})
-    if mode not in ("spi", "sasi"):
+    if mode not in MODES:
         raise StrategyError(f"strategy file: unknown mode {mode!r}")
     actions = {}
     for entry in entries:
@@ -771,8 +782,8 @@ def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
     return Strategy(mode=mode, actions=actions)
 
 
-def regions_to_json(pm: ProductMdp, cache: ImprovementCache) -> dict:
-    nodes = {}
+def regions_to_json(cache: ImprovementCache) -> dict:
+    pm, nodes = cache.product, {}
     for node_id, region in sorted(cache.aswin_by_node.items()):
         nodes[str(node_id)] = {
             "tags": tag_labels(pm.pdfa.spec, pm.pdfa.graph.nodes[node_id].mp),
@@ -787,7 +798,8 @@ def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
     just entered by an improving edge, ``v<i>B`` the same state otherwise.
     Both copies of a state share its edges, so each edge's label is rendered
     once."""
-    pm, improved, names = im.product, im.improved, im.product.mdp.actions
+    pm, improved = im.cache.product, im.cache.improved
+    names = pm.mdp.actions
     lines = ["digraph improvement_mdp {", "  rankdir=LR;"]
     for v in range(pm.n_states()):
         sid = product_state_id(pm, v)

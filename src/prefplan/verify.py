@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .synthesis import (
-    BOTTOM,
+    MODES,
+    NO_GUARANTEE,
     CompositePolicy,
     ImprovementCache,
     MdpView,
-    ProductMdp,
     Strategy,
     aswin,
+    is_improvement,
     pwin,
 )
 
@@ -104,31 +105,30 @@ class InducedChain:
 
     Every chosen action is taken with positive probability, so a domain
     state has one row, the union of its actions' supports, with improving
-    successors routed to one absorbing target ``pm.n_states()``.  Execution
+    successors routed to the absorbing target ``cache.improved``.  Execution
     stops where the strategy is undefined: every other reached state, and
     the target, has an empty row.  Edges are marked improving/regressing by
-    the improvement relation on the underlying product states.
+    ``is_improvement`` on the underlying product states.
     """
 
     states: frozenset  # the domain and the states its edges reach
-    rows: dict  # v -> {0: [successors, improving ones as pm.n_states()]} or {}
+    rows: dict  # v -> {0: [successors, improving ones as cache.improved]} or {}
     improving: frozenset  # of (v, v2)
     regressing: frozenset  # of (v, v2)
 
 
-def build_induced_chain(pm: ProductMdp, strategy: Strategy, cache: ImprovementCache) -> InducedChain:
-    cls, improves = cache.mp_class, cache.improves
-    improved = pm.n_states()
+def build_induced_chain(strategy: Strategy, cache: ImprovementCache) -> InducedChain:
+    product_rows, improved = cache.product.rows, cache.improved
     rows = {improved: {}}
     improving, regressing = set(), set()
     for v in sorted(strategy.actions):
-        c, successors = cls[v], []
+        successors = []
         for a in sorted(strategy.actions[v]):
-            for w in pm.rows[v][a]:
+            for w in product_rows[v][a]:
                 rows.setdefault(w, {})
-                if improves[cls[w]][c]:
+                if is_improvement(cache, w, v):
                     regressing.add((v, w))
-                if improves[c][cls[w]]:
+                if is_improvement(cache, v, w):
                     improving.add((v, w))
                     w = improved  # the chain routes the edge to the target
                 successors.append(w)
@@ -153,12 +153,7 @@ class StrategyReport:
     integrity_errors: tuple = ()
 
 
-def check_strategy_conditions(
-    pm: ProductMdp,
-    strategy: Strategy,
-    mode: str,
-    cache: ImprovementCache,
-) -> StrategyReport:
+def check_strategy_conditions(strategy: Strategy, mode: str, cache: ImprovementCache) -> StrategyReport:
     """Test the defining strategy conditions on the induced chain.
 
     (a) an improving transition is reached: with positive probability for
@@ -167,20 +162,21 @@ def check_strategy_conditions(
     strategy's induced chain, so the check mirrors the definitions, not the
     synthesizer.
     """
-    if mode not in ("spi", "sasi"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not strategy.actions:
         raise ValueError("strategy domain is empty")
 
+    product_rows = cache.product.rows
     integrity = [
-        (v, a) for v, actions in strategy.actions.items() for a in actions if a not in pm.rows[v]
+        (v, a) for v, actions in strategy.actions.items() for a in actions if a not in product_rows[v]
     ]
     if integrity:
         return StrategyReport(mode, False, False, False, integrity_errors=tuple(sorted(integrity)))
 
-    chain = build_induced_chain(pm, strategy, cache)
+    chain = build_induced_chain(strategy, cache)
     condition_b = not chain.regressing
-    target = {pm.n_states()}
+    target = {cache.improved}
     if mode == "spi":
         region = pwin(chain.rows, target).region
     else:
@@ -189,13 +185,7 @@ def check_strategy_conditions(
     stuck = tuple(v for v in sorted(strategy.actions) if v not in region)
     condition_a = not stuck
 
-    bottom = tuple(
-        sorted(
-            (v, w)
-            for v, w in chain.improving
-            if cache.mp_of(v) == frozenset({BOTTOM})
-        )
-    )
+    bottom = tuple(sorted((v, w) for v, w in chain.improving if cache.mp_of(v) == NO_GUARANTEE))
     return StrategyReport(
         mode=mode,
         ok=condition_a and condition_b,
@@ -246,14 +236,8 @@ def _episode_seed(seed: int, episode: int) -> int:
     return ((seed * 0x100000001B3) ^ (episode * _MIX)) & _MASK
 
 
-def monte_carlo(
-    pm: ProductMdp,
-    policy: CompositePolicy,
-    episodes: int,
-    horizon: int = None,
-    seed: int = 0,
-) -> EpisodeStats:
-    """Seeded rollouts of a composite policy on the product MDP.
+def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, seed: int = 0) -> EpisodeStats:
+    """Seeded rollouts of a composite policy on its product MDP.
 
     Improvements and regressions are counted per traversed edge; episodes
     stop at the horizon (flagged truncated) or in an absorbing state.
@@ -272,12 +256,12 @@ def monte_carlo(
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
+    cache = policy.result.cache
+    pm = cache.product
     if horizon is None:
         horizon = 10 * pm.n_states()
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    cache = policy.result.cache
-    cls, improves = cache.mp_class, cache.improves
 
     def compile_row(v: int, a: int):
         dist = pm.dist(v, a)
@@ -285,7 +269,7 @@ def monte_carlo(
         acc = 0.0
         for t, p in dist:
             acc += p
-            entries.append((acc, t, improves[cls[v]][cls[t]], improves[cls[t]][cls[v]]))
+            entries.append((acc, t, is_improvement(cache, v, t), is_improvement(cache, t, v)))
         return len(dist) == 1 and dist[0][0] == v, tuple(entries)
 
     # v -> {candidate action: compiled row}

@@ -18,7 +18,7 @@ from prefplan.verify import EpisodeRow, EpisodeStats, _episode_seed
 
 
 def _mp_of_state(pm: ProductMdp, v: int, cache: ImprovementCache) -> frozenset:
-    return mp_nodes(pm, z_set(pm, v, cache))
+    return mp_nodes(pm, z_set(cache, v))
 
 
 def _edge_up(pm: ProductMdp, a: int, b: int) -> bool:
@@ -58,7 +58,7 @@ class CompositePolicy:
         return ordered[0]
 
     def _satisficing_actions(self, v: int):
-        pm = self.result.product
+        pm = self.result.cache.product
         cache = self.result.cache
         mp = _mp_of_state(pm, v, cache)
         if mp == frozenset({BOTTOM}):
@@ -84,7 +84,7 @@ class CompositePolicy:
         acts = self._satisficing_actions(v)
         if acts:
             return self._pick(acts, rng), "satisfice"
-        pm = self.result.product
+        pm = self.result.cache.product
         enabled = pm.enabled(v)
         return self._pick(enabled, rng), "unsatisfiable"
 

@@ -69,12 +69,12 @@ def improvement_view(pm, cache) -> MdpView:
         return [
             a
             for a in _product_enabled(pm, v)
-            if not any(is_improvement(pm, w, v, cache) for w, _ in product(v, a))
+            if not any(is_improvement(cache, w, v) for w, _ in product(v, a))
         ]
 
     def dist(v, a):
         return tuple(
-            (improved if is_improvement(pm, v, w, cache) else w, p) for w, p in product(v, a)
+            (improved if is_improvement(cache, v, w) else w, p) for w, p in product(v, a)
         )
 
     return MdpView(states=tuple(range(improved + 1)), enabled=enabled, dist=dist)
@@ -95,7 +95,7 @@ def chain_view(pm, strategy, cache) -> MdpView:
         mixed: dict = {}
         for b in actions:
             for w, p in product(v, b):
-                key = improved if is_improvement(pm, v, w, cache) else w
+                key = improved if is_improvement(cache, v, w) else w
                 mixed[key] = mixed.get(key, 0.0) + share * p
         return tuple(sorted(mixed.items()))
 

@@ -259,7 +259,7 @@ def _mutants(pm, result):
     for v in range(pm.n_states()):
         done = False
         for a in pm.enabled(v):
-            if any(p > 0 and is_improvement(pm, w, v, cache) for w, p in pm.dist(v, a)):
+            if any(p > 0 and is_improvement(cache, w, v) for w, p in pm.dist(v, a)):
                 out.append(("regressing", "spi", Strategy("spi", {v: frozenset({a})})))
                 done = True
                 break
@@ -306,14 +306,14 @@ def test_criterion_5_theorem_check(po1_b4, po1_b2, po2_b4):
         for mode, strategy in (("spi", result.spi), ("sasi", result.sasi)):
             if not strategy.actions:
                 continue
-            rep = check_strategy_conditions(pm, strategy, mode, result.cache)
+            rep = check_strategy_conditions(strategy, mode, result.cache)
             if not rep.ok:
                 synthesized_ok = False
     for pm in mutant_pool_products:
         result = synthesize(pm)
         for name, mode, mutant in _mutants(pm, result):
             mutants_total += 1
-            rep = check_strategy_conditions(pm, mutant, mode, result.cache)
+            rep = check_strategy_conditions(mutant, mode, result.cache)
             if not rep.ok:
                 mutants_failed += 1
     elapsed = time.monotonic() - started
@@ -355,7 +355,7 @@ def test_criterion_6_scenarios(po1_b4, po1_b2, po2_b4):
     atoms, spec, mdp3, pdfa3, pm3 = po2_b4
     result3 = synthesize(pm3)
     policy = CompositePolicy(result3, mode="sasi", tie_break="lowest")
-    stats = monte_carlo(pm3, policy, episodes=10_000, seed=42)
+    stats = monte_carlo(policy, episodes=10_000, seed=42)
     two_plus = all(k >= 2 for k in stats.improvements_histogram)
     po2_ok = two_plus and stats.regressions_observed == 0
     details.append(

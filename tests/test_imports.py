@@ -1,10 +1,12 @@
-"""``src/prefplan`` imports only the standard library and itself.
+"""``src/prefplan`` imports only the standard library and itself, and
+exports only names it defines.
 
 The package declares no dependency; packages that happen to be installed
 (numpy, scipy, networkx) must not creep in.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -48,3 +50,11 @@ def test_prefplan_imports_only_stdlib_and_itself():
         for path in files
     }
     assert {name: roots for name, roots in found.items() if roots} == {}
+
+
+def test_every_export_resolves():
+    names = [f"prefplan.{path.stem}" for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    exports = {name: getattr(importlib.import_module(name), "__all__", ()) for name in names}
+    assert sum(bool(attrs) for attrs in exports.values()) >= 5
+    stale = {name: [a for a in attrs if not hasattr(sys.modules[name], a)] for name, attrs in exports.items()}
+    assert {name: attrs for name, attrs in stale.items() if attrs} == {}

@@ -61,7 +61,7 @@ def boundary_random(pm):
 def assert_same_steps(result, mode, tie_break):
     fast = CompositePolicy(result, mode, tie_break)
     slow = reference_rollout.CompositePolicy(result, mode, tie_break)
-    for v in range(result.product.n_states()):
+    for v in range(result.cache.product.n_states()):
         assert fast.step(v) == slow.step(v)
         # Same action from the same draws, leaving the RNG in the same state.
         rng_fast, rng_slow = random.Random(v), random.Random(v)
@@ -98,7 +98,7 @@ def assert_same_rollouts(pm, episodes, seed):
             for horizon in (1, 3, None):
                 with mock.patch.object(verify, "random", draws), \
                         mock.patch.object(reference_rollout, "random", draws):
-                    fast = monte_carlo(pm, CompositePolicy(result, mode, tie_break), episodes, horizon, seed)
+                    fast = monte_carlo(CompositePolicy(result, mode, tie_break), episodes, horizon, seed)
                     with mock.patch.object(reference_rollout.CompositePolicy, "_pick", counting_pick(seen)):
                         slow = reference_rollout.monte_carlo(
                             pm, reference_rollout.CompositePolicy(result, mode, tie_break), episodes, horizon, seed

@@ -245,13 +245,13 @@ def test_z_set_contains_current_node(po1_b4):
     cache = aswin_by_node(pm)
     for node_id, members in pm.node_members.items():
         v = min(members)
-        assert node_id in z_set(pm, v, cache)
+        assert node_id in z_set(cache, v)
 
 
 def test_z_set_empty_at_low_battery_start(po1_b2):
     atoms, spec, mdp, pdfa, pm = po1_b2
     cache = aswin_by_node(pm)
-    assert z_set(pm, pm.initial, cache) == frozenset()
+    assert z_set(cache, pm.initial) == frozenset()
 
 
 def test_mp_nodes_bottom_for_empty(po1_b4):
@@ -269,21 +269,21 @@ def test_improvement_via_direct_edge(po1_b4):
     n_b = node_of_mp[frozenset({spec.index_of("visit_B")})]
     v_a = min(pm.node_members[n_a])
     v_b = min(pm.node_members[n_b])
-    assert is_improvement(pm, v_a, v_b, cache)
-    assert not is_improvement(pm, v_b, v_a, cache)
-    assert not is_improvement(pm, v_a, v_a, cache)
+    assert is_improvement(cache, v_a, v_b)
+    assert not is_improvement(cache, v_b, v_a)
+    assert not is_improvement(cache, v_a, v_a)
 
 
 def test_improvement_from_nothing_via_bottom(po1_b2):
     atoms, spec, mdp, pdfa, pm = po1_b2
     cache = aswin_by_node(pm)
     v0 = pm.initial
-    assert z_set(pm, v0, cache) == frozenset()
+    assert z_set(cache, v0) == frozenset()
     some_winner = next(
         v for node in pm.node_members.values() for v in node
     )
-    assert is_improvement(pm, v0, some_winner, cache)
-    assert not is_improvement(pm, some_winner, v0, cache)
+    assert is_improvement(cache, v0, some_winner)
+    assert not is_improvement(cache, some_winner, v0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,37 +294,37 @@ def test_improvement_from_nothing_via_bottom(po1_b2):
 def test_improvement_mdp_adds_one_target_state(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     cache = aswin_by_node(pm)
-    im = build_improvement_mdp(pm, cache)
-    assert im.improved == pm.n_states()
+    im = build_improvement_mdp(cache)
+    assert cache.improved == pm.n_states()
     assert sorted(im.rows) == list(range(pm.n_states() + 1))
-    assert im.rows[im.improved] == {}
+    assert im.rows[cache.improved] == {}
 
 
 def test_improvement_mdp_routing(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     cache = aswin_by_node(pm)
-    im = build_improvement_mdp(pm, cache)
+    im = build_improvement_mdp(cache)
     routed_somewhere = False
     for v in range(pm.n_states()):
         for a, routed in im.rows[v].items():
             support = [w for w, p in pm.dist(v, a) if p > 0]
             assert len(routed) == len(support)
             for t, w in zip(routed, support):
-                assert (t == im.improved) == is_improvement(pm, v, w, cache)
-                if t != im.improved:
+                assert (t == cache.improved) == is_improvement(cache, v, w)
+                if t != cache.improved:
                     assert t == w
-                routed_somewhere |= t == im.improved
+                routed_somewhere |= t == cache.improved
     assert routed_somewhere
 
 
 def test_improvement_mdp_disables_regressing_actions(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     cache = aswin_by_node(pm)
-    im = build_improvement_mdp(pm, cache)
+    im = build_improvement_mdp(cache)
     for v in range(pm.n_states()):
         for a in pm.enabled(v):
             regresses = any(
-                is_improvement(pm, w, v, cache) for w, p in pm.dist(v, a) if p > 0
+                is_improvement(cache, w, v) for w, p in pm.dist(v, a) if p > 0
             )
             assert (a in im.rows[v]) == (not regresses)
 
@@ -332,11 +332,11 @@ def test_improvement_mdp_disables_regressing_actions(po1_b4):
 def test_dead_states_never_positively_winning():
     pm = dead_start_product()
     cache = aswin_by_node(pm)
-    im = build_improvement_mdp(pm, cache)
+    im = build_improvement_mdp(cache)
     assert im.dead == {0}
     assert im.rows[0] == {}
     assert len(pm.enabled(0)) == 2  # both product actions regress
-    result = synthesize(pm, cache)
+    result = synthesize(pm)
     for v in im.dead:
         assert not result.spi.defined_at(v)
         assert not result.sasi.defined_at(v)
@@ -411,7 +411,9 @@ def test_theorem_reduction_form(po1_b4):
     # where the solver keeps some action.
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
-    for strategy, region in ((result.spi, result.spi_region), (result.sasi, result.sasi_region)):
+    im, target = result.improvement_mdp, {pm.n_states()}
+    regions = (pwin(im.rows, target), aswin(im.rows, target))
+    for strategy, region in zip((result.spi, result.sasi), regions):
         for v in range(pm.n_states()):
             assert strategy.defined_at(v) == (
                 v in region.region and bool(region.strategy.get(v))
@@ -432,7 +434,7 @@ def doubled_reference(pm, cache):
         kept = [
             a
             for a in pm.mdp.enabled(pm.state_pairs[v][0])
-            if not any(is_improvement(pm, w, v, cache) for w, _ in product(v, a))
+            if not any(is_improvement(cache, w, v) for w, _ in product(v, a))
         ]
         return kept or [-1]
 
@@ -441,7 +443,7 @@ def doubled_reference(pm, cache):
         if a == -1:
             return ((state, 1.0),)
         return tuple(
-            ((w, not flag and is_improvement(pm, v, w, cache)), p) for w, p in product(v, a)
+            ((w, not flag and is_improvement(cache, v, w)), p) for w, p in product(v, a)
         )
 
     states = tuple((v, flag) for v in range(pm.n_states()) for flag in (False, True))
@@ -487,7 +489,7 @@ def test_monotone_improvement_classes_along_induced_paths(po2_b4):
         for a in actions:
             for w, p in pm.dist(v, a):
                 if p > 0:
-                    assert not is_improvement(pm, w, v, cache)
+                    assert not is_improvement(cache, w, v)
                     if w not in seen:
                         seen.add(w)
                         frontier.append(w)
@@ -525,13 +527,13 @@ def test_composite_policy_satisfices_with_achievable_node(po1_b4):
     v = next(
         v
         for v in range(pm.n_states())
-        if not result.sasi.defined_at(v) and z_set(pm, v, cache)
+        if not result.sasi.defined_at(v) and z_set(cache, v)
     )
     action, phase = policy.step(v)
     assert phase == "satisfice"
     from prefplan.synthesis import mp_nodes
 
-    node = min(mp_nodes(pm, z_set(pm, v, cache)))
+    node = min(mp_nodes(pm, z_set(cache, v)))
     region = cache.aswin_by_node[node]
     expected = region.strategy.get(v)
     if expected:
@@ -557,7 +559,7 @@ def test_strategy_export_roundtrip(po1_b4):
     assert doc["mode"] == "spi"
     assert len(doc["entries"]) == len(result.spi.actions)
     assert len(doc["entries"]) + len(doc["undefined_states"]) == pm.n_states()
-    regions = regions_to_json(pm, result.cache)
+    regions = regions_to_json(result.cache)
     assert set(regions["nodes"]) == {str(n) for n in pm.node_members}
     dot = improvement_mdp_to_dot(result.improvement_mdp)
     assert "palegreen" in dot
@@ -572,7 +574,7 @@ def test_improvement_table_matches_definition(source, request):
     else:
         pm = random_product(source)[3]
     cache = aswin_by_node(pm)
-    mp = [mp_nodes(pm, z_set(pm, v, cache)) for v in range(pm.n_states())]
+    mp = [mp_nodes(pm, z_set(cache, v)) for v in range(pm.n_states())]
     improving = 0
     for v, mp_v in enumerate(mp):
         assert cache.mp_of(v) == mp_v
@@ -580,7 +582,7 @@ def test_improvement_table_matches_definition(source, request):
             expected = any(
                 a == BOTTOM != b or (a, b) in pm.node_edges for a in mp_v for b in mp_w
             )
-            assert is_improvement(pm, v, w, cache) == expected
+            assert is_improvement(cache, v, w) == expected
             improving += expected
     if isinstance(source, str):
         assert improving > 0

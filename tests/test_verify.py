@@ -111,14 +111,14 @@ def test_synthesized_strategies_pass(po1_b4, po2_b4):
         for mode, strategy in (("spi", result.spi), ("sasi", result.sasi)):
             if not strategy.actions:
                 continue
-            report = check_strategy_conditions(pm, strategy, mode, result.cache)
+            report = check_strategy_conditions(strategy, mode, result.cache)
             assert report.ok, (mode, report)
 
 
 def test_bottom_based_improvements_flagged(po1_b2):
     atoms, spec, mdp, pdfa, pm = po1_b2
     result = synthesize(pm)
-    report = check_strategy_conditions(pm, result.spi, "spi", result.cache)
+    report = check_strategy_conditions(result.spi, "spi", result.cache)
     assert report.ok
     # The low-battery start guarantees nothing, so its improvements pass
     # through the virtual bottom node and are reported as such.
@@ -141,7 +141,7 @@ def dodging_mutant(pm, result):
     v0 = pm.initial
     east = list(pm.mdp.actions).index("East")
     assert not any(
-        is_improvement(pm, w, v0, result.cache) for w, p in pm.dist(v0, east) if p > 0
+        is_improvement(result.cache, w, v0) for w, p in pm.dist(v0, east) if p > 0
     )
     return Strategy("sasi", {v0: result.sasi.actions[v0] | {east}})
 
@@ -149,7 +149,7 @@ def dodging_mutant(pm, result):
 def test_mutant_vacuous_strategy_fails_condition_a(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
-    report = check_strategy_conditions(pm, vacuous_mutant(pm), "sasi", result.cache)
+    report = check_strategy_conditions(vacuous_mutant(pm), "sasi", result.cache)
     assert not report.ok
     assert not report.condition_a
     assert report.condition_b  # no regressions either, it just achieves nothing
@@ -165,7 +165,7 @@ def test_mutant_regressing_strategy_fails_condition_b(po1_b4):
     for v in range(pm.n_states()):
         for a in pm.enabled(v):
             for w, p in pm.dist(v, a):
-                if p > 0 and is_improvement(pm, w, v, cache):
+                if p > 0 and is_improvement(cache, w, v):
                     found = (v, a)
                     break
             if found:
@@ -175,7 +175,7 @@ def test_mutant_regressing_strategy_fails_condition_b(po1_b4):
     assert found, "expected at least one regressing edge in the product"
     v, a = found
     mutant = Strategy(mode="spi", actions={v: frozenset({a})})
-    report = check_strategy_conditions(pm, mutant, "spi", cache)
+    report = check_strategy_conditions(mutant, "spi", cache)
     assert not report.condition_b
     assert report.regressing_edges
 
@@ -186,7 +186,7 @@ def test_mutant_disabled_action_is_integrity_error(po1_b4):
     v0 = pm.initial
     bogus = max(pm.enabled(v0)) + 1
     mutant = Strategy(mode="spi", actions={v0: frozenset({bogus})})
-    report = check_strategy_conditions(pm, mutant, "spi", result.cache)
+    report = check_strategy_conditions(mutant, "spi", result.cache)
     assert not report.ok
     assert report.integrity_errors
 
@@ -198,7 +198,7 @@ def test_mutant_dodging_branch_fails_condition_a_only(po1_b4):
     # a controller could have avoided the branch.
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
-    report = check_strategy_conditions(pm, dodging_mutant(pm, result), "sasi", result.cache)
+    report = check_strategy_conditions(dodging_mutant(pm, result), "sasi", result.cache)
     assert not report.ok
     assert not report.condition_a
     assert report.condition_b  # the dodge never regresses, it just stalls
@@ -210,7 +210,7 @@ def test_mutant_sasi_with_stray_branch_fails(po1_b2):
     atoms, spec, mdp, pdfa, pm = po1_b2
     result = synthesize(pm)
     assert result.spi.actions
-    report = check_strategy_conditions(pm, result.spi, "sasi", result.cache)
+    report = check_strategy_conditions(result.spi, "sasi", result.cache)
     assert not report.ok
     assert not report.condition_a
     assert report.stuck_states
@@ -220,14 +220,14 @@ def test_empty_strategy_rejected(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
     with pytest.raises(ValueError):
-        check_strategy_conditions(pm, Strategy("spi", {}), "spi", result.cache)
+        check_strategy_conditions(Strategy("spi", {}), "spi", result.cache)
 
 
 def test_induced_chain_marks(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
     cache = result.cache
-    chain = build_induced_chain(pm, result.sasi, cache)
+    chain = build_induced_chain(result.sasi, cache)
     assert chain.improving  # the West resolution improves
     assert not chain.regressing
     # Every chain row follows the strategy's actions: a domain state's one
@@ -240,7 +240,7 @@ def test_induced_chain_marks(po1_b4):
             assert row == {}
             continue
         assert row == {0: [
-            improved if is_improvement(pm, v, w, cache) else w
+            improved if is_improvement(cache, v, w) else w
             for a in sorted(result.sasi.actions[v])
             for w, _ in dist(v, a)
         ]}
@@ -273,7 +273,7 @@ def test_condition_a_agrees_with_value_iteration(po1_b2, po1_b4, po2_b4):
             expected = tuple(v for v in sorted(strategy.actions) if values[v] <= 1e-9)
         else:
             expected = tuple(v for v in sorted(strategy.actions) if values[v] < 1 - 1e-6)
-        report = check_strategy_conditions(pm, strategy, mode, result.cache)
+        report = check_strategy_conditions(strategy, mode, result.cache)
         assert report.stuck_states == expected, (strategy.mode, mode)
         failing += bool(expected)
     # Both mutants and the low-battery SPI strategy checked as SASI.
@@ -315,7 +315,7 @@ def test_monte_carlo_binomial_bound():
     result = synthesize(pm)
     policy = CompositePolicy(result, mode="spi")
     n = 10_000
-    stats = monte_carlo(pm, policy, episodes=n, seed=31, horizon=10)
+    stats = monte_carlo(policy, episodes=n, seed=31, horizon=10)
     counts = stats.final_node_distribution
     assert set(counts) == {"0", "1"} or len(counts) == 2
     p = 0.5
@@ -346,7 +346,7 @@ def test_monte_carlo_exact_distribution_matches_chain_analysis(po1_b4):
         key = "none" if node is None else str(node)
         exact[key] = exact.get(key, 0.0) + mass
     n = 8000
-    stats = monte_carlo(pm, policy, episodes=n, seed=77)
+    stats = monte_carlo(policy, episodes=n, seed=77)
     for key, expected in exact.items():
         observed = stats.final_node_distribution.get(key, 0) / n
         sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / n)
@@ -357,11 +357,11 @@ def test_monte_carlo_reproducible(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
     policy = CompositePolicy(result, mode="sasi")
-    a = monte_carlo(pm, policy, episodes=300, seed=5)
-    b = monte_carlo(pm, policy, episodes=300, seed=5)
+    a = monte_carlo(policy, episodes=300, seed=5)
+    b = monte_carlo(policy, episodes=300, seed=5)
     assert stats_to_json(a) == stats_to_json(b)
     assert stats_to_csv(a) == stats_to_csv(b)
-    c = monte_carlo(pm, policy, episodes=300, seed=6)
+    c = monte_carlo(policy, episodes=300, seed=6)
     assert stats_to_csv(a) != stats_to_csv(c)
 
 
@@ -369,7 +369,7 @@ def test_monte_carlo_improvements_every_episode(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
     policy = CompositePolicy(result, mode="sasi")
-    stats = monte_carlo(pm, policy, episodes=2000, seed=13)
+    stats = monte_carlo(policy, episodes=2000, seed=13)
     assert stats.regressions_observed == 0
     assert set(stats.improvements_histogram) == {1} or min(stats.improvements_histogram) >= 1
 
@@ -378,7 +378,7 @@ def test_monte_carlo_flags_unsatisfiable_episodes():
     pm = unsatisfiable_product()
     result = synthesize(pm)
     policy = CompositePolicy(result, mode="sasi")
-    stats = monte_carlo(pm, policy, episodes=10, seed=1)
+    stats = monte_carlo(policy, episodes=10, seed=1)
     assert stats.unsatisfiable_episodes == 10
     assert stats.final_node_distribution == {"none": 10}
 
@@ -408,7 +408,7 @@ def test_po2_two_improvements_on_every_path(po2_b4):
             continue
         for w, p in dist:
             if p > 0:
-                gained = 1 if is_improvement(pm, v, w, cache) else 0
+                gained = 1 if is_improvement(cache, v, w) else 0
                 stack.append((w, improvements + gained))
     assert absorbed_minimums
     assert min(absorbed_minimums) >= 2
@@ -418,7 +418,7 @@ def test_csv_shape(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
     policy = CompositePolicy(result, mode="sasi")
-    stats = monte_carlo(pm, policy, episodes=5, seed=2)
+    stats = monte_carlo(policy, episodes=5, seed=2)
     lines = stats_to_csv(stats).strip().splitlines()
     assert lines[0].split(",") == [
         "episode",
