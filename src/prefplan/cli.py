@@ -64,6 +64,11 @@ class FormulaFileError(ValueError):
     """Raised for a formula file that is not an ``{"atoms", "formula"}`` object."""
 
 
+class JsonValueError(ValueError):
+    """Raised for a JSON file whose syntax parses but whose values Python
+    cannot hold, such as an integer of more digits than it converts."""
+
+
 # Errors that name a fault of the input.  A bare ValueError is not one: it
 # would report a bug in the program as bad input.
 INPUT_ERRORS = (
@@ -72,6 +77,7 @@ INPUT_ERRORS = (
     PreferenceError,
     MdpError,
     FormulaFileError,
+    JsonValueError,
     StrategyError,
     OSError,
     json.JSONDecodeError,
@@ -81,7 +87,12 @@ INPUT_ERRORS = (
 
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError as e:
+            raise JsonValueError(f"{path}: {e}") from None
 
 
 def _write_json(path: Path, doc) -> None:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from math import prod
+from operator import add, mul
 
 from .preferences import Comparison, PreferenceSpec
 from .scltl import (
@@ -34,7 +36,6 @@ __all__ = [
     "PreferenceGraph",
     "PreferenceDfa",
     "build_preference_dfa",
-    "classify_word",
     "tag_labels",
     "pdfa_to_json",
     "pdfa_to_dot",
@@ -125,33 +126,52 @@ def build_preference_dfa(
     Edges run from the worse node to each node ``spec.compare`` calls
     strictly better.
 
-    Each state steps on every letter at once: the components' successor rows
-    are zipped, and new tuples are numbered in the order of their first
-    letter.  States therefore get the numbers of the per-letter construction,
-    a depth-first search reading letters in ``all_symbols`` order."""
+    Each state steps on every letter at once, over integer codes: a state
+    tuple's code is its mixed-radix number, the first component most
+    significant and each component's radix its number of states.  Each
+    component row is scaled by its radix weight once, so a state's successor
+    codes on all letters are the elementwise sum of its components' scaled
+    rows.  Only a state that reaches a new code lists them, and numbers the
+    new ones in the order of their first letter.  States therefore get the
+    numbers of the per-letter construction, a depth-first search reading
+    letters in ``all_symbols`` order."""
     declared = declare_alphabet(alphabet)
     components = tuple(to_dfa(o.formula, declared, state_cap=state_cap) for o in spec.outcomes)
     syms, position = symbol_index(declared)
 
+    radices = [len(d.states) for d in components]
+    weights = [prod(radices[k + 1:]) for k in range(len(radices))]
+    scaled = [[tuple(q * w for q in row) for row in d.rows] for d, w in zip(components, weights)]
+    no_outcomes = (0,) * len(syms)  # the one state's code on every letter
+
+    def successor_codes(tup):
+        codes = no_outcomes
+        for k, q in enumerate(tup):
+            codes = map(add, codes, scaled[k][q]) if k else scaled[0][q]
+        return codes
+
     init = tuple(d.initial for d in components)
-    index = {init: 0}
+    index = {sum(map(mul, init, weights)): 0}  # code -> state number
     states = [init]
     rows = [None]
     frontier = [0]
     while frontier:
         i = frontier.pop()
-        cols = [d.rows[q] for q, d in zip(states[i], components)]
-        row = list(zip(*cols)) if cols else [()] * len(syms)
-        for nxt in dict.fromkeys(row):
-            if nxt not in index:
+        try:
+            rows[i] = tuple(map(index.__getitem__, successor_codes(states[i])))
+            continue
+        except KeyError:
+            codes = list(successor_codes(states[i]))
+        for code in dict.fromkeys(codes):
+            if code not in index:
                 j = len(states)
                 if j >= state_cap:
                     raise CapacityError(f"preference DFA exceeded {state_cap} states")
-                index[nxt] = j
-                states.append(nxt)
+                index[code] = j
+                states.append(tuple(code // w % r for w, r in zip(weights, radices)))
                 rows.append(None)
                 frontier.append(j)
-        rows[i] = tuple(map(index.__getitem__, row))
+        rows[i] = tuple(map(index.__getitem__, codes))
 
     # Final states (some component accepts) grouped by their MP set.
     groups: dict = {}
@@ -184,13 +204,6 @@ def build_preference_dfa(
         graph=PreferenceGraph(nodes=nodes, edges=edges),
         node_of_state=node_of_state,
     )
-
-
-def classify_word(pdfa: PreferenceDfa, word):
-    """Node id reached by a finite word, or None if it lands on a non-final
-    state.  Classification only strengthens under extensions because
-    component accepting states are absorbing."""
-    return pdfa.node_of_state.get(pdfa.run(word))
 
 
 # ---------------------------------------------------------------------------

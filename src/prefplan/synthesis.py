@@ -796,26 +796,36 @@ def regions_to_json(cache: ImprovementCache) -> dict:
 def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
     """The paper's doubled improvement MDP: node ``v<i>T`` is product state i
     just entered by an improving edge, ``v<i>B`` the same state otherwise.
-    Both copies of a state share its edges, so each edge's label is rendered
-    once."""
+
+    Each MDP (state, action)'s labels are rendered once, and each edge of a
+    product state once: ``v<i>T`` steps to the plain copy of every
+    successor, and ``v<i>B`` differs only where an edge improves."""
     pm, improved = im.cache.product, im.cache.improved
-    names = pm.mdp.actions
+    names, transitions = pm.mdp.actions, pm.mdp.transitions
+    labels: dict = {}  # (s, a) -> label per positive entry, the successors of ``pm.dist``
     lines = ["digraph improvement_mdp {", "  rankdir=LR;"]
     for v in range(pm.n_states()):
         sid = product_state_id(pm, v)
         lines.append(f'  v{v}B [shape=box label="{sid} bot"];')
         lines.append(f'  v{v}T [shape=box label="{sid} top" style=filled fillcolor="palegreen"];')
-    for v in range(pm.n_states()):
-        # (successor, improving, label) per edge of the kept actions
-        edges = [
-            (w, routed == improved, f'[label="{names[a]}:{p:g}"];')
-            for a, row in im.rows[v].items()
-            for (w, p), routed in zip(pm.dist(v, a), row)
-        ]
-        for src, entered in ((f"v{v}B", False), (f"v{v}T", True)):
-            if v in im.dead:
-                lines.append(f'  {src} -> {src} [label="dead:1"];')
-            for w, up, label in edges:
-                lines.append(f"  {src} -> v{w}{'T' if up and not entered else 'B'} {label}")
+    for v, (s, _) in enumerate(pm.state_pairs):
+        if v in im.dead:
+            lines.append(f'  v{v}B -> v{v}B [label="dead:1"];')
+            lines.append(f'  v{v}T -> v{v}T [label="dead:1"];')
+            continue
+        bot, top = [], []  # edge bodies from v<i>B and from v<i>T
+        for a, routed in im.rows[v].items():
+            row = labels.get((s, a))
+            if row is None:
+                row = labels[(s, a)] = [
+                    f'[label="{names[a]}:{p:g}"];' for _, p in transitions[(s, a)] if p
+                ]
+            for w, t, label in zip(pm.rows[v][a], routed, row):
+                body = f"v{w}B {label}"
+                top.append(body)
+                bot.append(f"v{w}T {label}" if t == improved else body)
+        if top:
+            lines.append(f"  v{v}B -> " + f"\n  v{v}B -> ".join(bot))
+            lines.append(f"  v{v}T -> " + f"\n  v{v}T -> ".join(top))
     lines.append("}")
     return "\n".join(lines) + "\n"

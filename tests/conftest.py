@@ -191,6 +191,13 @@ def random_preference_problem(seed, n_outcomes=3, connected=True):
     return atoms, build_spec(decl)
 
 
+def classify_word(pdfa, word):
+    """Node id a finite word reaches, or None if it ends on a non-final
+    state.  Classification only strengthens under extensions because
+    component accepting states are absorbing."""
+    return pdfa.node_of_state.get(pdfa.run(word))
+
+
 def random_product(seed, n_states=20, shapes=DIST_SHAPES):
     atoms, spec = random_preference_problem(seed, n_outcomes=3)
     mdp = random_mdp(

@@ -9,7 +9,7 @@ import random
 import time
 
 from prefplan.cli import main as cli_main
-from prefplan.prefdfa import build_preference_dfa, classify_word, tag_labels
+from prefplan.prefdfa import build_preference_dfa, tag_labels
 from prefplan.preferences import Comparison
 from prefplan.scltl import accepts, all_symbols, good_prefix_oracle, parse, to_dfa
 from prefplan.synthesis import (
@@ -23,7 +23,7 @@ from prefplan.synthesis import (
 )
 from prefplan.verify import check_strategy_conditions, monte_carlo, value_iteration
 
-from conftest import BUNDLES, random_mdp, random_product
+from conftest import BUNDLES, classify_word, random_mdp, random_product
 
 
 def report(criterion, ok, detail):

@@ -10,13 +10,14 @@ state and letter, the same graph, and the same ``CapacityError``.
 """
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_automata
-from prefplan.prefdfa import build_preference_dfa, classify_word
+from prefplan.prefdfa import build_preference_dfa
 from prefplan.preferences import PreferenceDeclarations, build_spec, load_preference_document
 from prefplan.scltl import (
     MAX_ALPHABET_ATOMS,
@@ -34,7 +35,7 @@ from prefplan.scltl import (
     to_dfa,
 )
 
-from conftest import WIDE_PREF_DOC, random_preference_problem, read_bundle_json
+from conftest import WIDE_PREF_DOC, classify_word, random_preference_problem, read_bundle_json
 
 
 def assert_same_dfa(fast, slow):
@@ -165,6 +166,36 @@ def test_preference_dfa_without_outcomes_matches_oracle():
     atoms = ("a",)
     spec = build_spec(PreferenceDeclarations(atoms=atoms, outcomes=[], statements=[]))
     assert len(check_pdfa(spec, atoms).states) == 1
+
+
+def test_single_state_component_matches_oracle():
+    # "true" compiles to one accepting state: a radix-1 digit between two
+    # others, always 0, so it adds nothing to any state code.
+    atoms = ("p", "q")
+    decl = PreferenceDeclarations(
+        atoms=atoms,
+        outcomes=[(name, parse(text, atoms)) for name, text in
+                  (("reach", "F p"), ("always", "true"), ("until", "p U q"))],
+        statements=[("strict", "reach", "until")],
+    )
+    fast = check_pdfa(build_spec(decl), atoms)
+    assert [len(d.states) for d in fast.component_dfas] == [2, 1, 3]
+
+
+def test_lockstep_outcomes_beyond_64_bit_codes_match_oracle():
+    # Fifty outcomes over two atoms: the radix product exceeds 2**64, so
+    # state codes are unbounded integers, while the components move in
+    # lockstep and few product states are reachable.
+    atoms = ("p", "q")
+    texts = ["F p", "F q", "p U q", "q U p", "F (p & q)", "!p U q", "!q U p"]
+    decl = PreferenceDeclarations(
+        atoms=atoms,
+        outcomes=[(f"o{k}", parse(texts[k % len(texts)], atoms)) for k in range(50)],
+        statements=[("strict", "o0", "o1"), ("strict", "o2", "o3")],
+    )
+    fast = check_pdfa(build_spec(decl), atoms)
+    assert prod(len(d.states) for d in fast.component_dfas) > 2**64
+    assert len(fast.states) == 22
 
 
 def test_wide_alphabet_matches_oracle():

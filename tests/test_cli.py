@@ -148,6 +148,8 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         ("synth", _replace(_mdp_doc(atoms=("A", "B")), "states", 0, label="AB"),
          "state entry: 'label' must be a list of strings, got 'AB'"),
         ("synth", _mdp_doc(prob=10**400), "successor of ('s','a'): 'prob' is too large for a float, got 1000"),
+        ("synth", json.dumps(_mdp_doc(prob="many")).replace('"many"', "1" + "0" * 5000),
+         "input.json: Exceeds the limit (4300 digits) for integer string conversion"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -158,14 +160,13 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-start-col-half", "grid-start-row-half", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
         "mdp-prob-nan", "mdp-initial-nan", "grid-battery-bool", "mdp-prob-bool", "mdp-initial-bool",
         "pref-class-name-taken", "mdp-prob-numeric-string", "mdp-initial-numeric-string", "mdp-id-int",
-        "mdp-label-string", "mdp-prob-overflow",
+        "mdp-label-string", "mdp-prob-overflow", "mdp-prob-digits",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
-    path = workdir / "input.json"
-    path.write_text(json.dumps(doc))
+    (workdir / "input.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
     extra = [PO1_PREF] if command == "synth" else []
-    assert run("--out", "art", command, str(path), *extra) == 1
+    assert run("--out", "art", command, "input.json", *extra) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1

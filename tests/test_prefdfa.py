@@ -9,11 +9,11 @@ computed through the individual outcome DFAs, never through the product.
 
 import pytest
 
-from prefplan.prefdfa import build_preference_dfa, classify_word, pdfa_to_dot, pdfa_to_json, tag_labels
+from prefplan.prefdfa import build_preference_dfa, pdfa_to_dot, pdfa_to_json, tag_labels
 from prefplan.preferences import Comparison, PreferenceDeclarations, build_spec
 from prefplan.scltl import CapacityError, accepts, all_symbols, parse, to_dfa
 
-from conftest import random_preference_problem
+from conftest import classify_word, random_preference_problem
 
 
 def node_tags(pdfa, node_id):
