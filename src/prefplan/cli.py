@@ -66,7 +66,8 @@ class FormulaFileError(ValueError):
 
 class JsonValueError(ValueError):
     """Raised for a JSON file whose syntax parses but whose values Python
-    cannot hold, such as an integer of more digits than it converts."""
+    cannot hold, such as an integer of more digits than it converts, or
+    whose nesting is deeper than the parser recurses."""
 
 
 # Errors that name a fault of the input.  A bare ValueError is not one: it
@@ -93,6 +94,8 @@ def _read_json(path: str):
             raise
         except ValueError as e:
             raise JsonValueError(f"{path}: {e}") from None
+        except RecursionError:
+            raise JsonValueError(f"{path}: nested deeper than the JSON parser's recursion limit") from None
 
 
 def _write_json(path: Path, doc) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from operator import add, mul
 
@@ -59,10 +60,17 @@ class PreferenceGraph:
 class PreferenceDfa:
     """Reachable product of the outcome DFAs with its preference graph.
 
-    ``rows[q][k]`` is the successor of state ``q`` on ``symbols[k]`` and
-    ``position`` maps each symbol to its ``k``.  States are numbered as the
+    A state tuple's code is its mixed-radix number: the first component most
+    significant, component ``c`` scaled by ``weights[c]``.  ``index`` maps
+    each reachable code to its state number.  States are numbered as the
     per-letter product construction first reaches them, reading letters in
     ``all_symbols`` order.
+
+    The successors are derived on demand from the components' rows:
+    ``column(k)`` gives every state's successor on ``symbols[k]``, and
+    ``rows[q][k]`` (built on first use, for the exports and ``step``) is the
+    successor of state ``q`` on ``symbols[k]``; ``position`` maps each
+    symbol to its ``k``.
     """
 
     spec: PreferenceSpec
@@ -71,11 +79,37 @@ class PreferenceDfa:
     states: tuple  # tuples of component state indices, reachable only
     symbols: tuple
     position: Mapping  # symbol -> its index in symbols
-    rows: tuple  # per state, the successor on each symbol by position
+    index: Mapping  # state code -> state number
+    weights: tuple  # per component, the radix weight of its entry in a code
     initial: int
     final: frozenset
     graph: PreferenceGraph
     node_of_state: dict  # final state index -> node id
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Per state, the successor on each symbol by position: the sum of
+        its components' scaled rows, looked up in ``index``."""
+        scaled = [
+            [tuple(q * w for q in row) for row in d.rows]
+            for d, w in zip(self.component_dfas, self.weights)
+        ]
+        no_outcomes = (0,) * len(self.symbols)  # the one state's code on every letter
+        rows = []
+        for tup in self.states:
+            codes = no_outcomes
+            for k, q in enumerate(tup):
+                codes = map(add, codes, scaled[k][q]) if k else scaled[0][q]
+            rows.append(tuple(map(self.index.__getitem__, codes)))
+        return tuple(rows)
+
+    def column(self, k: int) -> tuple:
+        """Every state's successor on ``symbols[k]``, by state number."""
+        codes = (0,) * len(self.states)  # with no outcomes, the one state's code
+        for d, w, entries in zip(self.component_dfas, self.weights, zip(*self.states)):
+            scaled = [row[k] * w for row in d.rows]
+            codes = map(add, codes, map(scaled.__getitem__, entries))
+        return tuple(map(self.index.__getitem__, codes))
 
     def step(self, state: int, sigma: frozenset) -> int:
         try:
@@ -112,6 +146,19 @@ def tag_labels(spec: PreferenceSpec, mp: frozenset) -> list:
     return sorted(f"{kind}({names[i]},{names[j]})" for kind, i, j in _tags(spec, mp))
 
 
+_BITS = bytes.maketrans(b"\x00\x01", b"01")  # one byte per letter -> its binary digit
+
+
+def _letter_masks(row) -> dict:
+    """successor -> the mask of the letters (positions in ``row``) reaching
+    it, read as binary digits at C speed, the last letter most significant."""
+    backwards = row[::-1]
+    return {
+        q: int(bytes(map(q.__eq__, backwards)).translate(_BITS), 2)
+        for q in dict.fromkeys(row)
+    }
+
+
 def build_preference_dfa(
     spec: PreferenceSpec,
     alphabet,
@@ -126,52 +173,53 @@ def build_preference_dfa(
     Edges run from the worse node to each node ``spec.compare`` calls
     strictly better.
 
-    Each state steps on every letter at once, over integer codes: a state
-    tuple's code is its mixed-radix number, the first component most
-    significant and each component's radix its number of states.  Each
-    component row is scaled by its radix weight once, so a state's successor
-    codes on all letters are the elementwise sum of its components' scaled
-    rows.  Only a state that reaches a new code lists them, and numbers the
-    new ones in the order of their first letter.  States therefore get the
-    numbers of the per-letter construction, a depth-first search reading
-    letters in ``all_symbols`` order."""
+    States are numbered over letter masks, ints whose bit ``k`` stands for
+    ``symbols[k]``.  Each component state groups the letters by its
+    successor into masks once.  A state intersects its components' masks one
+    component at a time, dropping empty ones, which leaves one mask per
+    distinct successor code (see ``PreferenceDfa`` for the codes).  New codes
+    are numbered in the order of their masks' lowest bits, i.e. of their
+    first letters, so states get the numbers of the per-letter
+    construction, a depth-first search reading letters in ``all_symbols``
+    order.  No per-letter successor row is built here: ``PreferenceDfa``
+    derives those on demand."""
     declared = declare_alphabet(alphabet)
     components = tuple(to_dfa(o.formula, declared, state_cap=state_cap) for o in spec.outcomes)
     syms, position = symbol_index(declared)
 
     radices = [len(d.states) for d in components]
-    weights = [prod(radices[k + 1:]) for k in range(len(radices))]
-    scaled = [[tuple(q * w for q in row) for row in d.rows] for d, w in zip(components, weights)]
-    no_outcomes = (0,) * len(syms)  # the one state's code on every letter
+    weights = tuple(prod(radices[k + 1:]) for k in range(len(radices)))
+    scaled_masks = [
+        [[(q * w, m) for q, m in _letter_masks(row).items()] for row in d.rows]
+        for d, w in zip(components, weights)
+    ]
+    every_letter = (1 << len(syms)) - 1
 
-    def successor_codes(tup):
-        codes = no_outcomes
+    def successor_masks(tup):
+        pairs = [(0, every_letter)]  # (code so far, letters that reach it)
         for k, q in enumerate(tup):
-            codes = map(add, codes, scaled[k][q]) if k else scaled[0][q]
-        return codes
+            pairs = [
+                (code + c, m & mc)
+                for code, m in pairs
+                for c, mc in scaled_masks[k][q]
+                if m & mc
+            ]
+        return pairs
 
     init = tuple(d.initial for d in components)
     index = {sum(map(mul, init, weights)): 0}  # code -> state number
     states = [init]
-    rows = [None]
     frontier = [0]
     while frontier:
-        i = frontier.pop()
-        try:
-            rows[i] = tuple(map(index.__getitem__, successor_codes(states[i])))
-            continue
-        except KeyError:
-            codes = list(successor_codes(states[i]))
-        for code in dict.fromkeys(codes):
-            if code not in index:
-                j = len(states)
-                if j >= state_cap:
-                    raise CapacityError(f"preference DFA exceeded {state_cap} states")
-                index[code] = j
-                states.append(tuple(code // w % r for w, r in zip(weights, radices)))
-                rows.append(None)
-                frontier.append(j)
-        rows[i] = tuple(map(index.__getitem__, codes))
+        pairs = successor_masks(states[frontier.pop()])
+        # m & -m is the mask's lowest bit, so new codes go in first-letter order.
+        for _, code in sorted((m & -m, code) for code, m in pairs if code not in index):
+            j = len(states)
+            if j >= state_cap:
+                raise CapacityError(f"preference DFA exceeded {state_cap} states")
+            index[code] = j
+            states.append(tuple(code // w % r for w, r in zip(weights, radices)))
+            frontier.append(j)
 
     # Final states (some component accepts) grouped by their MP set.
     groups: dict = {}
@@ -198,7 +246,8 @@ def build_preference_dfa(
         states=tuple(states),
         symbols=syms,
         position=position,
-        rows=tuple(rows),
+        index=index,
+        weights=weights,
         initial=0,
         final=frozenset(node_of_state),
         graph=PreferenceGraph(nodes=nodes, edges=edges),

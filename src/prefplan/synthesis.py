@@ -156,7 +156,11 @@ def build_product(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ProductMdp:
     """Synchronous product; the automaton consumes the label of each state
-    entered, including the initial one."""
+    entered, including the initial one.
+
+    ``mdp`` must have exactly one initial state.  The automaton is stepped
+    through one ``pdfa.column`` per distinct MDP label, so only the letters
+    the MDP emits are ever computed, not the 2^|AP|-wide ``pdfa.rows``."""
     if set(mdp.atoms) - set(pdfa.alphabet):
         raise MdpError(
             f"MDP atoms {sorted(mdp.atoms)} not covered by preference alphabet "
@@ -165,9 +169,10 @@ def build_product(
     if len(mdp.initial) != 1:
         raise MdpError("product construction expects a single initial state")
     s0 = mdp.initial[0][0]
-    rows = pdfa.rows
-    letter = [pdfa.position[label] for label in mdp.labels]  # per MDP state
-    q0 = rows[pdfa.initial][letter[s0]]
+    positions = [pdfa.position[label] for label in mdp.labels]  # per MDP state
+    columns = {k: pdfa.column(k) for k in set(positions)}  # only the letters the MDP emits
+    letter = [columns[k] for k in positions]  # per MDP state, its label's column
+    q0 = letter[s0][pdfa.initial]
 
     pair_index = {(s0, q0): 0}
     state_pairs = [(s0, q0)]
@@ -182,7 +187,7 @@ def build_product(
             for s2, p in mdp.transitions[(s, a)]:
                 if not p:
                     continue  # a zero-probability successor is not an edge
-                q2 = rows[q][letter[s2]]
+                q2 = letter[s2][q]
                 w = pair_index.get((s2, q2))
                 if w is None:
                     w = len(state_pairs)

@@ -3,7 +3,8 @@ per-letter oracles.
 
 ``prefplan.scltl.to_dfa`` progresses each state once per projection of the
 letters onto the formula's atoms, and ``prefplan.prefdfa.build_preference_dfa``
-steps every letter of a state at once over the components' successor rows.
+numbers states over letter masks and derives its successors on demand, per
+letter by ``column`` and per state by ``rows``.
 ``reference_automata`` steps one letter at a time into a dict.  Both must
 give the same states in the same numbering, the same successor for every
 state and letter, the same graph, and the same ``CapacityError``.
@@ -64,6 +65,8 @@ def assert_same_pdfa(fast, slow):
     assert fast.graph.nodes == slow.graph.nodes
     assert fast.graph.edges == slow.graph.edges
     assert fast.node_of_state == slow.node_of_state
+    for k, sigma in enumerate(slow.symbols):
+        assert fast.column(k) == tuple(slow.step(q, sigma) for q in range(len(slow.states)))
     for q in range(len(slow.states)):
         for sigma in slow.symbols:
             assert fast.step(q, sigma) == slow.step(q, sigma)

@@ -8,9 +8,9 @@ import pytest
 
 from prefplan import cli
 from prefplan.cli import main
-from prefplan.mdp import load_mdp
+from prefplan.mdp import load_mdp, mdp_to_json
 
-from conftest import BUNDLES, THREE_STATE_PREF_DOC, WIDE_PREF_DOC, three_state_mdp_doc
+from conftest import BUNDLES, THREE_STATE_PREF_DOC, WIDE_PREF_DOC, random_mdp, three_state_mdp_doc
 
 PO1_PREF = str(BUNDLES / "po1" / "preferences.json")
 PO1_GRID4 = str(BUNDLES / "po1" / "gridworld_battery4.json")
@@ -150,6 +150,8 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         ("synth", _mdp_doc(prob=10**400), "successor of ('s','a'): 'prob' is too large for a float, got 1000"),
         ("synth", json.dumps(_mdp_doc(prob="many")).replace('"many"', "1" + "0" * 5000),
          "input.json: Exceeds the limit (4300 digits) for integer string conversion"),
+        ("synth", "[" * 100_000 + "]" * 100_000,
+         "input.json: nested deeper than the JSON parser's recursion limit"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -160,7 +162,7 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-start-col-half", "grid-start-row-half", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
         "mdp-prob-nan", "mdp-initial-nan", "grid-battery-bool", "mdp-prob-bool", "mdp-initial-bool",
         "pref-class-name-taken", "mdp-prob-numeric-string", "mdp-initial-numeric-string", "mdp-id-int",
-        "mdp-label-string", "mdp-prob-overflow", "mdp-prob-digits",
+        "mdp-label-string", "mdp-prob-overflow", "mdp-prob-digits", "mdp-nested-deep",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -236,6 +238,27 @@ def test_wide_alphabet_exports_pinned(workdir):
     assert run("--out", "art", "compile", str(formula)) == 0
     for command, pinned in WIDE_SHA256.items():
         assert _digests(workdir / "art", pinned) == pinned, command
+
+
+@pytest.mark.parametrize("command", ["synth", "verify", "simulate"])
+def test_planning_leaves_wide_rows_unbuilt(workdir, monkeypatch, command):
+    # The product steps the preference DFA only on the letters the MDP
+    # emits, so no planning command builds its 189 x 1024 successor rows.
+    built, cli_build = [], cli.build_preference_dfa
+
+    def build(*args, **kwargs):
+        built.append(cli_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_preference_dfa", build)
+    mdp = random_mdp(3, atoms=WIDE_PREF_DOC["atoms"], label_density=0.3)
+    (workdir / "mdp.json").write_text(json.dumps(mdp_to_json(mdp)))
+    (workdir / "wide.json").write_text(json.dumps(WIDE_PREF_DOC))
+    extra = ["--episodes", "20"] if command == "simulate" else []
+    assert run("--out", "art", command, "mdp.json", "wide.json", *extra) in (0, 2)
+    (pdfa,) = built
+    assert len(pdfa.symbols) == 1024
+    assert "rows" not in pdfa.__dict__
 
 
 # sha256 of the synth, verify and simulate (300 episodes, default seed) exports
