@@ -64,6 +64,10 @@ class FormulaFileError(ValueError):
     """Raised for a formula file that is not an ``{"atoms", "formula"}`` object."""
 
 
+class UsageError(ValueError):
+    """Raised for a combination of options that means nothing."""
+
+
 class JsonValueError(ValueError):
     """Raised for a JSON file whose syntax parses but whose values Python
     cannot hold, such as an integer of more digits than it converts, or
@@ -78,6 +82,7 @@ INPUT_ERRORS = (
     PreferenceError,
     MdpError,
     FormulaFileError,
+    UsageError,
     JsonValueError,
     StrategyError,
     OSError,
@@ -116,8 +121,7 @@ def _load_pipeline(mdp_path: str, pref_path: str, state_cap: int):
     mdp = load_mdp(_read_json(mdp_path))
     atoms, spec = load_preference_document(_read_json(pref_path))
     pdfa = build_preference_dfa(spec, atoms, state_cap=state_cap)
-    product = build_product(mdp, pdfa, state_cap=state_cap)
-    return mdp, spec, pdfa, product
+    return build_product(mdp, pdfa, state_cap=state_cap)
 
 
 def cmd_compile(args) -> int:
@@ -152,7 +156,7 @@ def cmd_gridworld(args) -> int:
     cfg = gridworld_config_from_json(_read_json(args.config))
     if args.stay_probability is not None:
         cfg = dataclasses.replace(cfg, stay_probability=args.stay_probability)
-    mdp = build_gridworld(cfg)
+    mdp = build_gridworld(cfg, state_cap=args.state_cap)
     out = _out_dir(args)
     _write_json(out / "mdp.json", mdp_to_json(mdp))
     if args.dot:
@@ -162,7 +166,7 @@ def cmd_gridworld(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    mdp, spec, pdfa, product = _load_pipeline(args.mdp, args.pref_file, args.state_cap)
+    product = _load_pipeline(args.mdp, args.pref_file, args.state_cap)
     result = synthesize(product)
     out = _out_dir(args)
     _write_json(out / "strategy_spi.json", strategy_to_json(product, result.spi))
@@ -178,7 +182,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mdp, spec, pdfa, product = _load_pipeline(args.mdp, args.pref_file, args.state_cap)
+    if args.mode and not args.strategy:
+        raise UsageError("--mode applies only to --strategy")
+    product = _load_pipeline(args.mdp, args.pref_file, args.state_cap)
     if args.strategy:
         # A given strategy needs only the improvement relation, not synthesis.
         strategy = strategy_from_json(product, _read_json(args.strategy))
@@ -233,7 +239,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    mdp, spec, pdfa, product = _load_pipeline(args.mdp, args.pref_file, args.state_cap)
+    product = _load_pipeline(args.mdp, args.pref_file, args.state_cap)
     result = synthesize(product)
     policy = CompositePolicy(result, mode=args.mode, tie_break=args.tie_break)
     stats = monte_carlo(policy, episodes=args.episodes, horizon=args.horizon, seed=args.seed)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .schema import STRINGS, json_fields
+from .scltl import DEFAULT_STATE_CAP, CapacityError
 
 __all__ = [
     "MdpError",
@@ -60,9 +61,6 @@ class LabeledMdp:
 
     def enabled(self, s: int) -> list:
         return [a for a in range(len(self.actions)) if (s, a) in self.transitions]
-
-    def dist(self, s: int, a: int):
-        return self.transitions[(s, a)]
 
     def validate(self):
         n = len(self.states)
@@ -288,6 +286,9 @@ def gridworld_config_from_json(doc: dict) -> GridworldConfig:
         for entry in drift
     ]
     try:
+        for name, value in (("width", width), ("height", height), ("battery_capacity", battery)):
+            if int(value) != value:
+                raise ValueError(f"{name!r} must be a whole number, got {value!r}")
         return GridworldConfig(
             width=int(width),
             height=int(height),
@@ -306,12 +307,16 @@ def _state_id(cell, battery) -> str:
     return f"c{cell[0]}r{cell[1]}b{battery}"
 
 
-def build_gridworld(cfg: GridworldConfig) -> LabeledMdp:
+def build_gridworld(cfg: GridworldConfig, state_cap: int = DEFAULT_STATE_CAP) -> LabeledMdp:
     """Expand a gridworld config into a labeled MDP over (cell, battery).
 
     State order is row-major over cells with ascending battery, so identical
-    configs always produce identical MDPs.
+    configs always produce identical MDPs.  A config of more than
+    ``state_cap`` states raises ``CapacityError`` before any is enumerated.
     """
+    n_states = (cfg.width * cfg.height - len(cfg.obstacles)) * (cfg.battery_capacity + 1)
+    if n_states > state_cap:
+        raise CapacityError(f"gridworld has {n_states} states, more than the cap of {state_cap}")
     cells = cfg.walkable()
     atoms = tuple(sorted(cfg.regions))
     cell_atoms = {}

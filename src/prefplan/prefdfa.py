@@ -29,7 +29,6 @@ from .scltl import (
     symbol_index,
     symbol_labels,
     to_dfa,
-    AlphabetError,
 )
 
 __all__ = [
@@ -67,10 +66,10 @@ class PreferenceDfa:
     ``all_symbols`` order.
 
     The successors are derived on demand from the components' rows:
-    ``column(k)`` gives every state's successor on ``symbols[k]``, and
-    ``rows[q][k]`` (built on first use, for the exports and ``step``) is the
-    successor of state ``q`` on ``symbols[k]``; ``position`` maps each
-    symbol to its ``k``.
+    ``column(k)`` gives every state's successor on ``symbols[k]`` (planning
+    reads only these), and ``rows[q][k]`` (built on first use, for the
+    exports alone) is the successor of state ``q`` on ``symbols[k]``;
+    ``position`` maps each symbol to its ``k``.
     """
 
     spec: PreferenceSpec
@@ -110,25 +109,6 @@ class PreferenceDfa:
             scaled = [row[k] * w for row in d.rows]
             codes = map(add, codes, map(scaled.__getitem__, entries))
         return tuple(map(self.index.__getitem__, codes))
-
-    def step(self, state: int, sigma: frozenset) -> int:
-        try:
-            return self.rows[state][self.position[sigma]]
-        except KeyError:
-            raise AlphabetError(f"symbol {set(sigma)!r} outside the alphabet") from None
-
-    def run(self, word) -> int:
-        q = self.initial
-        for sigma in word:
-            q = self.step(q, frozenset(sigma))
-        return q
-
-    def satisfied(self, state: int) -> frozenset:
-        """Outcome indices whose component automaton accepts at this state."""
-        tup = self.states[state]
-        return frozenset(
-            k for k, d in enumerate(self.component_dfas) if tup[k] in d.accepting
-        )
 
 
 def _tags(spec: PreferenceSpec, mp: frozenset) -> list:

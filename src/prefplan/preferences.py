@@ -37,13 +37,6 @@ class Comparison(enum.Enum):
     INDIFFERENT = "indifferent"
     INCOMPARABLE = "incomparable"
 
-    def flipped(self) -> "Comparison":
-        if self is Comparison.STRICTLY_BETTER:
-            return Comparison.STRICTLY_WORSE
-        if self is Comparison.STRICTLY_WORSE:
-            return Comparison.STRICTLY_BETTER
-        return self
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -78,12 +71,6 @@ class PreferenceSpec:
         ordered = self.strict | {(j, i) for i, j in self.strict}
         idx = range(self.n)
         return frozenset((i, j) for i in idx for j in idx if i != j and (i, j) not in ordered)
-
-    def index_of(self, name: str) -> int:
-        for i, o in enumerate(self.outcomes):
-            if o.name == name:
-                return i
-        raise PreferenceError(f"unknown outcome name {name!r}")
 
     def validate(self):
         idx = range(self.n)

@@ -38,8 +38,6 @@ __all__ = [
     "progress",
     "canonicalize",
     "to_dfa",
-    "accepts",
-    "good_prefix_oracle",
     "dfa_to_json",
     "dfa_to_dot",
     "symbol_labels",
@@ -548,18 +546,6 @@ class Dfa:
     initial: int
     accepting: frozenset
 
-    def step(self, state: int, sigma: frozenset) -> int:
-        try:
-            return self.rows[state][self.position[sigma]]
-        except KeyError:
-            raise AlphabetError(f"symbol {set(sigma)!r} outside the alphabet") from None
-
-    def run(self, word) -> int:
-        q = self.initial
-        for sigma in word:
-            q = self.step(q, frozenset(sigma))
-        return q
-
 
 def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Translate an NNF formula to a complete DFA accepting its good prefixes.
@@ -616,56 +602,6 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
         initial=0,
         accepting=accepting,
     )
-
-
-def accepts(dfa: Dfa, word) -> bool:
-    return dfa.run(word) in dfa.accepting
-
-
-def good_prefix_oracle(f: Formula, word) -> bool:
-    """Decide good-prefix satisfaction by direct recursion on positions.
-
-    Strong finite-trace semantics: literals need a real position, Next
-    consumes one letter, Until must be fulfilled within the word.  The
-    constant ``true`` alone holds at the past-the-end position, so a Next
-    whose obligation is already discharged (``X true``) succeeds on the last
-    letter.  Kept automaton-free on purpose so it can serve as an
-    independent check of :func:`to_dfa`.
-    """
-    w = [frozenset(sigma) for sigma in word]
-    n = len(w)
-    memo: dict = {}
-
-    def ev(g: Formula, i: int) -> bool:
-        key = (_key(g), i)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(g, TrueF):
-            res = True
-        elif isinstance(g, FalseF):
-            res = False
-        elif isinstance(g, Atom):
-            res = i < n and g.name in w[i]
-        elif isinstance(g, NegAtom):
-            res = i < n and g.name not in w[i]
-        elif isinstance(g, And):
-            res = ev(g.left, i) and ev(g.right, i)
-        elif isinstance(g, Or):
-            res = ev(g.left, i) or ev(g.right, i)
-        elif isinstance(g, Next):
-            res = i < n and ev(g.child, i + 1)
-        elif isinstance(g, Until):
-            res = any(
-                ev(g.right, k) and all(ev(g.left, j) for j in range(i, k))
-                for k in range(i, n)
-            )
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        memo[key] = res
-        return res
-
-    return ev(f, 0)
 
 
 # ---------------------------------------------------------------------------

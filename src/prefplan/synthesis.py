@@ -58,14 +58,12 @@ __all__ = [
     "SynthesisResult",
     "CompositePolicy",
     "MdpView",
-    "view_of_mdp",
     "build_product",
     "pwin",
     "aswin",
     "aswin_by_node",
     "SccOrder",
     "scc_order",
-    "z_set",
     "mp_nodes",
     "is_improvement",
     "build_improvement_mdp",
@@ -93,27 +91,13 @@ TIE_BREAKS = ("lowest", "uniform")  # how the composite policy picks among permi
 class MdpView:
     """An MDP described by closures: states, enabled actions, distributions.
 
-    The adapter for models that exist only as callables (``LabeledMdp``,
-    hand-built test models): ``value_iteration`` reads the probabilities,
-    and ``rows`` compiles the supports into the solvers' input.
+    The input of ``value_iteration``, the numeric oracle for the qualitative
+    solvers, which read support rows instead.
     """
 
     states: tuple
     enabled: object  # state -> iterable of actions
     dist: object  # (state, action) -> iterable of (successor, prob)
-
-    @cached_property
-    def rows(self) -> dict:
-        """state -> {action: [positive-probability successors]}."""
-        dist, enabled = self.dist, self.enabled
-        return {
-            s: {a: [t for t, p in dist(s, a) if p > 0] for a in enabled(s)}
-            for s in self.states
-        }
-
-
-def view_of_mdp(mdp: LabeledMdp) -> MdpView:
-    return MdpView(states=tuple(range(mdp.n_states())), enabled=mdp.enabled, dist=mdp.dist)
 
 
 @dataclass(frozen=True)
@@ -522,21 +506,12 @@ class ImprovementCache:
         return self.product.n_states()
 
     def mp_of(self, v: int) -> frozenset:
-        """MP nodes of product state v: ``mp_nodes(pm, z_set(cache, v))``."""
+        """MP nodes of product state v: ``mp_nodes`` of the nodes it wins almost surely."""
         return self.mp_sets[self.mp_class[v]]
 
 
 def aswin_by_node(pm: ProductMdp) -> ImprovementCache:
     return ImprovementCache(product=pm)
-
-
-def z_set(cache: ImprovementCache, v: int) -> frozenset:
-    """Preference-graph nodes almost-surely reachable from v."""
-    return frozenset(
-        node_id
-        for node_id, region in cache.aswin_by_node.items()
-        if v in region.region
-    )
 
 
 def mp_nodes(pm: ProductMdp, nodes: frozenset) -> frozenset:
@@ -628,12 +603,6 @@ class Strategy:
     mode: str  # "spi" | "sasi"
     actions: dict  # v -> frozenset of actions
 
-    def defined_at(self, v: int) -> bool:
-        return v in self.actions
-
-    def get(self, v: int):
-        return self.actions.get(v)
-
 
 @dataclass(frozen=True)
 class SynthesisResult:
@@ -712,9 +681,8 @@ class CompositePolicy:
         """
         choice = self._choices.get(v)
         if choice is None:
-            if self.improvement_strategy.defined_at(v):
-                acts, phase = self.improvement_strategy.get(v), "improve"
-            else:
+            acts, phase = self.improvement_strategy.actions.get(v), "improve"
+            if acts is None:
                 acts, phase = self._satisficing_actions(v), "satisfice"
                 if not acts:
                     acts, phase = self.result.cache.product.rows[v], "unsatisfiable"

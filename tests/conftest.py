@@ -13,7 +13,7 @@ from prefplan.preferences import (
     build_spec,
     load_preference_document,
 )
-from prefplan.scltl import parse
+from prefplan.scltl import AlphabetError, Dfa, parse
 from prefplan.synthesis import build_product
 
 BUNDLES = Path(__file__).resolve().parent.parent / "src" / "prefplan" / "bundles"
@@ -191,11 +191,49 @@ def random_preference_problem(seed, n_outcomes=3, connected=True):
     return atoms, build_spec(decl)
 
 
+def run_dfa(automaton, word, start=None):
+    """State a ``Dfa`` or ``PreferenceDfa`` reaches on a finite word from
+    ``start`` (default: its initial state); a letter outside the alphabet
+    raises ``AlphabetError``.  A preference DFA runs each component DFA over
+    the word and looks the summed code up, so its 2^|AP|-wide ``rows`` are
+    never built."""
+    letters = []
+    for sigma in word:
+        k = automaton.position.get(frozenset(sigma))
+        if k is None:
+            raise AlphabetError(f"symbol {set(sigma)!r} outside the alphabet")
+        letters.append(k)
+
+    def run(dfa, q):
+        for k in letters:
+            q = dfa.rows[q][k]
+        return q
+
+    if start is None:
+        start = automaton.initial
+    if isinstance(automaton, Dfa):
+        return run(automaton, start)
+    states = map(run, automaton.component_dfas, automaton.states[start])
+    return automaton.index[sum(q * w for q, w in zip(states, automaton.weights))]
+
+
+def satisfied(pdfa, state):
+    """Outcome indices whose component automaton accepts at this state."""
+    return frozenset(
+        k for k, (q, d) in enumerate(zip(pdfa.states[state], pdfa.component_dfas)) if q in d.accepting
+    )
+
+
+def index_of(spec, name):
+    """Index of the outcome called ``name``."""
+    return [o.name for o in spec.outcomes].index(name)
+
+
 def classify_word(pdfa, word):
     """Node id a finite word reaches, or None if it ends on a non-final
     state.  Classification only strengthens under extensions because
     component accepting states are absorbing."""
-    return pdfa.node_of_state.get(pdfa.run(word))
+    return pdfa.node_of_state.get(run_dfa(pdfa, word))
 
 
 def random_product(seed, n_states=20, shapes=DIST_SHAPES):

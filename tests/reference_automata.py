@@ -1,11 +1,13 @@
 """The eager automaton constructions as they were before letter classes and
-successor rows.
+successor rows, and an automaton-free good-prefix oracle.
 
 Test-only oracles: ``to_dfa`` progresses every state on every letter of 2^AP,
 and ``build_preference_dfa`` steps the component automata one letter at a
 time, both filling a ``(state, symbol) -> state`` dict.  The fast builders in
 ``prefplan.scltl`` and ``prefplan.prefdfa`` must give the same automata: the
 same states in the same numbering, and the same successor for every letter.
+``good_prefix_oracle`` decides a word by recursion on its positions, so it
+checks what the automata accept without building one.
 """
 
 from dataclasses import dataclass
@@ -15,9 +17,16 @@ from prefplan.prefdfa import GraphNode, PreferenceGraph, _tags
 from prefplan.scltl import (
     DEFAULT_STATE_CAP,
     AlphabetError,
+    And,
+    Atom,
     CapacityError,
+    FalseF,
     Formula,
+    NegAtom,
+    Next,
+    Or,
     TrueF,
+    Until,
     _key,
     all_symbols,
     atoms_of,
@@ -155,3 +164,47 @@ def build_preference_dfa(
         graph=PreferenceGraph(nodes=nodes, edges=edges),
         node_of_state=node_of_state,
     )
+
+
+def good_prefix_oracle(f: Formula, word) -> bool:
+    """Decide good-prefix satisfaction by direct recursion on positions.
+
+    Strong finite-trace semantics: literals need a real position, Next
+    consumes one letter, Until must be fulfilled within the word.  The
+    constant ``true`` alone holds at the past-the-end position, so a Next
+    whose obligation is already discharged (``X true``) succeeds on the last
+    letter.
+    """
+    w = [frozenset(sigma) for sigma in word]
+    n = len(w)
+    memo: dict = {}  # (formula, position) -> verdict; formulas are hashable
+
+    def ev(g: Formula, i: int) -> bool:
+        hit = memo.get((g, i))
+        if hit is not None:
+            return hit
+        if isinstance(g, TrueF):
+            res = True
+        elif isinstance(g, FalseF):
+            res = False
+        elif isinstance(g, Atom):
+            res = i < n and g.name in w[i]
+        elif isinstance(g, NegAtom):
+            res = i < n and g.name not in w[i]
+        elif isinstance(g, And):
+            res = ev(g.left, i) and ev(g.right, i)
+        elif isinstance(g, Or):
+            res = ev(g.left, i) or ev(g.right, i)
+        elif isinstance(g, Next):
+            res = i < n and ev(g.child, i + 1)
+        elif isinstance(g, Until):
+            res = any(
+                ev(g.right, k) and all(ev(g.left, j) for j in range(i, k))
+                for k in range(i, n)
+            )
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        memo[(g, i)] = res
+        return res
+
+    return ev(f, 0)

@@ -13,8 +13,17 @@ import csv
 import io
 import random
 
-from prefplan.synthesis import BOTTOM, ImprovementCache, ProductMdp, SynthesisResult, mp_nodes, z_set
+from prefplan.synthesis import BOTTOM, ImprovementCache, ProductMdp, SynthesisResult, mp_nodes
 from prefplan.verify import EpisodeRow, EpisodeStats, _episode_seed
+
+
+def z_set(cache: ImprovementCache, v: int) -> frozenset:
+    """Preference-graph nodes almost-surely reachable from v."""
+    return frozenset(
+        node_id
+        for node_id, region in cache.aswin_by_node.items()
+        if v in region.region
+    )
 
 
 def _mp_of_state(pm: ProductMdp, v: int, cache: ImprovementCache) -> frozenset:
@@ -79,8 +88,8 @@ class CompositePolicy:
         return frozenset(keep) if keep else frozenset(pm.enabled(v))
 
     def step(self, v: int, rng=None):
-        if self.improvement_strategy.defined_at(v):
-            return self._pick(self.improvement_strategy.get(v), rng), "improve"
+        if v in self.improvement_strategy.actions:
+            return self._pick(self.improvement_strategy.actions[v], rng), "improve"
         acts = self._satisficing_actions(v)
         if acts:
             return self._pick(acts, rng), "satisfice"

@@ -28,6 +28,24 @@ class Solved(NamedTuple):
     strategy: dict
 
 
+def view_of_mdp(mdp) -> MdpView:
+    """A labeled MDP as a closure view, its distributions as the MDP lists them."""
+    return MdpView(
+        states=tuple(range(mdp.n_states())),
+        enabled=mdp.enabled,
+        dist=lambda s, a: mdp.transitions[(s, a)],
+    )
+
+
+def support_rows(view: MdpView) -> dict:
+    """The fast solvers' input for a closure view:
+    state -> {action: [positive-probability successors]}."""
+    return {
+        s: {a: [t for t, p in view.dist(s, a) if p > 0] for a in view.enabled(s)}
+        for s in view.states
+    }
+
+
 def product_dist(pm):
     """(v, a) -> ((v', p), ...): each positive entry of the MDP's
     distribution, its successor stepped through the preference DFA on its

@@ -11,7 +11,7 @@ import time
 from prefplan.cli import main as cli_main
 from prefplan.prefdfa import build_preference_dfa, tag_labels
 from prefplan.preferences import Comparison
-from prefplan.scltl import accepts, all_symbols, good_prefix_oracle, parse, to_dfa
+from prefplan.scltl import all_symbols, parse, to_dfa
 from prefplan.synthesis import (
     CompositePolicy,
     Strategy,
@@ -19,11 +19,12 @@ from prefplan.synthesis import (
     is_improvement,
     pwin,
     synthesize,
-    view_of_mdp,
 )
 from prefplan.verify import check_strategy_conditions, monte_carlo, value_iteration
 
-from conftest import BUNDLES, classify_word, random_mdp, random_product
+from conftest import BUNDLES, classify_word, index_of, random_mdp, random_product, run_dfa, satisfied
+from reference_automata import good_prefix_oracle
+from reference_solvers import support_rows, view_of_mdp
 
 
 def report(criterion, ok, detail):
@@ -71,13 +72,13 @@ def test_criterion_1_dfa_oracle_equivalence():
             for n in range(7):
                 for word in itertools.product(syms, repeat=n):
                     checked += 1
-                    if accepts(dfa, word) != good_prefix_oracle(f, word):
+                    if (run_dfa(dfa, word) in dfa.accepting) != good_prefix_oracle(f, word):
                         mismatches += 1
         else:
             for _ in range(10_000):
                 word = [syms[rng.randrange(len(syms))] for _ in range(rng.randrange(13))]
                 checked += 1
-                if accepts(dfa, word) != good_prefix_oracle(f, word):
+                if (run_dfa(dfa, word) in dfa.accepting) != good_prefix_oracle(f, word):
                     mismatches += 1
     elapsed = time.monotonic() - started
     ok = mismatches == 0 and elapsed < 60 and len(CORPUS) >= 12
@@ -100,9 +101,9 @@ def test_criterion_2_po1_preference_dfa_structure(po1_spec):
     pdfa = build_preference_dfa(spec, atoms)
     n_states = len(pdfa.states)
     n_final = len(pdfa.final)
-    iA, iB, iE = (spec.index_of(n) for n in ("visit_A", "visit_B", "visit_E"))
+    iA, iB, iE = (index_of(spec, n) for n in ("visit_A", "visit_B", "visit_E"))
     q_be = next(
-        q for q in pdfa.final if pdfa.satisfied(q) == frozenset({iB, iE})
+        q for q in pdfa.final if satisfied(pdfa, q) == frozenset({iB, iE})
     )
     tags = set(tag_labels(spec, pdfa.graph.nodes[pdfa.node_of_state[q_be]].mp))
     expected_tags = {"x(visit_B,visit_A)", "x(visit_E,visit_A)"}
@@ -115,7 +116,7 @@ def test_criterion_2_po1_preference_dfa_structure(po1_spec):
     # four classes, hence four nodes.
     mp_classes: dict = {}
     for q in pdfa.final:
-        mp_classes.setdefault(spec.mp(pdfa.satisfied(q)), set()).add(q)
+        mp_classes.setdefault(spec.mp(satisfied(pdfa, q)), set()).add(q)
     partition = {frozenset(n.states) for n in pdfa.graph.nodes}
     partition_ok = partition == {frozenset(m) for m in mp_classes.values()}
     n_nodes = len(pdfa.graph.nodes)
@@ -192,7 +193,7 @@ def test_criterion_3_graph_semantics_consistency(po1_spec, po2_spec):
             nxt = []
             for q in frontier:
                 for sigma in pdfa.symbols:
-                    q2 = pdfa.step(q, sigma)
+                    q2 = run_dfa(pdfa, [sigma], q)
                     if q2 not in witnesses:
                         witnesses[q2] = witnesses[q] + (sigma,)
                         nxt.append(q2)
@@ -203,8 +204,8 @@ def test_criterion_3_graph_semantics_consistency(po1_spec, po2_spec):
                 cg = _graph_compare(
                     pdfa, classify_word(pdfa, w1), classify_word(pdfa, w2)
                 )
-                sat1 = {k for k, d in enumerate(outcome_dfas) if accepts(d, w1)}
-                sat2 = {k for k, d in enumerate(outcome_dfas) if accepts(d, w2)}
+                sat1 = {k for k, d in enumerate(outcome_dfas) if run_dfa(d, w1) in d.accepting}
+                sat2 = {k for k, d in enumerate(outcome_dfas) if run_dfa(d, w2) in d.accepting}
                 if cg is not spec.compare(sat1, sat2):
                     mismatches += 1
     elapsed = time.monotonic() - started
@@ -231,8 +232,9 @@ def test_criterion_4_solver_soundness():
         rng = random.Random(seed + 1000)
         target = frozenset(rng.sample(range(n), 3))
         values = value_iteration(view, target)
-        almost = aswin(view.rows, target).region
-        positive = pwin(view.rows, target).region
+        rows = support_rows(view)
+        almost = aswin(rows, target).region
+        positive = pwin(rows, target).region
         for s in view.states:
             states_checked += 1
             if (s in almost) != (values[s] >= 1 - 1e-6):
@@ -341,15 +343,15 @@ def test_criterion_6_scenarios(po1_b4, po1_b2, po2_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
     v0 = pm.initial
-    sasi_west = result.sasi.defined_at(v0) and {
-        mdp.actions[a] for a in result.sasi.get(v0)
+    sasi_west = v0 in result.sasi.actions and {
+        mdp.actions[a] for a in result.sasi.actions[v0]
     } == {"West"}
     details.append(f"battery-4 sasi selects West: {sasi_west}")
 
     atoms, spec, mdp2, pdfa2, pm2 = po1_b2
     result2 = synthesize(pm2)
     v02 = pm2.initial
-    b2_ok = (not result2.sasi.defined_at(v02)) and result2.spi.defined_at(v02)
+    b2_ok = (v02 not in result2.sasi.actions) and v02 in result2.spi.actions
     details.append(f"battery-2 sasi undefined / spi defined: {b2_ok}")
 
     atoms, spec, mdp3, pdfa3, pm3 = po2_b4

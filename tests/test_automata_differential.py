@@ -31,12 +31,12 @@ from prefplan.scltl import (
     TrueF,
     Until,
     atoms_of,
-    good_prefix_oracle,
     parse,
     to_dfa,
 )
 
-from conftest import WIDE_PREF_DOC, classify_word, random_preference_problem, read_bundle_json
+from conftest import WIDE_PREF_DOC, classify_word, random_preference_problem, read_bundle_json, run_dfa
+from reference_automata import good_prefix_oracle
 
 
 def assert_same_dfa(fast, slow):
@@ -50,7 +50,7 @@ def assert_same_dfa(fast, slow):
     )
     for q in range(len(slow.states)):
         for sigma in slow.symbols:
-            assert fast.step(q, sigma) == slow.step(q, sigma)
+            assert run_dfa(fast, [sigma], q) == slow.step(q, sigma)
 
 
 def assert_same_pdfa(fast, slow):
@@ -65,11 +65,14 @@ def assert_same_pdfa(fast, slow):
     assert fast.graph.nodes == slow.graph.nodes
     assert fast.graph.edges == slow.graph.edges
     assert fast.node_of_state == slow.node_of_state
+    assert fast.rows == tuple(
+        tuple(slow.step(q, sigma) for sigma in slow.symbols) for q in range(len(slow.states))
+    )
     for k, sigma in enumerate(slow.symbols):
         assert fast.column(k) == tuple(slow.step(q, sigma) for q in range(len(slow.states)))
     for q in range(len(slow.states)):
         for sigma in slow.symbols:
-            assert fast.step(q, sigma) == slow.step(q, sigma)
+            assert run_dfa(fast, [sigma], q) == slow.step(q, sigma)
 
 
 def capacity_outcome(build, *args, state_cap):

@@ -152,6 +152,12 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "input.json: Exceeds the limit (4300 digits) for integer string conversion"),
         ("synth", "[" * 100_000 + "]" * 100_000,
          "input.json: nested deeper than the JSON parser's recursion limit"),
+        ("gridworld", {**PO1_GRID4_DOC, "width": 3.7},
+         "malformed gridworld config: 'width' must be a whole number, got 3.7"),
+        ("gridworld", {**PO1_GRID4_DOC, "height": 2.5},
+         "malformed gridworld config: 'height' must be a whole number, got 2.5"),
+        ("gridworld", {**PO1_GRID4_DOC, "battery_capacity": 2.9},
+         "malformed gridworld config: 'battery_capacity' must be a whole number, got 2.9"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -163,6 +169,7 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "mdp-prob-nan", "mdp-initial-nan", "grid-battery-bool", "mdp-prob-bool", "mdp-initial-bool",
         "pref-class-name-taken", "mdp-prob-numeric-string", "mdp-initial-numeric-string", "mdp-id-int",
         "mdp-label-string", "mdp-prob-overflow", "mdp-prob-digits", "mdp-nested-deep",
+        "grid-width-fraction", "grid-height-fraction", "grid-battery-fraction",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -178,6 +185,48 @@ def test_compile_capacity_exit_code(workdir):
     formula = workdir / "formula.json"
     formula.write_text(json.dumps({"atoms": ["A", "B"], "formula": "F (A & X (B & X A))"}))
     assert run("--out", "art", "--state-cap", "2", "compile", str(formula)) == 3
+
+
+def _small_grid(**fields):
+    """A 4x4 battery-2 gridworld config: 48 states."""
+    return {"width": 4, "height": 4, "start": [0, 0], "battery_capacity": 2, **fields}
+
+
+@pytest.mark.parametrize(
+    "config, cap, states",
+    [
+        (_small_grid(), "10", 48),
+        (_small_grid(), "47", 48),
+        (_small_grid(obstacles=[[1, 1], [2, 2]]), "41", 42),
+        # 3e10 states: refused from the config alone, none enumerated.
+        (_small_grid(width=10**5, height=10**5), None, 3 * 10**10),
+    ],
+    ids=["cap-10", "cap-one-short", "obstacles", "huge-width"],
+)
+def test_gridworld_over_state_cap_writes_nothing(workdir, capsys, config, cap, states):
+    (workdir / "grid.json").write_text(json.dumps(config))
+    cap_args = ["--state-cap", cap] if cap else []
+    assert run("--out", "art", *cap_args, "gridworld", "grid.json") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: gridworld has {states} states, more than the cap of ")
+    assert err.count("\n") == 1
+    assert not (workdir / "art").exists()
+
+
+@pytest.mark.parametrize("config, states", [(_small_grid(), 48), (_small_grid(width=4.0), 48),
+                                            (_small_grid(obstacles=[[1, 1], [2, 2]]), 42)])
+def test_gridworld_at_state_cap_is_built(workdir, config, states):
+    (workdir / "grid.json").write_text(json.dumps(config))
+    assert run("--out", "art", "--state-cap", str(states), "gridworld", "grid.json") == 0
+    assert load_mdp(json.loads((workdir / "art" / "mdp.json").read_text())).n_states() == states
+
+
+def test_verify_mode_without_strategy_is_an_input_error(workdir, capsys):
+    assert run("--out", "g", "gridworld", PO1_GRID4) == 0
+    capsys.readouterr()
+    assert run("--out", "v", "verify", str(workdir / "g" / "mdp.json"), PO1_PREF, "--mode", "sasi") == 1
+    assert capsys.readouterr().err == "error: --mode applies only to --strategy\n"
+    assert not (workdir / "v").exists()
 
 
 def test_prefdfa_artifacts(workdir):

@@ -1,5 +1,5 @@
-"""``src/prefplan`` imports only the standard library and itself, and
-exports only names it defines.
+"""``src/prefplan`` imports only the standard library and itself, exports
+only names it defines, and exports only names its own code uses.
 
 The package declares no dependency; packages that happen to be installed
 (numpy, scipy, networkx) must not creep in.
@@ -58,3 +58,46 @@ def test_every_export_resolves():
     assert sum(bool(attrs) for attrs in exports.values()) >= 5
     stale = {name: [a for a in attrs if not hasattr(sys.modules[name], a)] for name, attrs in exports.items()}
     assert {name: attrs for name, attrs in stale.items() if attrs} == {}
+
+
+# perfbench/run.py's region check imports these; no CLI command runs them.
+EXPORTS_WITHOUT_SRC_CALLER = frozenset({"synthesis.MdpView", "verify.value_iteration"})
+
+
+def exports(tree) -> dict:
+    """Each name in the module's ``__all__`` -> the top-level def or class
+    defining it, or None."""
+    defs = {node.name: node for node in tree.body if hasattr(node, "name")}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            return {elt.value: defs.get(elt.value) for elt in node.value.elts}
+    return {}
+
+
+def references(tree, skip=None) -> set:
+    """Every name read and attribute taken in ``tree``, outside ``skip``."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_export_has_a_src_caller():
+    """``src/`` holds what the CLI runs: an exported name that no other src
+    code reads is API kept alive for tests alone, and belongs under tests/."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    found = {module: references(tree) for module, tree in trees.items()}
+    uncalled = set()
+    for module, tree in trees.items():
+        for name, definition in exports(tree).items():
+            elsewhere = any(name in refs for other, refs in found.items() if other != module)
+            if not elsewhere and name not in references(tree, skip=definition):
+                uncalled.add(f"{module}.{name}")
+    assert uncalled - EXPORTS_WITHOUT_SRC_CALLER == set()

@@ -11,9 +11,9 @@ import pytest
 
 from prefplan.prefdfa import build_preference_dfa, pdfa_to_dot, pdfa_to_json, tag_labels
 from prefplan.preferences import Comparison, PreferenceDeclarations, build_spec
-from prefplan.scltl import CapacityError, accepts, all_symbols, parse, to_dfa
+from prefplan.scltl import CapacityError, all_symbols, parse, to_dfa
 
-from conftest import classify_word, random_preference_problem
+from conftest import classify_word, index_of, random_preference_problem, run_dfa, satisfied
 
 
 def node_tags(pdfa, node_id):
@@ -25,8 +25,8 @@ def state_tags(pdfa, q):
 
 
 def state_by_sat(pdfa, sat_names):
-    want = frozenset(pdfa.spec.index_of(n) for n in sat_names)
-    hits = [i for i in range(len(pdfa.states)) if pdfa.satisfied(i) == want]
+    want = frozenset(index_of(pdfa.spec, n) for n in sat_names)
+    hits = [i for i in range(len(pdfa.states)) if satisfied(pdfa, i) == want]
     assert len(hits) == 1, f"expected a unique state satisfying {sat_names}"
     return hits[0]
 
@@ -70,7 +70,7 @@ def test_po1_node_count_matches_indifference_classes(po1_pdfa):
     # indifferent, so any finer partition would break the semantics check.)
     assert len(po1_pdfa.graph.nodes) == 4
     spec = po1_pdfa.spec
-    mp_sets = {frozenset(spec.mp(po1_pdfa.satisfied(q))) for q in po1_pdfa.final}
+    mp_sets = {frozenset(spec.mp(satisfied(po1_pdfa, q))) for q in po1_pdfa.final}
     assert len(mp_sets) == len(po1_pdfa.graph.nodes)
 
 
@@ -149,11 +149,11 @@ def test_satisfied_sets_grow_along_extensions(po1_pdfa):
     rng = random.Random(5)
     for _ in range(300):
         word = [syms[rng.randrange(len(syms))] for _ in range(rng.randrange(5))]
-        q = po1_pdfa.run(word)
-        sat = po1_pdfa.satisfied(q)
+        q = run_dfa(po1_pdfa, word)
+        sat = satisfied(po1_pdfa, q)
         extra = syms[rng.randrange(len(syms))]
-        q2 = po1_pdfa.step(q, extra)
-        assert po1_pdfa.satisfied(q2) >= sat
+        q2 = run_dfa(po1_pdfa, [extra], q)
+        assert satisfied(po1_pdfa, q2) >= sat
 
 
 def test_empty_strict_relation_gives_one_node_per_mp_set():
@@ -167,7 +167,7 @@ def test_empty_strict_relation_gives_one_node_per_mp_set():
     )
     spec = build_spec(decl)
     pdfa = build_preference_dfa(spec, atoms)
-    x, y = spec.index_of("x"), spec.index_of("y")
+    x, y = index_of(spec, "x"), index_of(spec, "y")
     # Untagged nodes are numbered by their sorted MP sets.
     assert [n.mp for n in pdfa.graph.nodes] == [{x}, {x, y}, {y}]
     assert all(tag_labels(spec, n.mp) == [] for n in pdfa.graph.nodes)
@@ -210,8 +210,8 @@ def graph_compare(pdfa, node1, node2):
 
 
 def semantic_compare(spec, outcome_dfas, word1, word2):
-    sat1 = {k for k, d in enumerate(outcome_dfas) if accepts(d, word1)}
-    sat2 = {k for k, d in enumerate(outcome_dfas) if accepts(d, word2)}
+    sat1 = {k for k, d in enumerate(outcome_dfas) if run_dfa(d, word1) in d.accepting}
+    sat2 = {k for k, d in enumerate(outcome_dfas) if run_dfa(d, word2) in d.accepting}
     return spec.compare(sat1, sat2)
 
 
@@ -224,7 +224,7 @@ def reachable_states_with_witnesses(pdfa, max_len):
         nxt = []
         for q in frontier:
             for sigma in pdfa.symbols:
-                q2 = pdfa.step(q, sigma)
+                q2 = run_dfa(pdfa, [sigma], q)
                 if q2 not in witnesses:
                     witnesses[q2] = witnesses[q] + (sigma,)
                     nxt.append(q2)
@@ -311,7 +311,7 @@ def test_unrelated_outcome_splits_nodes():
     )
     spec = build_spec(decl)
     pdfa = build_preference_dfa(spec, atoms)
-    ia, ib, ic = (spec.index_of(n) for n in ("a", "b", "c"))
+    ia, ib, ic = (index_of(spec, n) for n in ("a", "b", "c"))
     node_b = classify_word(pdfa, [{"B"}])
     node_bc = classify_word(pdfa, [{"B", "C"}])
     assert pdfa.graph.nodes[node_b].mp == {ib}
@@ -320,11 +320,11 @@ def test_unrelated_outcome_splits_nodes():
     assert (node_b, node_bc) not in pdfa.graph.edges
     assert (node_bc, node_b) not in pdfa.graph.edges
     assert (classify_word(pdfa, [{"A"}]), node_b) in pdfa.graph.edges
-    assert len(pdfa.graph.nodes) == len({spec.mp(pdfa.satisfied(q)) for q in pdfa.final})
+    assert len(pdfa.graph.nodes) == len({spec.mp(satisfied(pdfa, q)) for q in pdfa.final})
     for q1 in pdfa.final:
         for q2 in pdfa.final:
             n1, n2 = pdfa.node_of_state[q1], pdfa.node_of_state[q2]
-            want = spec.compare(pdfa.satisfied(q1), pdfa.satisfied(q2))
+            want = spec.compare(satisfied(pdfa, q1), satisfied(pdfa, q2))
             assert graph_compare(pdfa, n1, n2) is want, (q1, q2)
     assert_graph_matches_compare(spec, pdfa, max_len=3)
 

@@ -17,6 +17,8 @@ from prefplan.preferences import (
 )
 from prefplan.scltl import Or, fmt, parse
 
+from conftest import index_of
+
 
 def names(spec, pairs):
     return sorted((spec.outcomes[i].name, spec.outcomes[j].name) for i, j in pairs)
@@ -102,9 +104,9 @@ def test_build_spec_self_comparison_rejected():
 
 def test_mp_po2_example(po2_spec):
     _, spec = po2_spec
-    iA = spec.index_of("phiA")
-    iD = spec.index_of("phiD")
-    iF = spec.index_of("phiF")
+    iA = index_of(spec, "phiA")
+    iD = index_of(spec, "phiD")
+    iF = index_of(spec, "phiF")
     assert spec.mp({iA, iD, iF}) == {iD, iF}
 
 
@@ -116,31 +118,31 @@ def test_mp_empty_and_singleton(po2_spec):
 
 def test_compare_po2_strictly_better(po2_spec):
     _, spec = po2_spec
-    iBC = spec.index_of("phiB|phiC")
-    iD = spec.index_of("phiD")
-    iF = spec.index_of("phiF")
+    iBC = index_of(spec, "phiB|phiC")
+    iD = index_of(spec, "phiD")
+    iF = index_of(spec, "phiF")
     assert spec.compare({iD, iF}, {iBC}) is Comparison.STRICTLY_BETTER
     assert spec.compare({iBC}, {iD, iF}) is Comparison.STRICTLY_WORSE
 
 
 def test_compare_identical_indifferent(po2_spec):
     _, spec = po2_spec
-    iD = spec.index_of("phiD")
+    iD = index_of(spec, "phiD")
     assert spec.compare({iD}, {iD}) is Comparison.INDIFFERENT
 
 
 def test_compare_po1_incomparable(po1_spec):
     _, spec = po1_spec
-    iB = spec.index_of("visit_B")
-    iE = spec.index_of("visit_E")
+    iB = index_of(spec, "visit_B")
+    iE = index_of(spec, "visit_E")
     assert spec.compare({iB}, {iE}) is Comparison.INCOMPARABLE
 
 
 def test_compare_recomputes_mp(po2_spec):
     # Non-MP-closed inputs are closed internally before comparison.
     _, spec = po2_spec
-    iA = spec.index_of("phiA")
-    iD = spec.index_of("phiD")
+    iA = index_of(spec, "phiA")
+    iD = index_of(spec, "phiD")
     assert spec.compare({iA, iD}, {iD}) is Comparison.INDIFFERENT
 
 
@@ -198,10 +200,15 @@ def test_mp_elements_pairwise_incomparable(spec):
 def test_compare_swap_symmetry(spec):
     indices = range(spec.n)
     subsets = [frozenset(c) for r in range(spec.n + 1) for c in itertools.combinations(indices, r)]
+    flipped = {
+        Comparison.STRICTLY_BETTER: Comparison.STRICTLY_WORSE,
+        Comparison.STRICTLY_WORSE: Comparison.STRICTLY_BETTER,
+        Comparison.INDIFFERENT: Comparison.INDIFFERENT,
+        Comparison.INCOMPARABLE: Comparison.INCOMPARABLE,
+    }
     for x in subsets:
         for y in subsets:
-            c = spec.compare(x, y)
-            assert spec.compare(y, x) is c.flipped()
+            assert spec.compare(y, x) is flipped[spec.compare(x, y)]
 
 
 def test_partition_after_build(po2_spec):

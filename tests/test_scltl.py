@@ -20,18 +20,19 @@ from prefplan.scltl import (
     ParseError,
     TrueF,
     Until,
-    accepts,
     all_symbols,
     canonicalize,
     declare_alphabet,
     dfa_to_dot,
     dfa_to_json,
     fmt,
-    good_prefix_oracle,
     parse,
     progress,
     to_dfa,
 )
+
+from conftest import run_dfa
+from reference_automata import good_prefix_oracle
 
 AB = ("a", "b")
 
@@ -211,22 +212,22 @@ def test_to_dfa_eventually_two_states():
     assert len(dfa.accepting) == 1
     # The eventuality loops on the empty symbol and accepts once a occurs.
     q0 = dfa.initial
-    assert dfa.step(q0, frozenset()) == q0
-    assert dfa.step(q0, frozenset({"a"})) in dfa.accepting
+    assert run_dfa(dfa, [set()], q0) == q0
+    assert run_dfa(dfa, [{"a"}], q0) in dfa.accepting
 
 
 def test_to_dfa_atom_three_states():
     dfa = to_dfa(Atom("a"), ("a",))
     assert len(dfa.states) == 3
-    assert accepts(dfa, [{"a"}])
-    assert not accepts(dfa, [set()])
-    assert not accepts(dfa, [set(), {"a"}])  # first letter decided
+    assert run_dfa(dfa, [{"a"}]) in dfa.accepting
+    assert run_dfa(dfa, [set()]) not in dfa.accepting
+    assert run_dfa(dfa, [set(), {"a"}]) not in dfa.accepting  # first letter decided
 
 
 def test_to_dfa_true_single_state():
     dfa = to_dfa(TrueF(), ("a",))
     assert len(dfa.states) == 1
-    assert accepts(dfa, [])
+    assert run_dfa(dfa, []) in dfa.accepting
 
 
 def test_to_dfa_rejects_large_alphabet():
@@ -248,12 +249,12 @@ def test_to_dfa_state_cap():
 def test_accepts_rejects_foreign_letter():
     dfa = to_dfa(parse("F a", ("a",)), ("a",))
     with pytest.raises(AlphabetError):
-        accepts(dfa, [{"z"}])
+        run_dfa(dfa, [{"z"}])
 
 
 def test_accepts_empty_word_initial_acceptance():
     dfa = to_dfa(parse("F a", ("a",)), ("a",))
-    assert accepts(dfa, []) == (dfa.initial in dfa.accepting) == False
+    assert (run_dfa(dfa, []) in dfa.accepting) == (dfa.initial in dfa.accepting) == False
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +305,7 @@ def test_oracle_equivalence_exhaustive(text):
     f = parse(text, AB)
     dfa = to_dfa(f, AB)
     for word in words_up_to(AB, 6):
-        assert accepts(dfa, word) == good_prefix_oracle(f, word), (text, word)
+        assert (run_dfa(dfa, word) in dfa.accepting) == good_prefix_oracle(f, word), (text, word)
 
 
 def test_oracle_equivalence_randomized_larger_alphabet():
@@ -322,7 +323,7 @@ def test_oracle_equivalence_randomized_larger_alphabet():
         dfa = to_dfa(f, atoms)
         for _ in range(2000):
             word = [syms[rng.randrange(len(syms))] for _ in range(rng.randrange(13))]
-            assert accepts(dfa, word) == good_prefix_oracle(f, word), (text, word)
+            assert (run_dfa(dfa, word) in dfa.accepting) == good_prefix_oracle(f, word), (text, word)
 
 
 @pytest.mark.parametrize("text", CORPUS_2ATOMS)
@@ -330,7 +331,7 @@ def test_accepting_states_absorbing(text):
     dfa = to_dfa(parse(text, AB), AB)
     for q in dfa.accepting:
         for sigma in dfa.symbols:
-            assert dfa.step(q, sigma) == q
+            assert run_dfa(dfa, [sigma], q) == q
 
 
 @pytest.mark.parametrize("text", ["F a", "a U b", "F (a & X b)"])
@@ -339,9 +340,9 @@ def test_acceptance_monotone_under_extension(text):
     dfa = to_dfa(f, AB)
     syms = all_symbols(AB)
     for word in words_up_to(AB, 4):
-        if accepts(dfa, word):
+        if run_dfa(dfa, word) in dfa.accepting:
             for extra in syms:
-                assert accepts(dfa, list(word) + [extra])
+                assert run_dfa(dfa, list(word) + [extra]) in dfa.accepting
 
 
 @pytest.mark.parametrize("text", CORPUS_2ATOMS)
@@ -354,7 +355,7 @@ def test_progression_soundness(text):
         g = f
         for sigma in word:
             g = progress(g, sigma)
-        reached = dfa.run(word)
+        reached = run_dfa(dfa, word)
         assert dfa.states[reached] == fmt(canonicalize(g))
 
 
@@ -395,7 +396,7 @@ def test_oracle_equivalence_random_formulas(f, data):
     dfa = to_dfa(f, AB)
     syms = all_symbols(AB)
     word = data.draw(st.lists(st.sampled_from(syms), max_size=6))
-    assert accepts(dfa, word) == good_prefix_oracle(f, word)
+    assert (run_dfa(dfa, word) in dfa.accepting) == good_prefix_oracle(f, word)
 
 
 def f_chains(atoms=AB):
@@ -429,7 +430,7 @@ def test_collapsed_f_chains_match_oracle(f, seed):
     rng = random.Random(seed)
     for _ in range(30):
         word = [syms[rng.randrange(len(syms))] for _ in range(rng.randrange(9))]
-        assert accepts(dfa, word) == good_prefix_oracle(f, word), (fmt(f), word)
+        assert (run_dfa(dfa, word) in dfa.accepting) == good_prefix_oracle(f, word), (fmt(f), word)
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,21 @@ from prefplan.synthesis import (
     regions_to_json,
     strategy_to_json,
     synthesize,
-    view_of_mdp,
-    z_set,
 )
 from prefplan.verify import value_iteration
 
 from conftest import (
     THREE_STATE_PREF_DOC,
     dead_start_product,
+    index_of,
     random_mdp,
     random_product,
+    run_dfa,
     three_state_mdp_doc,
     three_state_product,
 )
+from reference_rollout import z_set
+from reference_solvers import support_rows, view_of_mdp
 
 
 def chain_view():
@@ -68,20 +70,20 @@ def coin_view():
 
 
 def test_pwin_chain():
-    region = pwin(chain_view().rows, {2})
+    region = pwin(support_rows(chain_view()), {2})
     assert region.region == {0, 1, 2}
     assert region.strategy[0] == {0}
     assert region.strategy[1] == {0}
 
 
 def test_pwin_excludes_trap():
-    region = pwin(coin_view().rows, {2})
+    region = pwin(support_rows(coin_view()), {2})
     assert 3 not in region.region
     assert 0 in region.region  # positive probability suffices
 
 
 def test_aswin_separates_positive_from_almost_sure():
-    rows = coin_view().rows
+    rows = support_rows(coin_view())
     almost = aswin(rows, {2})
     positive = pwin(rows, {2})
     assert 0 in positive.region and 0 not in almost.region
@@ -98,8 +100,9 @@ def test_aswin_on_random_mdps_matches_value_iteration():
         rng = _r.Random(seed + 1)
         target = frozenset(rng.sample(range(mdp.n_states()), 4))
         values = value_iteration(view, target)
-        almost = aswin(view.rows, target).region
-        positive = pwin(view.rows, target).region
+        rows = support_rows(view)
+        almost = aswin(rows, target).region
+        positive = pwin(rows, target).region
         for s in view.states:
             assert (s in almost) == (values[s] >= 1 - 1e-6), (seed, s, values[s])
             assert (s in positive) == (values[s] > 1e-9), (seed, s, values[s])
@@ -114,8 +117,9 @@ def test_solver_strategies_are_themselves_winning():
         import random as _r
 
         target = frozenset(_r.Random(seed).sample(range(mdp.n_states()), 3))
-        almost = aswin(view.rows, target)
-        positive = pwin(view.rows, target)
+        rows = support_rows(view)
+        almost = aswin(rows, target)
+        positive = pwin(rows, target)
 
         def restricted(region):
             def enabled(s):
@@ -138,7 +142,7 @@ def test_aswin_strategy_stays_inside_region():
         mdp = random_mdp(seed, n_states=30)
         view = view_of_mdp(mdp)
         target = frozenset({0, 1})
-        region = aswin(view.rows, target)
+        region = aswin(support_rows(view), target)
         for s, actions in region.strategy.items():
             for a in actions:
                 for t, p in view.dist(s, a):
@@ -207,7 +211,7 @@ def test_rows_list_the_successors_of_dist(source, request):
 def test_product_initial_consumes_start_label(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     s0 = mdp.initial[0][0]
-    assert pm.state_pairs[pm.initial] == (s0, pdfa.step(pdfa.initial, mdp.labels[s0]))
+    assert pm.state_pairs[pm.initial] == (s0, run_dfa(pdfa, [mdp.labels[s0]]))
 
 
 def test_product_alphabet_mismatch_rejected(po1_spec):
@@ -265,8 +269,8 @@ def test_improvement_via_direct_edge(po1_b4):
     # Pick members of the A-node and the B-node: the latter improves on the
     # former through the preference-graph edge.
     node_of_mp = {node.mp: node.node_id for node in pdfa.graph.nodes}
-    n_a = node_of_mp[frozenset({spec.index_of("visit_A")})]
-    n_b = node_of_mp[frozenset({spec.index_of("visit_B")})]
+    n_a = node_of_mp[frozenset({index_of(spec, "visit_A")})]
+    n_b = node_of_mp[frozenset({index_of(spec, "visit_B")})]
     v_a = min(pm.node_members[n_a])
     v_b = min(pm.node_members[n_b])
     assert is_improvement(cache, v_a, v_b)
@@ -338,8 +342,8 @@ def test_dead_states_never_positively_winning():
     assert len(pm.enabled(0)) == 2  # both product actions regress
     result = synthesize(pm)
     for v in im.dead:
-        assert not result.spi.defined_at(v)
-        assert not result.sasi.defined_at(v)
+        assert v not in result.spi.actions
+        assert v not in result.sasi.actions
     dot = improvement_mdp_to_dot(im)
     assert '  v0B -> v0B [label="dead:1"];' in dot.splitlines()
     assert '  v0T -> v0T [label="dead:1"];' in dot.splitlines()
@@ -359,8 +363,8 @@ def test_po1_battery4_sasi_selects_west(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
     v0 = pm.initial
-    assert result.sasi.defined_at(v0)
-    assert action_names(mdp, result.sasi.get(v0)) == ["West"]
+    assert v0 in result.sasi.actions
+    assert action_names(mdp, result.sasi.actions[v0]) == ["West"]
     policy = CompositePolicy(result, mode="sasi")
     action, phase = policy.step(v0)
     assert mdp.actions[action] == "West"
@@ -371,17 +375,17 @@ def test_po1_battery2_sasi_undefined_spi_west(po1_b2):
     atoms, spec, mdp, pdfa, pm = po1_b2
     result = synthesize(pm)
     v0 = pm.initial
-    assert not result.sasi.defined_at(v0)
-    assert result.spi.defined_at(v0)
-    assert action_names(mdp, result.spi.get(v0)) == ["West"]
+    assert v0 not in result.sasi.actions
+    assert v0 in result.spi.actions
+    assert action_names(mdp, result.spi.actions[v0]) == ["West"]
 
 
 def test_po2_battery4_sasi_north(po2_b4):
     atoms, spec, mdp, pdfa, pm = po2_b4
     result = synthesize(pm)
     v0 = pm.initial
-    assert result.sasi.defined_at(v0)
-    assert "North" in action_names(mdp, result.sasi.get(v0))
+    assert v0 in result.sasi.actions
+    assert "North" in action_names(mdp, result.sasi.actions[v0])
     policy = CompositePolicy(result, mode="sasi")
     action, phase = policy.step(v0)
     assert mdp.actions[action] == "North"
@@ -415,11 +419,11 @@ def test_theorem_reduction_form(po1_b4):
     regions = (pwin(im.rows, target), aswin(im.rows, target))
     for strategy, region in zip((result.spi, result.sasi), regions):
         for v in range(pm.n_states()):
-            assert strategy.defined_at(v) == (
+            assert (v in strategy.actions) == (
                 v in region.region and bool(region.strategy.get(v))
             )
-            if strategy.defined_at(v):
-                assert strategy.get(v) == region.strategy[v]
+            if v in strategy.actions:
+                assert strategy.actions[v] == region.strategy[v]
 
 
 def doubled_reference(pm, cache):
@@ -469,8 +473,9 @@ def test_merged_target_matches_doubled_reference(instance, request):
         pm = request.getfixturevalue(instance)[4]
     result = synthesize(pm)
     view, marked = doubled_reference(pm, result.cache)
-    assert result.spi.actions == project_doubled(pwin(view.rows, marked))
-    assert result.sasi.actions == project_doubled(aswin(view.rows, marked))
+    rows = support_rows(view)
+    assert result.spi.actions == project_doubled(pwin(rows, marked))
+    assert result.sasi.actions == project_doubled(aswin(rows, marked))
 
 
 def test_monotone_improvement_classes_along_induced_paths(po2_b4):
@@ -514,7 +519,7 @@ def test_strategies_invariant_under_drift_probabilities(stay, po1_b4, po1_spec):
     result = synthesize(pm)
     assert set(result.sasi.actions) == set(base.sasi.actions)
     assert set(result.spi.actions) == set(base.spi.actions)
-    assert result.sasi.get(pm.initial) == base.sasi.get(pm_half.initial)
+    assert result.sasi.actions.get(pm.initial) == base.sasi.actions.get(pm_half.initial)
 
 
 def test_composite_policy_satisfices_with_achievable_node(po1_b4):
@@ -527,7 +532,7 @@ def test_composite_policy_satisfices_with_achievable_node(po1_b4):
     v = next(
         v
         for v in range(pm.n_states())
-        if not result.sasi.defined_at(v) and z_set(cache, v)
+        if v not in result.sasi.actions and z_set(cache, v)
     )
     action, phase = policy.step(v)
     assert phase == "satisfice"
