@@ -10,7 +10,6 @@ input error, 2 verification failure, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,6 +24,7 @@ from .mdp import (
 )
 from .prefdfa import build_preference_dfa, pdfa_to_dot, pdfa_to_json
 from .preferences import PreferenceError, load_preference_document, spec_to_json
+from .record import replace
 from .schema import STRINGS, json_fields
 from .scltl import (
     DEFAULT_STATE_CAP,
@@ -155,7 +155,7 @@ def cmd_prefdfa(args) -> int:
 def cmd_gridworld(args) -> int:
     cfg = gridworld_config_from_json(_read_json(args.config))
     if args.stay_probability is not None:
-        cfg = dataclasses.replace(cfg, stay_probability=args.stay_probability)
+        cfg = replace(cfg, stay_probability=args.stay_probability)
     mdp = build_gridworld(cfg, state_cap=args.state_cap)
     out = _out_dir(args)
     _write_json(out / "mdp.json", mdp_to_json(mdp))

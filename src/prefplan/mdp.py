@@ -11,8 +11,8 @@ onto the intended cell.  Battery-0 states are absorbing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from .record import Record, field
 from .schema import STRINGS, json_fields
 from .scltl import DEFAULT_STATE_CAP, CapacityError
 
@@ -38,8 +38,7 @@ class MdpError(ValueError):
     """Raised for schema violations and stochasticity failures."""
 
 
-@dataclass(frozen=True)
-class LabeledMdp:
+class LabeledMdp(Record):
     """Finite labeled MDP with a partial action map.
 
     ``transitions[(s, a)]`` is a tuple of (successor, probability) pairs
@@ -52,9 +51,6 @@ class LabeledMdp:
     labels: tuple  # frozenset of atoms per state
     transitions: dict  # (state index, action index) -> ((succ index, prob), ...)
     initial: tuple  # ((state index, prob), ...)
-
-    def __post_init__(self):
-        self.validate()
 
     def n_states(self) -> int:
         return len(self.states)
@@ -104,6 +100,8 @@ class LabeledMdp:
                 raise MdpError(f"dangling initial state index {t}")
             if not math.isfinite(p):
                 raise MdpError(f"initial probability {p} is not a finite number")
+
+    __post_init__ = validate
 
 
 def load_mdp(doc: dict) -> LabeledMdp:
@@ -218,8 +216,7 @@ def mdp_to_json(mdp: LabeledMdp) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridworldConfig:
+class GridworldConfig(Record):
     width: int
     height: int
     start: tuple  # (col, row)

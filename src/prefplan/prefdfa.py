@@ -16,12 +16,12 @@ the exports and fix the node order, but decide nothing.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import add, mul
 
 from .preferences import Comparison, PreferenceSpec
+from .record import Record
 from .scltl import (
     DEFAULT_STATE_CAP,
     CapacityError,
@@ -42,21 +42,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(Record):
     node_id: int
     mp: frozenset  # most-preferred satisfied outcome indices
     states: tuple  # product state indices
 
 
-@dataclass(frozen=True)
-class PreferenceGraph:
+class PreferenceGraph(Record):
     nodes: tuple  # of GraphNode
     edges: frozenset  # of (worse_node_id, better_node_id)
 
 
-@dataclass(frozen=True)
-class PreferenceDfa:
+class PreferenceDfa(Record):
     """Reachable product of the outcome DFAs with its preference graph.
 
     A state tuple's code is its mixed-radix number: the first component most

@@ -10,8 +10,8 @@ indifference relation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
+from .record import Record, field
 from .schema import STRINGS, json_fields
 from .scltl import Formula, Or, fmt, parse
 
@@ -38,8 +38,7 @@ class Comparison(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     name: str
     formula: Formula
 
@@ -47,8 +46,7 @@ class Outcome:
         return f"Outcome({self.name}: {fmt(self.formula)})"
 
 
-@dataclass(frozen=True)
-class PreferenceSpec:
+class PreferenceSpec(Record):
     """Validated outcome set with strict relation P.
 
     ``strict`` holds (better, worse) index pairs and is irreflexive,
@@ -57,9 +55,6 @@ class PreferenceSpec:
 
     outcomes: tuple[Outcome, ...]
     strict: frozenset
-
-    def __post_init__(self):
-        self.validate()
 
     @property
     def n(self) -> int:
@@ -85,6 +80,8 @@ class PreferenceSpec:
             for j2, k in self.strict:
                 if j2 == j and (i, k) not in self.strict and i != k:
                     raise PreferenceError(f"strict preference not transitively closed at ({i},{k})")
+
+    __post_init__ = validate
 
     def mp(self, psi) -> frozenset:
         """Most-preferred (maximal under P) outcomes among ``psi`` (indices)."""
@@ -115,8 +112,7 @@ class PreferenceSpec:
         return witness and unopposed
 
 
-@dataclass
-class PreferenceDeclarations:
+class PreferenceDeclarations(Record, frozen=False):
     """Raw declaration: named outcomes plus strict/indifference statements."""
 
     atoms: tuple[str, ...]

@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
+
+from .record import Record
 
 __all__ = [
     "Formula",
@@ -73,49 +74,40 @@ class CapacityError(RuntimeError):
     """Raised when a construction exceeds its configured size cap."""
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record):
     pass
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
 class NegAtom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Next(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
 class Until(Formula):
     left: Formula
     right: Formula
@@ -527,22 +519,20 @@ def canonicalize(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record):
     """Complete DFA over 2^AP with absorbing accepting states.
 
     ``states`` holds display labels.  The transition function is total on
     states x alphabet: ``rows[q][k]`` is the successor of state ``q`` on
-    ``symbols[k]``, and ``position`` maps each symbol to its ``k``.  From
-    :func:`to_dfa`, states are numbered in the order the per-letter
-    construction first reaches them, reading letters in ``all_symbols`` order.
+    ``symbols[k]``.  From :func:`to_dfa`, states are numbered in the order the
+    per-letter construction first reaches them, reading letters in
+    ``all_symbols`` order.
     """
 
     alphabet: tuple[str, ...]
     states: tuple[str, ...]
     symbols: tuple[frozenset, ...]
-    position: Mapping  # symbol -> its index in symbols
-    rows: tuple  # per state, the successor on each symbol by position
+    rows: tuple  # per state, the successor on each symbol, in symbols order
     initial: int
     accepting: frozenset
 
@@ -563,7 +553,7 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     undeclared = atoms - set(declared)
     if undeclared:
         raise AlphabetError(f"formula uses undeclared propositions: {sorted(undeclared)}")
-    syms, position = symbol_index(declared)
+    syms = symbol_index(declared)[0]
     # Classes in the order their first letter comes, so stepping the classes
     # in turn meets new states in the same order as stepping the letters.
     classes: dict = {}
@@ -597,7 +587,6 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
         alphabet=declared,
         states=tuple(fmt(rep) for rep in reps),
         symbols=syms,
-        position=position,
         rows=tuple(rows),
         initial=0,
         accepting=accepting,

@@ -35,13 +35,13 @@ target state that the improvement MDP and the verifier's chain share.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
 from .mdp import LabeledMdp, MdpError
 from .prefdfa import PreferenceDfa, tag_labels
+from .record import Record, field
 from .schema import STRINGS, json_fields
 from .scltl import DEFAULT_STATE_CAP, CapacityError
 
@@ -87,8 +87,7 @@ MODES = ("spi", "sasi")  # safe positively / almost-surely improving
 TIE_BREAKS = ("lowest", "uniform")  # how the composite policy picks among permitted actions
 
 
-@dataclass(frozen=True)
-class MdpView:
+class MdpView(Record):
     """An MDP described by closures: states, enabled actions, distributions.
 
     The input of ``value_iteration``, the numeric oracle for the qualitative
@@ -100,8 +99,7 @@ class MdpView:
     dist: object  # (state, action) -> iterable of (successor, prob)
 
 
-@dataclass(frozen=True)
-class ProductMdp:
+class ProductMdp(Record):
     """Reachable product of an MDP with a preference DFA.
 
     States are indices into ``state_pairs`` (mdp state, dfa state) pairs;
@@ -268,8 +266,7 @@ def scc_order(rows: dict) -> SccOrder:
     return SccOrder(roots, members)
 
 
-@dataclass(frozen=True)
-class WinningRegion:
+class WinningRegion(Record):
     """A solver's region, with its strategy worked out on first read.
 
     ``strategy`` maps each region state outside the target to the actions
@@ -450,7 +447,6 @@ def aswin(rows: dict, target, order: SccOrder = None) -> WinningRegion:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ImprovementCache:
     """Per-product facts shared by the improvement machinery, computed once.
 
@@ -463,17 +459,10 @@ class ImprovementCache:
     module the relation is read through ``is_improvement`` and ``mp_of``.
     """
 
-    product: ProductMdp
-    order: SccOrder = field(init=False)
-    aswin_by_node: dict = field(init=False)  # node id -> WinningRegion
-    mp_class: list = field(init=False)  # state -> class id
-    mp_sets: list = field(init=False)  # class id -> frozenset of MP nodes
-    improves: list = field(init=False)  # class -> class -> bool
-
-    def __post_init__(self):
-        pm = self.product
+    def __init__(self, product: ProductMdp):
+        self.product = pm = product
         self.order = scc_order(pm.rows)
-        self.aswin_by_node = {
+        self.aswin_by_node = {  # node id -> WinningRegion
             node_id: aswin(pm.rows, members, self.order)
             for node_id, members in sorted(pm.node_members.items())
         }
@@ -482,11 +471,11 @@ class ImprovementCache:
             for v in region.region:
                 z_sets[v].append(node_id)
         class_of = {}
-        self.mp_class = [
+        self.mp_class = [  # state -> class id
             class_of.setdefault(mp_nodes(pm, frozenset(nodes)), len(class_of)) for nodes in z_sets
         ]
-        self.mp_sets = list(class_of)
-        self.improves = [
+        self.mp_sets = list(class_of)  # class id -> frozenset of MP nodes
+        self.improves = [  # class -> class -> bool
             [
                 any(
                     (a == BOTTOM != b) or (a, b) in pm.node_edges
@@ -511,7 +500,7 @@ class ImprovementCache:
 
 
 def aswin_by_node(pm: ProductMdp) -> ImprovementCache:
-    return ImprovementCache(product=pm)
+    return ImprovementCache(pm)
 
 
 def mp_nodes(pm: ProductMdp, nodes: frozenset) -> frozenset:
@@ -536,8 +525,7 @@ def is_improvement(cache: ImprovementCache, v1: int, v2: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImprovementMdp:
+class ImprovementMdp(Record):
     """The product restricted to non-regressing actions, with every improving
     edge redirected to the absorbing target state ``cache.improved``.
 
@@ -596,16 +584,14 @@ def build_improvement_mdp(cache: ImprovementCache) -> ImprovementMdp:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Record):
     """Partial set-valued strategy over product states; absent means undefined."""
 
     mode: str  # "spi" | "sasi"
     actions: dict  # v -> frozenset of actions
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(Record):
     cache: ImprovementCache  # holds the product
     improvement_mdp: ImprovementMdp
     spi: Strategy

@@ -9,9 +9,9 @@ edge reachable), independent of how the strategy was synthesized.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .record import Record, field
 from .synthesis import (
     MODES,
     NO_GUARANTEE,
@@ -99,8 +99,7 @@ def value_iteration(view: MdpView, target, max_iter: int = 100000, tol: float = 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InducedChain:
+class InducedChain(Record):
     """A strategy's induced chain as the solvers' support rows.
 
     Every chosen action is taken with positive probability, so a domain
@@ -141,8 +140,7 @@ def build_induced_chain(strategy: Strategy, cache: ImprovementCache) -> InducedC
     )
 
 
-@dataclass(frozen=True)
-class StrategyReport:
+class StrategyReport(Record):
     mode: str
     ok: bool
     condition_a: bool
@@ -213,8 +211,7 @@ class EpisodeRow(NamedTuple):
     unsatisfiable: bool
 
 
-@dataclass
-class EpisodeStats:
+class EpisodeStats(Record, frozen=False):
     episodes: int
     seed: int
     horizon: int

@@ -13,7 +13,7 @@ from prefplan.preferences import (
     build_spec,
     load_preference_document,
 )
-from prefplan.scltl import AlphabetError, Dfa, parse
+from prefplan.scltl import AlphabetError, Dfa, parse, symbol_index
 from prefplan.synthesis import build_product
 
 BUNDLES = Path(__file__).resolve().parent.parent / "src" / "prefplan" / "bundles"
@@ -197,9 +197,11 @@ def run_dfa(automaton, word, start=None):
     raises ``AlphabetError``.  A preference DFA runs each component DFA over
     the word and looks the summed code up, so its 2^|AP|-wide ``rows`` are
     never built."""
+    is_dfa = isinstance(automaton, Dfa)
+    position = symbol_index(automaton.alphabet)[1] if is_dfa else automaton.position
     letters = []
     for sigma in word:
-        k = automaton.position.get(frozenset(sigma))
+        k = position.get(frozenset(sigma))
         if k is None:
             raise AlphabetError(f"symbol {set(sigma)!r} outside the alphabet")
         letters.append(k)
@@ -211,7 +213,7 @@ def run_dfa(automaton, word, start=None):
 
     if start is None:
         start = automaton.initial
-    if isinstance(automaton, Dfa):
+    if is_dfa:
         return run(automaton, start)
     states = map(run, automaton.component_dfas, automaton.states[start])
     return automaton.index[sum(q * w for q, w in zip(states, automaton.weights))]

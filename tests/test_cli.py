@@ -661,6 +661,9 @@ def test_gridworld_stay_probability_override(workdir):
     mdp = load_mdp(doc)
     probs = {p for dist in mdp.transitions.values() for _, p in dist}
     assert 0.8 in probs and 0.5 not in probs
+    # The override goes through the config's validation again.
+    assert run("--out", "b", "gridworld", PO1_GRID4, "--stay-probability", "1.5") == 1
+    assert not (workdir / "b").exists()
 
 
 def test_simulate_spi_mode(workdir):

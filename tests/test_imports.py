@@ -7,6 +7,7 @@ The package declares no dependency; packages that happen to be installed
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +51,29 @@ def test_prefplan_imports_only_stdlib_and_itself():
         for path in files
     }
     assert {name: roots for name, roots in found.items() if roots} == {}
+
+
+def test_cli_import_loads_no_code_generator():
+    """Every CLI process imports ``prefplan.cli`` first.  ``dataclasses``
+    (which imports ``inspect``) ran ``exec`` for each method of each record,
+    most of that import's time; ``-S`` keeps ``site`` from loading either."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import prefplan.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    child = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "[]"
+
+
+def test_src_generates_no_code():
+    calls = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in {"exec", "eval", "compile"}
+    }
+    assert calls == set()
+    assert not any("dataclasses" in imported_roots(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py"))
 
 
 def test_every_export_resolves():

@@ -28,6 +28,7 @@ from prefplan.scltl import (
     fmt,
     parse,
     progress,
+    symbol_index,
     to_dfa,
 )
 
@@ -365,7 +366,7 @@ def test_transition_total_and_deterministic(text):
     # Every letter of 2^AP has one position, and every state one in-range
     # successor at each position.
     assert list(dfa.symbols) == all_symbols(AB)
-    assert dfa.position == {sigma: k for k, sigma in enumerate(dfa.symbols)}
+    assert symbol_index(dfa.alphabet)[1] == {sigma: k for k, sigma in enumerate(dfa.symbols)}
     assert len(dfa.rows) == len(dfa.states)
     for row in dfa.rows:
         assert len(row) == len(dfa.symbols)
