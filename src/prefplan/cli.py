@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory for artifacts")
     parser.add_argument(
         "--state-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_STATE_CAP,
         help="abort constructions that exceed this many states",
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .record import Record, field
-from .schema import STRINGS, json_fields
+from .schema import CELL, CELLS, STRINGS, json_fields
 from .scltl import DEFAULT_STATE_CAP, CapacityError
 
 __all__ = [
@@ -100,6 +100,8 @@ class LabeledMdp(Record):
                 raise MdpError(f"dangling initial state index {t}")
             if not math.isfinite(p):
                 raise MdpError(f"initial probability {p} is not a finite number")
+            if p < 0:
+                raise MdpError(f"negative initial probability {p}")
 
     __post_init__ = validate
 
@@ -274,14 +276,15 @@ def gridworld_config_from_json(doc: dict) -> GridworldConfig:
     number = (int, float)
     width, height, start, battery, obstacles, drift, regions, stay = json_fields(
         doc, where, MdpError,
-        {"width": number, "height": number, "start": list, "battery_capacity": number,
-         "obstacles": list, "drift": list, "regions": dict, "stay_probability": number},
+        {"width": number, "height": number, "start": CELL, "battery_capacity": number,
+         "obstacles": CELLS, "drift": list, "regions": dict, "stay_probability": number},
         defaults={"obstacles": [], "drift": [], "regions": {}, "stay_probability": 0.5},
     )
     drift_entries = [
-        json_fields(entry, f"{where}: drift entry", MdpError, {"cell": list, "directions": STRINGS})
+        json_fields(entry, f"{where}: drift entry", MdpError, {"cell": CELL, "directions": STRINGS})
         for entry in drift
     ]
+    json_fields(regions, f"{where}: regions", MdpError, dict.fromkeys(regions, CELLS))
     try:
         for name, value in (("width", width), ("height", height), ("battery_capacity", battery)):
             if int(value) != value:

@@ -141,6 +141,9 @@ def fmt(f: Formula) -> str:
 
 
 def _key(f: Formula) -> str:
+    """The serialized form that orders temporal atoms in :func:`canonicalize`.
+    The order is fixed because it shapes every canonical form, and so the
+    state labels of the exported DFAs."""
     if isinstance(f, TrueF):
         return "1"
     if isinstance(f, FalseF):
@@ -447,30 +450,27 @@ def progress(f: Formula, sigma: frozenset) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _temporal_atoms(f: Formula, acc: dict):
-    """Collect maximal subformulas rooted at a literal, Next or Until."""
+def _temporal_atoms(f: Formula) -> frozenset:
+    """The maximal subformulas rooted at a literal, Next or Until."""
     if isinstance(f, (TrueF, FalseF)):
-        return
+        return frozenset()
     if isinstance(f, (Atom, NegAtom, Next, Until)):
-        acc.setdefault(_key(f), f)
-        return
+        return frozenset({f})
     if isinstance(f, (And, Or)):
-        _temporal_atoms(f.left, acc)
-        _temporal_atoms(f.right, acc)
-        return
+        return _temporal_atoms(f.left) | _temporal_atoms(f.right)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _subst(f: Formula, target_key: str, value: Formula) -> Formula:
-    """Replace every temporal atom with key ``target_key`` by a constant."""
+def _subst(f: Formula, target: Formula, value: Formula) -> Formula:
+    """Replace every occurrence of the temporal atom ``target`` by a constant."""
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, (Atom, NegAtom, Next, Until)):
-        return value if _key(f) == target_key else f
+        return value if f == target else f
     if isinstance(f, And):
-        return _mk_and(_subst(f.left, target_key, value), _subst(f.right, target_key, value))
+        return _mk_and(_subst(f.left, target, value), _subst(f.right, target, value))
     if isinstance(f, Or):
-        return _mk_or(_subst(f.left, target_key, value), _subst(f.right, target_key, value))
+        return _mk_or(_subst(f.left, target, value), _subst(f.right, target, value))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -492,26 +492,21 @@ def canonicalize(f: Formula) -> Formula:
     negation-free, so the expansion (t & hi) | lo stays inside NNF.
     """
     f = _fold(f)
-    acc: dict = {}
-    _temporal_atoms(f, acc)
-    order = sorted(acc)
+    order = sorted(_temporal_atoms(f), key=_key)
+    memo: dict = {}  # (formula, idx) -> its canonical form over order[idx:]
 
-    @functools.lru_cache(maxsize=None)
-    def build(g_key: str, g: Formula, idx: int) -> Formula:
+    def build(g: Formula, idx: int) -> Formula:
         if isinstance(g, (TrueF, FalseF)) or idx == len(order):
             return g
-        var_key = order[idx]
-        var = acc[var_key]
-        hi = build_entry(_subst(g, var_key, TRUE), idx + 1)
-        lo = build_entry(_subst(g, var_key, FALSE), idx + 1)
-        if hi == lo:
-            return hi
-        return _mk_or(_mk_and(var, hi), lo)
+        done = memo.get((g, idx))
+        if done is None:
+            var = order[idx]
+            hi = build(_subst(g, var, TRUE), idx + 1)
+            lo = build(_subst(g, var, FALSE), idx + 1)
+            memo[(g, idx)] = done = hi if hi == lo else _mk_or(_mk_and(var, hi), lo)
+        return done
 
-    def build_entry(g: Formula, idx: int) -> Formula:
-        return build(_key(g), g, idx)
-
-    return build_entry(f, 0)
+    return build(f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -560,32 +555,28 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     class_of = [classes.setdefault(sigma & atoms, len(classes)) for sigma in syms]
 
     init = canonicalize(f)
-    index = {_key(init): 0}
-    reps = [init]
+    index = {init: 0}  # canonical formula -> state, in state order
     rows = [None]
-    frontier = [0]
+    frontier = [(0, init)]
     while frontier:
-        i = frontier.pop()
-        rep = reps[i]
+        i, rep = frontier.pop()
         succ = []
         for proj in classes:
             nxt = canonicalize(progress(rep, proj))
-            k = _key(nxt)
-            j = index.get(k)
+            j = index.get(nxt)
             if j is None:
-                j = len(reps)
+                j = len(index)
                 if j >= state_cap:
                     raise CapacityError(f"DFA construction exceeded {state_cap} states")
-                index[k] = j
-                reps.append(nxt)
+                index[nxt] = j
                 rows.append(None)
-                frontier.append(j)
+                frontier.append((j, nxt))
             succ.append(j)
         rows[i] = tuple(map(succ.__getitem__, class_of))
-    accepting = frozenset(i for i, rep in enumerate(reps) if isinstance(rep, TrueF))
+    accepting = frozenset(i for i, rep in enumerate(index) if isinstance(rep, TrueF))
     return Dfa(
         alphabet=declared,
-        states=tuple(fmt(rep) for rep in reps),
+        states=tuple(map(fmt, index)),
         symbols=syms,
         rows=tuple(rows),
         initial=0,

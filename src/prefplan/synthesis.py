@@ -140,17 +140,18 @@ def build_product(
     """Synchronous product; the automaton consumes the label of each state
     entered, including the initial one.
 
-    ``mdp`` must have exactly one initial state.  The automaton is stepped
-    through one ``pdfa.column`` per distinct MDP label, so only the letters
-    the MDP emits are ever computed, not the 2^|AP|-wide ``pdfa.rows``."""
+    ``mdp`` must have exactly one initial state of positive probability.  The
+    automaton is stepped through one ``pdfa.column`` per distinct MDP label, so
+    only the letters the MDP emits are computed, not the 2^|AP|-wide ``pdfa.rows``."""
     if set(mdp.atoms) - set(pdfa.alphabet):
         raise MdpError(
             f"MDP atoms {sorted(mdp.atoms)} not covered by preference alphabet "
             f"{sorted(pdfa.alphabet)}"
         )
-    if len(mdp.initial) != 1:
+    starts = [s for s, p in mdp.initial if p]
+    if len(starts) != 1:
         raise MdpError("product construction expects a single initial state")
-    s0 = mdp.initial[0][0]
+    s0 = starts[0]
     positions = [pdfa.position[label] for label in mdp.labels]  # per MDP state
     columns = {k: pdfa.column(k) for k in set(positions)}  # only the letters the MDP emits
     letter = [columns[k] for k in positions]  # per MDP state, its label's column

@@ -314,11 +314,12 @@ THREE_STATE_PREF_DOC = {
 }
 
 
-def three_state_mdp_doc(zero_successor=False):
+def three_state_mdp_doc(zero_successor=False, zero_initial=False):
     """s0 steps under action a to s1 (labeled A) or s2 (labeled B) with
     probability 1/2 each, and both absorb; only s2 enables action b.  With
     ``zero_successor`` the self-loop of s2 under a also lists s1 with
-    probability 0, which must change nothing."""
+    probability 0, and with ``zero_initial`` the initial distribution lists
+    s1 with probability 0; neither must change anything."""
     loop = [{"state": "s2", "prob": 1.0}] + ([{"state": "s1", "prob": 0}] if zero_successor else [])
     return {
         "atoms": ["A", "B"],
@@ -330,7 +331,7 @@ def three_state_mdp_doc(zero_successor=False):
             {"from": "s2", "action": "a", "to": loop},
             {"from": "s2", "action": "b", "to": [{"state": "s2", "prob": 1.0}]},
         ],
-        "initial": [{"state": "s0", "prob": 1.0}],
+        "initial": [{"state": "s0", "prob": 1.0}] + ([{"state": "s1", "prob": 0}] if zero_initial else []),
     }
 
 

@@ -1,21 +1,28 @@
 """The eager automaton constructions as they were before letter classes and
-successor rows, and an automaton-free good-prefix oracle.
+successor rows, the string-keyed canonicalization, and an automaton-free
+good-prefix oracle.
 
 Test-only oracles: ``to_dfa`` progresses every state on every letter of 2^AP,
 and ``build_preference_dfa`` steps the component automata one letter at a
 time, both filling a ``(state, symbol) -> state`` dict.  The fast builders in
 ``prefplan.scltl`` and ``prefplan.prefdfa`` must give the same automata: the
 same states in the same numbering, and the same successor for every letter.
+``canonicalize`` tells subformulas apart by their serialized ``_key`` strings,
+as ``to_dfa`` here tells states apart; ``prefplan.scltl.canonicalize``
+compares the formulas themselves and must give the same canonical forms.
 ``good_prefix_oracle`` decides a word by recursion on its positions, so it
 checks what the automata accept without building one.
 """
 
+import functools
 from dataclasses import dataclass
 
 from prefplan.preferences import Comparison, PreferenceSpec
 from prefplan.prefdfa import GraphNode, PreferenceGraph, _tags
 from prefplan.scltl import (
     DEFAULT_STATE_CAP,
+    FALSE,
+    TRUE,
     AlphabetError,
     And,
     Atom,
@@ -27,10 +34,12 @@ from prefplan.scltl import (
     Or,
     TrueF,
     Until,
+    _fold,
     _key,
+    _mk_and,
+    _mk_or,
     all_symbols,
     atoms_of,
-    canonicalize,
     declare_alphabet,
     fmt,
     progress,
@@ -65,6 +74,57 @@ class PreferenceDfa:
 
     def step(self, state: int, sigma: frozenset) -> int:
         return self.transitions[(state, sigma)]
+
+
+def _temporal_atoms(f: Formula, acc: dict):
+    """Collect maximal subformulas rooted at a literal, Next or Until."""
+    if isinstance(f, (TrueF, FalseF)):
+        return
+    if isinstance(f, (Atom, NegAtom, Next, Until)):
+        acc.setdefault(_key(f), f)
+        return
+    if isinstance(f, (And, Or)):
+        _temporal_atoms(f.left, acc)
+        _temporal_atoms(f.right, acc)
+        return
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _subst(f: Formula, target_key: str, value: Formula) -> Formula:
+    """Replace every temporal atom with key ``target_key`` by a constant."""
+    if isinstance(f, (TrueF, FalseF)):
+        return f
+    if isinstance(f, (Atom, NegAtom, Next, Until)):
+        return value if _key(f) == target_key else f
+    if isinstance(f, And):
+        return _mk_and(_subst(f.left, target_key, value), _subst(f.right, target_key, value))
+    if isinstance(f, Or):
+        return _mk_or(_subst(f.left, target_key, value), _subst(f.right, target_key, value))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def canonicalize(f: Formula) -> Formula:
+    f = _fold(f)
+    acc: dict = {}
+    _temporal_atoms(f, acc)
+    order = sorted(acc)
+
+    @functools.lru_cache(maxsize=None)
+    def build(g_key: str, g: Formula, idx: int) -> Formula:
+        if isinstance(g, (TrueF, FalseF)) or idx == len(order):
+            return g
+        var_key = order[idx]
+        var = acc[var_key]
+        hi = build_entry(_subst(g, var_key, TRUE), idx + 1)
+        lo = build_entry(_subst(g, var_key, FALSE), idx + 1)
+        if hi == lo:
+            return hi
+        return _mk_or(_mk_and(var, hi), lo)
+
+    def build_entry(g: Formula, idx: int) -> Formula:
+        return build(_key(g), g, idx)
+
+    return build_entry(f, 0)
 
 
 def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:

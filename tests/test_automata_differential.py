@@ -8,6 +8,9 @@ letter by ``column`` and per state by ``rows``.
 ``reference_automata`` steps one letter at a time into a dict.  Both must
 give the same states in the same numbering, the same successor for every
 state and letter, the same graph, and the same ``CapacityError``.
+``prefplan.scltl.canonicalize`` keys subformulas by the formulas themselves,
+the oracle by their serialized strings; both must give the same canonical
+forms, and so the same state labels.
 """
 
 import random
@@ -30,8 +33,12 @@ from prefplan.scltl import (
     Or,
     TrueF,
     Until,
+    all_symbols,
     atoms_of,
+    canonicalize,
+    fmt,
     parse,
+    progress,
     to_dfa,
 )
 
@@ -139,6 +146,31 @@ def alphabets(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_to_dfa_matches_oracle_on_partial_formulas(atoms, data):
     check_dfa(_formula_over(data.draw, atoms), atoms)
+
+
+def assert_same_canonical_form(f):
+    fast, slow = canonicalize(f), reference_automata.canonicalize(f)
+    assert fast == slow
+    assert fmt(fast) == fmt(slow)
+    return fast
+
+
+@given(atoms=alphabets(), data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_canonicalize_matches_string_keyed_oracle(atoms, data):
+    # The drawn formula, then every formula that progressing it over the
+    # projections of the letters onto its atoms reaches.
+    f = _formula_over(data.draw, atoms)
+    classes = all_symbols(tuple(atoms_of(f)))
+    seen = {assert_same_canonical_form(f)}
+    frontier = list(seen)
+    while frontier:
+        g = frontier.pop()
+        for proj in classes:
+            nxt = assert_same_canonical_form(progress(g, proj))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
 
 
 @given(atoms=alphabets(), data=st.data())

@@ -115,7 +115,7 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         ("gridworld", {**PO1_GRID4_DOC, "drift": [1]},
          "malformed gridworld config: drift entry must be a JSON object, got 1"),
         ("gridworld", {**PO1_GRID4_DOC, "start": [1, 2, 3]},
-         "malformed gridworld config: too many values to unpack"),
+         "malformed gridworld config: 'start' must be a list of two numbers, got [1, 2, 3]"),
         *[
             ("gridworld", {**PO1_GRID4_DOC, field: float("inf")},
              "malformed gridworld config: cannot convert float infinity to integer")
@@ -131,6 +131,7 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "product construction expects a single initial state"),
         ("synth", _mdp_doc(prob=float("nan")), "probability nan at ('s','a') is not a finite number"),
         ("synth", _mdp_doc(initial=(("s", float("nan")),)), "initial probability nan is not a finite number"),
+        ("synth", _mdp_doc(initial=(("s", 1.5), ("t", -0.5))), "negative initial probability -0.5"),
         ("gridworld", {**PO1_GRID4_DOC, "battery_capacity": True},
          "malformed gridworld config: 'battery_capacity' must be a number, got True"),
         ("synth", _mdp_doc(prob=True), "successor of ('s','a'): 'prob' must be a number, got True"),
@@ -158,6 +159,18 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "malformed gridworld config: 'height' must be a whole number, got 2.5"),
         ("gridworld", {**PO1_GRID4_DOC, "battery_capacity": 2.9},
          "malformed gridworld config: 'battery_capacity' must be a whole number, got 2.9"),
+        ("gridworld", {**PO1_GRID4_DOC, "start": [True, 0]},
+         "malformed gridworld config: 'start' must be a list of two numbers, got [True, 0]"),
+        ("gridworld", {**PO1_GRID4_DOC, "start": ["a", "b"]},
+         "malformed gridworld config: 'start' must be a list of two numbers, got ['a', 'b']"),
+        ("gridworld", {**PO1_GRID4_DOC, "obstacles": [[1]]},
+         "malformed gridworld config: 'obstacles' must be a list of cells, each a list of two numbers, got [[1]]"),
+        ("gridworld", {**PO1_GRID4_DOC, "drift": [{"cell": [0, False], "directions": ["N"]}]},
+         "malformed gridworld config: drift entry: 'cell' must be a list of two numbers, got [0, False]"),
+        ("gridworld", {**PO1_GRID4_DOC, "regions": {"A": 5}},
+         "malformed gridworld config: regions: 'A' must be a list of cells, each a list of two numbers, got 5"),
+        ("gridworld", {**PO1_GRID4_DOC, "regions": {"A": [[0, 0, 0]]}},
+         "malformed gridworld config: regions: 'A' must be a list of cells, each a list of two numbers, got [[0, 0, 0]]"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -166,10 +179,12 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-no-start", "grid-no-battery", "grid-width-string", "grid-drift-int",
         "grid-start-3d", "grid-width-inf", "grid-height-inf", "grid-battery-inf",
         "grid-start-col-half", "grid-start-row-half", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
-        "mdp-prob-nan", "mdp-initial-nan", "grid-battery-bool", "mdp-prob-bool", "mdp-initial-bool",
+        "mdp-prob-nan", "mdp-initial-nan", "mdp-initial-negative", "grid-battery-bool", "mdp-prob-bool", "mdp-initial-bool",
         "pref-class-name-taken", "mdp-prob-numeric-string", "mdp-initial-numeric-string", "mdp-id-int",
         "mdp-label-string", "mdp-prob-overflow", "mdp-prob-digits", "mdp-nested-deep",
         "grid-width-fraction", "grid-height-fraction", "grid-battery-fraction",
+        "grid-start-bool", "grid-start-strings", "grid-obstacle-short", "grid-drift-cell-bool",
+        "grid-region-int", "grid-region-cell-3d",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -580,9 +595,9 @@ def test_verify_rejects_malformed_strategy_in_one_line(workdir, capsys, damage, 
     assert err.count("\n") == 1
 
 
-def _three_state_inputs(workdir, zero_successor=False):
-    mdp, pref = workdir / f"mdp_{zero_successor}.json", workdir / "pref.json"
-    mdp.write_text(json.dumps(three_state_mdp_doc(zero_successor)))
+def _three_state_inputs(workdir, zero_successor=False, zero_initial=False):
+    mdp, pref = workdir / f"mdp_{zero_successor}_{zero_initial}.json", workdir / "pref.json"
+    mdp.write_text(json.dumps(three_state_mdp_doc(zero_successor, zero_initial)))
     pref.write_text(json.dumps(THREE_STATE_PREF_DOC))
     return str(mdp), str(pref)
 
@@ -603,15 +618,19 @@ def test_verify_rejects_disabled_strategy_action_in_one_line(workdir, capsys):
 
 
 def test_zero_probability_successor_changes_nothing(workdir):
-    for zero in (False, True):
-        mdp, pref = _three_state_inputs(workdir, zero)
-        out = f"art_{zero}"
-        assert run("--out", out, "synth", mdp, pref) == 0
-        assert run("--out", out, "simulate", mdp, pref, "--episodes", "4", "--horizon", "5") == 0
-    names = sorted(p.name for p in (workdir / "art_False").iterdir())
-    assert names == sorted(p.name for p in (workdir / "art_True").iterdir())
-    for name in names:
-        assert (workdir / "art_False" / name).read_bytes() == (workdir / "art_True" / name).read_bytes(), name
+    # The plain MDP, then with a zero-probability successor, then with a
+    # zero-probability initial entry.
+    outs = []
+    for zeros in ((False, False), (True, False), (False, True)):
+        mdp, pref = _three_state_inputs(workdir, *zeros)
+        outs.append(workdir / f"art_{zeros[0]}_{zeros[1]}")
+        assert run("--out", str(outs[-1]), "synth", mdp, pref) == 0
+        assert run("--out", str(outs[-1]), "simulate", mdp, pref, "--episodes", "4", "--horizon", "5") == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    for out in outs[1:]:
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (out.name, name)
 
 
 def test_undecodable_input_in_one_line(workdir, capsys):
@@ -624,12 +643,16 @@ def test_undecodable_input_in_one_line(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--episodes", "0"), ("--episodes", "-3"), ("--horizon", "0"), ("--horizon", "x")]
+    "flag, value",
+    [("--episodes", "0"), ("--episodes", "-3"), ("--horizon", "0"), ("--horizon", "x"),
+     ("--state-cap", "0"), ("--state-cap", "-1")],
 )
 def test_simulate_rejects_nonpositive_counts_as_usage_errors(workdir, capsys, flag, value):
     assert run("--out", "g", "gridworld", PO1_GRID4) == 0
     capsys.readouterr()
-    assert run("--out", "m", "simulate", str(workdir / "g" / "mdp.json"), PO1_PREF, flag, value) == 1
+    # --state-cap is an option of the program, the others of simulate.
+    top, sub = ([flag, value], []) if flag == "--state-cap" else ([], [flag, value])
+    assert run("--out", "m", *top, "simulate", str(workdir / "g" / "mdp.json"), PO1_PREF, *sub) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {flag}:" in errors[0]
     assert not (workdir / "m").exists()
