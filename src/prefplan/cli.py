@@ -104,11 +104,15 @@ def _read_json(path: str):
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+def _write_export(path: Path, export, model) -> None:
+    """Stream ``export(model, write)``, a DOT or CSV writer, into ``path``."""
+    with path.open("w", encoding="utf-8") as fh:
+        export(model, fh.write)
 
 
 def _out_dir(args) -> Path:
@@ -132,7 +136,7 @@ def cmd_compile(args) -> int:
     dfa = to_dfa(parse(text, atoms), atoms, state_cap=args.state_cap)
     out = _out_dir(args)
     _write_json(out / "dfa.json", dfa_to_json(dfa))
-    _write_text(out / "dfa.dot", dfa_to_dot(dfa))
+    _write_export(out / "dfa.dot", dfa_to_dot, dfa)
     print(f"dfa: {len(dfa.states)} states, {len(dfa.accepting)} accepting", file=sys.stderr)
     return EXIT_OK
 
@@ -143,7 +147,7 @@ def cmd_prefdfa(args) -> int:
     out = _out_dir(args)
     _write_json(out / "preference_spec.json", spec_to_json(atoms, spec))
     _write_json(out / "preference_dfa.json", pdfa_to_json(pdfa))
-    _write_text(out / "preference_dfa.dot", pdfa_to_dot(pdfa))
+    _write_export(out / "preference_dfa.dot", pdfa_to_dot, pdfa)
     print(
         f"preference dfa: {len(pdfa.states)} states, {len(pdfa.final)} final, "
         f"{len(pdfa.graph.nodes)} graph nodes",
@@ -160,7 +164,7 @@ def cmd_gridworld(args) -> int:
     out = _out_dir(args)
     _write_json(out / "mdp.json", mdp_to_json(mdp))
     if args.dot:
-        _write_text(out / "mdp.dot", mdp_to_dot(mdp))
+        _write_export(out / "mdp.dot", mdp_to_dot, mdp)
     print(f"gridworld mdp: {mdp.n_states()} states", file=sys.stderr)
     return EXIT_OK
 
@@ -172,7 +176,7 @@ def cmd_synth(args) -> int:
     _write_json(out / "strategy_spi.json", strategy_to_json(product, result.spi))
     _write_json(out / "strategy_sasi.json", strategy_to_json(product, result.sasi))
     _write_json(out / "winning_regions.json", regions_to_json(result.cache))
-    _write_text(out / "improvement_mdp.dot", improvement_mdp_to_dot(result.improvement_mdp))
+    _write_export(out / "improvement_mdp.dot", improvement_mdp_to_dot, result.improvement_mdp)
     print(
         f"product: {product.n_states()} states; spi defined on {len(result.spi.actions)}, "
         f"sasi defined on {len(result.sasi.actions)}",
@@ -245,7 +249,7 @@ def cmd_simulate(args) -> int:
     stats = monte_carlo(policy, episodes=args.episodes, horizon=args.horizon, seed=args.seed)
     out = _out_dir(args)
     _write_json(out / "stats.json", stats_to_json(stats))
-    _write_text(out / "episodes.csv", stats_to_csv(stats))
+    _write_export(out / "episodes.csv", stats_to_csv, stats)
     print(
         f"{args.episodes} episodes: improvements histogram "
         f"{dict(sorted(stats.improvements_histogram.items()))}, "

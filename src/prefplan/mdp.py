@@ -123,6 +123,7 @@ def load_mdp(doc: dict) -> LabeledMdp:
         # A number would pass as an id and a string as a set of atoms; _check_entries names the field.
         if any(sid.__class__ is not str for sid in states) or any(x.__class__ is not list for x in labels):
             raise TypeError("a state id must be a string and its label a list")
+        labels = tuple(map(frozenset, labels))  # a list or object in a label is unhashable
         state_index = {sid: i for i, sid in enumerate(states)}
         if len(state_index) != len(states):
             raise MdpError("duplicate state ids")
@@ -165,7 +166,7 @@ def load_mdp(doc: dict) -> LabeledMdp:
         atoms=tuple(atoms),
         states=states,
         actions=tuple(actions),
-        labels=tuple(map(frozenset, labels)),
+        labels=labels,
         transitions=transitions,
         initial=initial,
     )
@@ -383,15 +384,15 @@ def build_gridworld(cfg: GridworldConfig, state_cap: int = DEFAULT_STATE_CAP) ->
     )
 
 
-def mdp_to_dot(mdp: LabeledMdp) -> str:
-    lines = ["digraph mdp {", "  rankdir=LR;"]
+def mdp_to_dot(mdp: LabeledMdp, write) -> None:
+    """Write the MDP in DOT through ``write``, a state or a (state, action)'s
+    lines at a time."""
+    write("digraph mdp {\n  rankdir=LR;\n")
     for i, sid in enumerate(mdp.states):
         label = sid
         if mdp.labels[i]:
             label += "\\n{" + ",".join(sorted(mdp.labels[i])) + "}"
-        lines.append(f'  s{i} [shape=ellipse label="{label}"];')
+        write(f'  s{i} [shape=ellipse label="{label}"];\n')
     for (s, a), dist in sorted(mdp.transitions.items()):
-        for t, p in dist:
-            lines.append(f'  s{s} -> s{t} [label="{mdp.actions[a]}:{p:g}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        write("".join(f'  s{s} -> s{t} [label="{mdp.actions[a]}:{p:g}"];\n' for t, p in dist))
+    write("}\n")

@@ -286,35 +286,32 @@ def pdfa_to_json(pdfa: PreferenceDfa) -> dict:
     }
 
 
-def pdfa_to_dot(pdfa: PreferenceDfa) -> str:
+def pdfa_to_dot(pdfa: PreferenceDfa, write) -> None:
+    """Write the preference DFA and its graph in DOT through ``write``, a
+    state's lines at a time."""
     spec = pdfa.spec
-    lines = ["digraph preference_dfa {", "  rankdir=LR;"]
-    lines.append("  subgraph cluster_automaton {")
-    lines.append('    label="automaton";')
+    write('digraph preference_dfa {\n  rankdir=LR;\n  subgraph cluster_automaton {\n    label="automaton";\n')
     for i in range(len(pdfa.states)):
         label = _state_label(pdfa, i)
         if i in pdfa.final:
             tag_text = ",".join(_state_tags(pdfa, i))
-            lines.append(f'    q{i} [shape=doublecircle label="{label}\\n{{{tag_text}}}"];')
+            write(f'    q{i} [shape=doublecircle label="{label}\\n{{{tag_text}}}"];\n')
         else:
-            lines.append(f'    q{i} [shape=circle label="{label}"];')
-    lines.append(f"    init [shape=point]; init -> q{pdfa.initial};")
+            write(f'    q{i} [shape=circle label="{label}"];\n')
+    write(f"    init [shape=point]; init -> q{pdfa.initial};\n")
     texts = symbol_labels(pdfa.symbols)
     for i, row in enumerate(pdfa.rows):
         by_target: dict = {}
         for text, j in zip(texts, row):
             if j != i:
                 by_target.setdefault(j, []).append(text)
-        for j, labels in sorted(by_target.items()):
-            lines.append(f'    q{i} -> q{j} [label="{" ".join(labels)}"];')
-    lines.append("  }")
-    lines.append("  subgraph cluster_graph {")
-    lines.append('    label="preference graph";')
+        write("".join(
+            f'    q{i} -> q{j} [label="{" ".join(labels)}"];\n' for j, labels in sorted(by_target.items())
+        ))
+    write('  }\n  subgraph cluster_graph {\n    label="preference graph";\n')
     for n in pdfa.graph.nodes:
         tag_text = ",".join(tag_labels(spec, n.mp))
-        lines.append(f'    X{n.node_id} [shape=box label="X{n.node_id} {{{tag_text}}}"];')
+        write(f'    X{n.node_id} [shape=box label="X{n.node_id} {{{tag_text}}}"];\n')
     for worse, better in sorted(pdfa.graph.edges):
-        lines.append(f'    X{worse} -> X{better} [label="≺"];')
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        write(f'    X{worse} -> X{better} [label="≺"];\n')
+    write("  }\n}\n")

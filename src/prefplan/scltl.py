@@ -483,16 +483,27 @@ def _fold(f: Formula) -> Formula:
     return f
 
 
-def canonicalize(f: Formula) -> Formula:
+def canonicalize(f: Formula, keys: dict | None = None) -> Formula:
     """Reduced ordered Shannon normal form over temporal atoms.
 
     Temporal atoms are ordered lexicographically by their serialized form;
     two formulas denote the same DFA state iff their canonical forms are
     structurally identical.  The Boolean skeleton above the temporal atoms is
     negation-free, so the expansion (t & hi) | lo stays inside NNF.
+    ``keys`` (temporal atom -> ``_key``) lets the calls of one construction
+    serialize each atom once.
     """
+    if keys is None:
+        keys = {}
+
+    def key(atom: Formula) -> str:
+        k = keys.get(atom)
+        if k is None:
+            k = keys[atom] = _key(atom)
+        return k
+
     f = _fold(f)
-    order = sorted(_temporal_atoms(f), key=_key)
+    order = sorted(_temporal_atoms(f), key=key)
     memo: dict = {}  # (formula, idx) -> its canonical form over order[idx:]
 
     def build(g: Formula, idx: int) -> Formula:
@@ -554,7 +565,8 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     classes: dict = {}
     class_of = [classes.setdefault(sigma & atoms, len(classes)) for sigma in syms]
 
-    init = canonicalize(f)
+    keys: dict = {}  # temporal atom -> _key, for this construction's canonicalize calls
+    init = canonicalize(f, keys)
     index = {init: 0}  # canonical formula -> state, in state order
     rows = [None]
     frontier = [(0, init)]
@@ -562,7 +574,7 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
         i, rep = frontier.pop()
         succ = []
         for proj in classes:
-            nxt = canonicalize(progress(rep, proj))
+            nxt = canonicalize(progress(rep, proj), keys)
             j = index.get(nxt)
             if j is None:
                 j = len(index)
@@ -613,19 +625,21 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def dfa_to_dot(dfa: Dfa) -> str:
-    lines = ["digraph dfa {", "  rankdir=LR;"]
+def dfa_to_dot(dfa: Dfa, write) -> None:
+    """Write the DFA in DOT through ``write``, a state's lines at a time."""
+    write("digraph dfa {\n  rankdir=LR;\n")
     for i, label in enumerate(dfa.states):
         shape = "doublecircle" if i in dfa.accepting else "circle"
-        lines.append(f'  q{i} [shape={shape} label="{_dot_escape(label)}"];')
-    lines.append(f"  init [shape=point]; init -> q{dfa.initial};")
+        write(f'  q{i} [shape={shape} label="{_dot_escape(label)}"];\n')
+    write(f"  init [shape=point]; init -> q{dfa.initial};\n")
     # Group parallel edges by target to keep the output readable.
     texts = symbol_labels(dfa.symbols)
     for i, row in enumerate(dfa.rows):
         by_target: dict = {}
         for text, j in zip(texts, row):
             by_target.setdefault(j, []).append(text)
-        for j, labels in sorted(by_target.items()):
-            lines.append(f'  q{i} -> q{j} [label="{_dot_escape(" ".join(labels))}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        write("".join(
+            f'  q{i} -> q{j} [label="{_dot_escape(" ".join(labels))}"];\n'
+            for j, labels in sorted(by_target.items())
+        ))
+    write("}\n")

@@ -753,9 +753,10 @@ def regions_to_json(cache: ImprovementCache) -> dict:
     return {"nodes": nodes, "edges": sorted([w, b] for w, b in pm.node_edges)}
 
 
-def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
-    """The paper's doubled improvement MDP: node ``v<i>T`` is product state i
-    just entered by an improving edge, ``v<i>B`` the same state otherwise.
+def improvement_mdp_to_dot(im: ImprovementMdp, write) -> None:
+    """Write the paper's doubled improvement MDP in DOT through ``write``, a
+    product state's lines at a time: node ``v<i>T`` is product state i just
+    entered by an improving edge, ``v<i>B`` the same state otherwise.
 
     Each MDP (state, action)'s labels are rendered once, and each edge of a
     product state once: ``v<i>T`` steps to the plain copy of every
@@ -763,15 +764,14 @@ def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
     pm, improved = im.cache.product, im.cache.improved
     names, transitions = pm.mdp.actions, pm.mdp.transitions
     labels: dict = {}  # (s, a) -> label per positive entry, the successors of ``pm.dist``
-    lines = ["digraph improvement_mdp {", "  rankdir=LR;"]
+    write("digraph improvement_mdp {\n  rankdir=LR;\n")
     for v in range(pm.n_states()):
         sid = product_state_id(pm, v)
-        lines.append(f'  v{v}B [shape=box label="{sid} bot"];')
-        lines.append(f'  v{v}T [shape=box label="{sid} top" style=filled fillcolor="palegreen"];')
+        write(f'  v{v}B [shape=box label="{sid} bot"];\n'
+              f'  v{v}T [shape=box label="{sid} top" style=filled fillcolor="palegreen"];\n')
     for v, (s, _) in enumerate(pm.state_pairs):
         if v in im.dead:
-            lines.append(f'  v{v}B -> v{v}B [label="dead:1"];')
-            lines.append(f'  v{v}T -> v{v}T [label="dead:1"];')
+            write(f'  v{v}B -> v{v}B [label="dead:1"];\n  v{v}T -> v{v}T [label="dead:1"];\n')
             continue
         bot, top = [], []  # edge bodies from v<i>B and from v<i>T
         for a, routed in im.rows[v].items():
@@ -785,7 +785,5 @@ def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
                 top.append(body)
                 bot.append(f"v{w}T {label}" if t == improved else body)
         if top:
-            lines.append(f"  v{v}B -> " + f"\n  v{v}B -> ".join(bot))
-            lines.append(f"  v{v}T -> " + f"\n  v{v}T -> ".join(top))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            write(f"  v{v}B -> " + f"\n  v{v}B -> ".join(bot) + f"\n  v{v}T -> " + f"\n  v{v}T -> ".join(top) + "\n")
+    write("}\n")

@@ -211,6 +211,12 @@ class EpisodeRow(NamedTuple):
     unsatisfiable: bool
 
 
+# Each episode's outcome is OUTCOME_WORDS consecutive entries of
+# ``EpisodeStats.outcomes``: steps, improvements, regressions, final node (-1
+# for none) and truncated + 2 * unsatisfiable.
+OUTCOME_WORDS = 5
+
+
 class EpisodeStats(Record, frozen=False):
     episodes: int
     seed: int
@@ -220,7 +226,18 @@ class EpisodeStats(Record, frozen=False):
     regressions_observed: int = 0
     truncated_episodes: int = 0
     unsatisfiable_episodes: int = 0
-    rows: list = field(default_factory=list)
+    outcomes: object = field(repr=False)  # array('q'), OUTCOME_WORDS entries per episode
+
+    @property
+    def rows(self):
+        """The episodes as ``EpisodeRow``s, rebuilt from ``outcomes`` and
+        ``_episode_seed`` on every read."""
+        seed = self.seed
+        for ep, (steps, up, down, node, flags) in enumerate(zip(*[iter(self.outcomes)] * OUTCOME_WORDS)):
+            yield EpisodeRow(
+                ep, _episode_seed(seed, ep), steps, up, down,
+                None if node < 0 else node, bool(flags & 1), bool(flags & 2),
+            )
 
 
 _MIX = 0x9E3779B97F4A7C15
@@ -249,8 +266,14 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
     generator is reseeded per episode with ``_episode_seed``, the state a
     fresh ``random.Random(seed)`` starts in.  Draws and sums are those of
     sampling straight from ``pm.dist``, so ``stats.json`` and
-    ``episodes.csv`` stay byte-reproducible.
+    ``episodes.csv`` stay byte-reproducible.  An episode's outcome takes
+    OUTCOME_WORDS words of one ``array('q')``, so memory grows by about 40
+    bytes an episode; ``EpisodeStats.rows`` rebuilds the rows on each read.
     """
+    # Imported here: loading the extension module would cost every CLI
+    # process, not only ``simulate``'s, about 0.3 ms.
+    from array import array
+
     if episodes < 1:
         raise ValueError("need at least one episode")
     cache = policy.result.cache
@@ -274,14 +297,14 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
     node_of_state, state_pairs = pm.pdfa.node_of_state, pm.state_pairs
     rng = random.Random()
     reseed, draw, step = rng.seed, rng.random, policy.step
-    rows = []
+    outcomes = array("q")
+    store = outcomes.extend
     histogram = {}
-    final_nodes = {}
+    final_nodes = {}  # node id, -1 for none -> episodes
     regressions_observed = truncated_episodes = unsatisfiable_episodes = 0
 
     for ep in range(episodes):
-        ep_seed = _episode_seed(seed, ep)
-        reseed(ep_seed)
+        reseed(_episode_seed(seed, ep))
         v = pm.initial
         improvements = 0
         regressions = 0
@@ -308,19 +331,17 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
             improvements += improving
             regressions += regressing
             v = nxt
-        final_node = node_of_state.get(state_pairs[v][1])
-        rows.append(
-            EpisodeRow(ep, ep_seed, steps, improvements, regressions, final_node, truncated, unsatisfiable)
-        )
+        final_node = node_of_state.get(state_pairs[v][1], -1)
+        store((steps, improvements, regressions, final_node, truncated + 2 * unsatisfiable))
         histogram[improvements] = histogram.get(improvements, 0) + 1
-        key = "none" if final_node is None else str(final_node)
-        final_nodes[key] = final_nodes.get(key, 0) + 1
+        final_nodes[final_node] = final_nodes.get(final_node, 0) + 1
         regressions_observed += regressions
         truncated_episodes += truncated
         unsatisfiable_episodes += unsatisfiable
     return EpisodeStats(
-        episodes, seed, horizon, histogram, final_nodes,
-        regressions_observed, truncated_episodes, unsatisfiable_episodes, rows,
+        episodes, seed, horizon, histogram,
+        {"none" if node < 0 else str(node): n for node, n in final_nodes.items()},
+        regressions_observed, truncated_episodes, unsatisfiable_episodes, outcomes,
     )
 
 
@@ -346,9 +367,10 @@ def stats_to_json(stats: EpisodeStats) -> dict:
 _CSV_HEADER = ",".join(EpisodeRow._fields) + "\n"
 
 
-def stats_to_csv(stats: EpisodeStats) -> str:
+def stats_to_csv(stats: EpisodeStats, write) -> None:
+    """Write ``episodes.csv`` through ``write``, a line at a time."""
+    write(_CSV_HEADER)
+    seed = stats.seed
     # Every field is an int or "", which csv.writer would write unquoted.
-    return _CSV_HEADER + "".join([
-        f"{ep},{seed},{steps},{up},{down},{'' if node is None else node},{1 if cut else 0},{1 if unsat else 0}\n"
-        for ep, seed, steps, up, down, node, cut, unsat in stats.rows
-    ])
+    for ep, (steps, up, down, node, flags) in enumerate(zip(*[iter(stats.outcomes)] * OUTCOME_WORDS)):
+        write(f"{ep},{_episode_seed(seed, ep)},{steps},{up},{down},{'' if node < 0 else node},{flags & 1},{flags >> 1}\n")

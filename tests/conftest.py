@@ -19,6 +19,13 @@ from prefplan.synthesis import build_product
 BUNDLES = Path(__file__).resolve().parent.parent / "src" / "prefplan" / "bundles"
 
 
+def render(export, *args) -> str:
+    """The whole text a ``write``-style export (a DOT or CSV writer) emits."""
+    parts = []
+    export(*args, parts.append)
+    return "".join(parts)
+
+
 def read_bundle_json(name):
     return json.loads((BUNDLES / name).read_text())
 

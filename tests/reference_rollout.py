@@ -4,7 +4,8 @@ Test-only oracle: ``is_improvement`` re-derives both states' most-preferred
 (MP) node sets from the per-node regions on every call, ``CompositePolicy``
 rebuilds and re-sorts its action set on every step, and ``monte_carlo``
 samples straight from ``pm.dist`` with a fresh ``random.Random`` per
-episode, and ``stats_to_csv`` writes through ``csv.writer``.  The compiled
+episode into a list of ``EpisodeRow``s, and ``stats_to_csv`` writes through
+``csv.writer``.  The compiled
 versions in ``prefplan.synthesis``/``prefplan.verify`` must give the same
 answers, the same RNG draws and therefore the same bytes.
 """
@@ -13,8 +14,23 @@ import csv
 import io
 import random
 
+from prefplan.record import Record, field
 from prefplan.synthesis import BOTTOM, ImprovementCache, ProductMdp, SynthesisResult, mp_nodes
-from prefplan.verify import EpisodeRow, EpisodeStats, _episode_seed
+from prefplan.verify import EpisodeRow, _episode_seed
+
+
+class EpisodeStats(Record, frozen=False):
+    """``prefplan.verify.EpisodeStats`` with one ``EpisodeRow`` per episode."""
+
+    episodes: int
+    seed: int
+    horizon: int
+    improvements_histogram: dict = field(default_factory=dict)
+    final_node_distribution: dict = field(default_factory=dict)
+    regressions_observed: int = 0
+    truncated_episodes: int = 0
+    unsatisfiable_episodes: int = 0
+    rows: list = field(default_factory=list)
 
 
 def z_set(cache: ImprovementCache, v: int) -> frozenset:

@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefplan import cli
 from prefplan.cli import main
@@ -148,6 +151,11 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "state entry: 'id' must be a string, got 0"),
         ("synth", _replace(_mdp_doc(atoms=("A", "B")), "states", 0, label="AB"),
          "state entry: 'label' must be a list of strings, got 'AB'"),
+        *[
+            ("synth", _replace(_mdp_doc(atoms=("A",)), "states", 0, label=label),
+             f"state entry: 'label' must be a list of strings, got {label!r}")
+            for label in ([["A"]], [{}])
+        ],
         ("synth", _mdp_doc(prob=10**400), "successor of ('s','a'): 'prob' is too large for a float, got 1000"),
         ("synth", json.dumps(_mdp_doc(prob="many")).replace('"many"', "1" + "0" * 5000),
          "input.json: Exceeds the limit (4300 digits) for integer string conversion"),
@@ -181,7 +189,7 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-start-col-half", "grid-start-row-half", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
         "mdp-prob-nan", "mdp-initial-nan", "mdp-initial-negative", "grid-battery-bool", "mdp-prob-bool", "mdp-initial-bool",
         "pref-class-name-taken", "mdp-prob-numeric-string", "mdp-initial-numeric-string", "mdp-id-int",
-        "mdp-label-string", "mdp-prob-overflow", "mdp-prob-digits", "mdp-nested-deep",
+        "mdp-label-string", "mdp-label-nested", "mdp-label-object", "mdp-prob-overflow", "mdp-prob-digits", "mdp-nested-deep",
         "grid-width-fraction", "grid-height-fraction", "grid-battery-fraction",
         "grid-start-bool", "grid-start-strings", "grid-obstacle-short", "grid-drift-cell-bool",
         "grid-region-int", "grid-region-cell-3d",
@@ -715,3 +723,41 @@ def test_pipeline_byte_determinism(workdir):
         a = (workdir / "r1" / name).read_bytes()
         b = (workdir / "r2" / name).read_bytes()
         assert a == b, name
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-300, 0.1, 2**63]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(doc=JSON_DOCS)
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_write_json_streams_the_dumps_text(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "write_json.json"
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # The same text, written without joining it into one string first.
+    with mock.patch.object(json, "dumps", side_effect=AssertionError("document joined whole")):
+        cli._write_json(path, doc)
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_every_artifact_streams_to_its_file(workdir, monkeypatch):
+    """No command builds an artifact as one string and then writes it."""
+    (workdir / "formula.json").write_text(json.dumps({"atoms": ["A", "B"], "formula": "F A & (!A U B)"}))
+    whole = mock.Mock(side_effect=AssertionError("artifact written whole"))
+    monkeypatch.setattr(json, "dumps", whole)
+    monkeypatch.setattr(Path, "write_text", whole)
+    assert run("--out", "art", "compile", "formula.json") == 0
+    assert run("--out", "art", "prefdfa", PO2_PREF) == 0
+    assert run("--out", "art", "gridworld", "--dot", PO2_GRID4) == 0
+    mdp_path = str(workdir / "art" / "mdp.json")
+    for command in (["synth"], ["verify"], ["simulate", "--episodes", "50"]):
+        assert run("--out", "art", command[0], mdp_path, PO2_PREF, *command[1:]) == 0
+    assert sorted(p.name for p in (workdir / "art").iterdir()) == [
+        "dfa.dot", "dfa.json", "episodes.csv", "improvement_mdp.dot", "mdp.dot", "mdp.json",
+        "preference_dfa.dot", "preference_dfa.json", "preference_spec.json", "stats.json",
+        "strategy_sasi.json", "strategy_spi.json", "verify_report.json", "winning_regions.json",
+    ]

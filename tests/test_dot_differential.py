@@ -12,7 +12,7 @@ import pytest
 import reference_dot
 from prefplan.synthesis import aswin_by_node, build_improvement_mdp, improvement_mdp_to_dot
 
-from conftest import dead_start_product, random_product, unsatisfiable_product
+from conftest import dead_start_product, random_product, render, unsatisfiable_product
 
 PRODUCTS = {
     "dead-start": dead_start_product,
@@ -30,7 +30,7 @@ def improving_edges(im):
 
 
 def check_dot(im):
-    assert improvement_mdp_to_dot(im) == reference_dot.improvement_mdp_to_dot(im)
+    assert render(improvement_mdp_to_dot, im) == reference_dot.improvement_mdp_to_dot(im)
 
 
 @pytest.mark.parametrize("bundle", ["po1_b2", "po1_b4", "po2_b4"])

@@ -56,10 +56,11 @@ def test_prefplan_imports_only_stdlib_and_itself():
 def test_cli_import_loads_no_code_generator():
     """Every CLI process imports ``prefplan.cli`` first.  ``dataclasses``
     (which imports ``inspect``) ran ``exec`` for each method of each record,
-    most of that import's time; ``-S`` keeps ``site`` from loading either."""
+    most of that import's time; ``-S`` keeps ``site`` from loading either.
+    ``array``, an extension module, is loaded by the rollouts alone."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import prefplan.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'array'} & set(sys.modules)))"
     )
     child = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "[]"

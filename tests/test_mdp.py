@@ -16,7 +16,7 @@ from prefplan.mdp import (
     mdp_to_json,
 )
 
-from conftest import read_bundle_json
+from conftest import read_bundle_json, render
 
 
 def minimal_doc():
@@ -250,6 +250,6 @@ def test_bundle_gridworlds_build(bundle, grid, capacity, obstacles):
 
 def test_dot_export():
     mdp = build_gridworld(small_config())
-    dot = mdp_to_dot(mdp)
+    dot = render(mdp_to_dot, mdp)
     assert dot.startswith("digraph")
     assert "goal" in dot

@@ -13,7 +13,7 @@ from prefplan.prefdfa import build_preference_dfa, pdfa_to_dot, pdfa_to_json, ta
 from prefplan.preferences import Comparison, PreferenceDeclarations, build_spec
 from prefplan.scltl import CapacityError, all_symbols, parse, to_dfa
 
-from conftest import classify_word, index_of, random_preference_problem, run_dfa, satisfied
+from conftest import classify_word, index_of, random_preference_problem, render, run_dfa, satisfied
 
 
 def node_tags(pdfa, node_id):
@@ -346,7 +346,7 @@ def test_pdfa_json_fields(po1_pdfa):
 
 
 def test_pdfa_dot_clusters(po1_pdfa):
-    dot = pdfa_to_dot(po1_pdfa)
+    dot = render(pdfa_to_dot, po1_pdfa)
     assert "cluster_automaton" in dot
     assert "cluster_graph" in dot
     assert "≺" in dot

@@ -4,10 +4,11 @@
 indexed by product state, filled on first visit from
 ``CompositePolicy.choice``, and reseeds one generator per episode;
 ``reference_rollout`` re-derives the improvement relation, the action set
-and the cumulative sums at every step, and builds a fresh generator per
-episode.  Both must make the
-same RNG draws and write the same ``stats.json`` and ``episodes.csv`` bytes,
-the latter compared with the ``csv.writer`` version of the writer.
+and the cumulative sums at every step, builds a fresh generator per
+episode and keeps a row per episode.  Both must make the same RNG draws,
+write the same ``stats.json`` and ``episodes.csv`` bytes, the latter
+compared with the ``csv.writer`` version of the writer, and give the same
+rows, which ``prefplan.verify`` rebuilds from its outcome array.
 
 Real draws land within one rounding step of a threshold almost never, so
 every rollout also runs with draws that often hit the thresholds exactly,
@@ -30,7 +31,7 @@ import reference_rollout
 from prefplan.synthesis import CompositePolicy, synthesize
 from prefplan.verify import monte_carlo, stats_to_csv, stats_to_json
 
-from conftest import DIST_SHAPES, dead_start_product, random_product, unsatisfiable_product
+from conftest import DIST_SHAPES, dead_start_product, random_product, render, unsatisfiable_product
 
 BUNDLES = ["po1_b2", "po1_b4", "po2_b4"]
 MODES = [(mode, tie_break) for mode in ("spi", "sasi") for tie_break in ("lowest", "uniform")]
@@ -104,7 +105,8 @@ def assert_same_rollouts(pm, episodes, seed):
                             pm, reference_rollout.CompositePolicy(result, mode, tie_break), episodes, horizon, seed
                         )
                 assert json.dumps(stats_to_json(fast)) == json.dumps(stats_to_json(slow))
-                assert stats_to_csv(fast) == reference_rollout.stats_to_csv(slow)
+                assert render(stats_to_csv, fast) == reference_rollout.stats_to_csv(slow)
+                assert list(fast.rows) == slow.rows
                 seen["improvements"] += sum(k * n for k, n in slow.improvements_histogram.items())
                 seen["regressions"] += slow.regressions_observed
                 seen["unsatisfiable"] += slow.unsatisfiable_episodes

@@ -32,7 +32,7 @@ from prefplan.scltl import (
     to_dfa,
 )
 
-from conftest import run_dfa
+from conftest import render, run_dfa
 from reference_automata import good_prefix_oracle
 
 AB = ("a", "b")
@@ -452,6 +452,6 @@ def test_dfa_json_roundtrip():
 
 def test_dfa_dot_shapes():
     dfa = to_dfa(parse("F a", ("a",)), ("a",))
-    dot = dfa_to_dot(dfa)
+    dot = render(dfa_to_dot, dfa)
     assert "doublecircle" in dot
     assert dot.startswith("digraph")

@@ -30,6 +30,7 @@ from conftest import (
     index_of,
     random_mdp,
     random_product,
+    render,
     run_dfa,
     three_state_mdp_doc,
     three_state_product,
@@ -344,7 +345,7 @@ def test_dead_states_never_positively_winning():
     for v in im.dead:
         assert v not in result.spi.actions
         assert v not in result.sasi.actions
-    dot = improvement_mdp_to_dot(im)
+    dot = render(improvement_mdp_to_dot, im)
     assert '  v0B -> v0B [label="dead:1"];' in dot.splitlines()
     assert '  v0T -> v0T [label="dead:1"];' in dot.splitlines()
     assert dot.count("dead:1") == 2
@@ -566,7 +567,7 @@ def test_strategy_export_roundtrip(po1_b4):
     assert len(doc["entries"]) + len(doc["undefined_states"]) == pm.n_states()
     regions = regions_to_json(result.cache)
     assert set(regions["nodes"]) == {str(n) for n in pm.node_members}
-    dot = improvement_mdp_to_dot(result.improvement_mdp)
+    dot = render(improvement_mdp_to_dot, result.improvement_mdp)
     assert "palegreen" in dot
 
 

@@ -1,6 +1,7 @@
 """Value iteration, strategy condition checks with negative controls, rollouts."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -27,7 +28,7 @@ from prefplan.verify import (
     value_iteration,
 )
 
-from conftest import unsatisfiable_product
+from conftest import render, unsatisfiable_product
 
 
 def test_value_iteration_examples():
@@ -360,9 +361,9 @@ def test_monte_carlo_reproducible(po1_b4):
     a = monte_carlo(policy, episodes=300, seed=5)
     b = monte_carlo(policy, episodes=300, seed=5)
     assert stats_to_json(a) == stats_to_json(b)
-    assert stats_to_csv(a) == stats_to_csv(b)
+    assert render(stats_to_csv, a) == render(stats_to_csv, b)
     c = monte_carlo(policy, episodes=300, seed=6)
-    assert stats_to_csv(a) != stats_to_csv(c)
+    assert render(stats_to_csv, a) != render(stats_to_csv, c)
 
 
 def test_monte_carlo_improvements_every_episode(po1_b4):
@@ -414,12 +415,30 @@ def test_po2_two_improvements_on_every_path(po2_b4):
     assert min(absorbed_minimums) >= 2
 
 
+def test_rollout_memory_per_episode_is_a_few_words(po2_b4):
+    # Rollouts and the CSV export keep no object per episode: the traced
+    # peak grows by the outcome array's words, not by a row per episode.
+    policy = CompositePolicy(synthesize(po2_b4[4]), mode="sasi")
+
+    def traced_peak(episodes):
+        tracemalloc.start()
+        try:
+            stats_to_csv(monte_carlo(policy, episodes=episodes, seed=4), lambda text: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(100)  # the policy's per-state choices, filled on first visit
+    small, large = traced_peak(5000), traced_peak(25000)
+    assert (large - small) / 20000 <= 64, (small, large)
+
+
 def test_csv_shape(po1_b4):
     atoms, spec, mdp, pdfa, pm = po1_b4
     result = synthesize(pm)
     policy = CompositePolicy(result, mode="sasi")
     stats = monte_carlo(policy, episodes=5, seed=2)
-    lines = stats_to_csv(stats).strip().splitlines()
+    lines = render(stats_to_csv, stats).strip().splitlines()
     assert lines[0].split(",") == [
         "episode",
         "seed",
