@@ -8,7 +8,11 @@ edge reachable), independent of how the strategy was synthesized.
 
 from __future__ import annotations
 
+import os
 import random
+import sys
+from collections import Counter
+from itertools import islice
 from typing import NamedTuple
 
 from .record import Record, field
@@ -243,6 +247,12 @@ class EpisodeStats(Record, frozen=False):
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 63) - 1
 
+# A batch is split across processes only if each gets at least this many
+# episodes: on no workload did forking pay at 2,000 episodes.
+MIN_EPISODES_PER_PROCESS = 5000
+# A child's outcomes are read from its pipe this many words at a time.
+_CHUNK_WORDS = 8192
+
 
 def _episode_seed(seed: int, episode: int) -> int:
     # Splittable counter scheme: episode seeds are independent of rollout
@@ -255,20 +265,17 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
 
     Improvements and regressions are counted per traversed edge; episodes
     stop at the horizon (flagged truncated) or in an absorbing state.
-
-    Per step the loop calls ``policy.step`` once and looks the picked
-    action's row up in a table indexed by product state.  A state's entry is
-    filled on first visit: one row (absorbing, ((threshold, successor,
-    improving, regressing), ...)) per candidate action of ``policy.choice``,
-    thresholds being the running sums of the probabilities.  Unless the
-    state is absorbing, a step draws ``rng.random()`` once and takes the
-    first successor whose threshold exceeds it (the last if none does).  One
-    generator is reseeded per episode with ``_episode_seed``, the state a
-    fresh ``random.Random(seed)`` starts in.  Draws and sums are those of
-    sampling straight from ``pm.dist``, so ``stats.json`` and
-    ``episodes.csv`` stay byte-reproducible.  An episode's outcome takes
-    OUTCOME_WORDS words of one ``array('q')``, so memory grows by about 40
-    bytes an episode; ``EpisodeStats.rows`` rebuilds the rows on each read.
+    ``_rollouts`` runs one contiguous range of episodes.  A batch of at least
+    ``MIN_EPISODES_PER_PROCESS`` episodes per CPU this process may run on is
+    cut into one range per such CPU, and ``_forked_rollouts`` runs every range
+    but the first in a forked child; otherwise, or where forking is
+    unavailable or unsafe, the whole batch is one range run here.  Episode
+    seeds depend on the episode index alone, so the outcomes, and with them
+    ``stats.json`` and ``episodes.csv``, are the same bytes either way.  An
+    episode's outcome takes OUTCOME_WORDS words of one ``array('q')``, so
+    memory grows by about 40 bytes an episode; the totals are counted from
+    that array once every range is in, and ``EpisodeStats.rows`` rebuilds the
+    rows on each read.
     """
     # Imported here: loading the extension module would cost every CLI
     # process, not only ``simulate``'s, about 0.3 ms.
@@ -276,12 +283,51 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
 
     if episodes < 1:
         raise ValueError("need at least one episode")
-    cache = policy.result.cache
-    pm = cache.product
+    pm = policy.result.cache.product
     if horizon is None:
         horizon = 10 * pm.n_states()
     if horizon < 1:
         raise ValueError("horizon must be positive")
+
+    run = _rollouts(policy, horizon, seed)
+    outcomes = array("q")
+    processes = _processes(episodes)
+    if processes == 1:
+        run(0, episodes, outcomes)
+    else:
+        _forked_rollouts(run, [episodes * k // processes for k in range(processes + 1)], outcomes)
+
+    def column(k):  # word k of every episode, without copying the array
+        return islice(outcomes, k, None, OUTCOME_WORDS)
+
+    flags = Counter(column(4))
+    final_nodes = Counter(column(3))
+    return EpisodeStats(
+        episodes, seed, horizon, dict(Counter(column(1))),
+        {"none" if node < 0 else str(node): n for node, n in final_nodes.items()},
+        sum(column(2)), flags[1] + flags[3], flags[2] + flags[3], outcomes,
+    )
+
+
+def _rollouts(policy: CompositePolicy, horizon: int, seed: int):
+    """``run(start, stop, outcomes)``, which appends the OUTCOME_WORDS
+    outcome words of each episode from ``start`` to ``stop - 1`` to the
+    ``array('q')`` ``outcomes``.
+
+    Per step ``run`` calls ``policy.step`` once and looks the picked action's
+    row up in a table indexed by product state, shared by every call of this
+    ``run``.  A state's entry is filled on first visit: one row (absorbing,
+    ((threshold, successor, improving, regressing), ...)) per candidate
+    action of ``policy.choice``, thresholds being the running sums of the
+    probabilities.  Unless the state is absorbing, a step draws
+    ``rng.random()`` once and takes the first successor whose threshold
+    exceeds it (the last if none does).  One generator is reseeded per
+    episode with ``_episode_seed``, the state a fresh
+    ``random.Random(seed)`` starts in.  Draws and sums are those of sampling
+    straight from ``pm.dist``.
+    """
+    cache = policy.result.cache
+    pm = cache.product
 
     def compile_row(v: int, a: int):
         dist = pm.dist(v, a)
@@ -292,57 +338,151 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
             entries.append((acc, t, is_improvement(cache, v, t), is_improvement(cache, t, v)))
         return len(dist) == 1 and dist[0][0] == v, tuple(entries)
 
-    # v -> {candidate action: compiled row}
-    table = [None] * pm.n_states()
-    node_of_state, state_pairs = pm.pdfa.node_of_state, pm.state_pairs
-    rng = random.Random()
-    reseed, draw, step = rng.seed, rng.random, policy.step
-    outcomes = array("q")
-    store = outcomes.extend
-    histogram = {}
-    final_nodes = {}  # node id, -1 for none -> episodes
-    regressions_observed = truncated_episodes = unsatisfiable_episodes = 0
+    table = [None] * pm.n_states()  # v -> {candidate action: compiled row}
 
-    for ep in range(episodes):
-        reseed(_episode_seed(seed, ep))
-        v = pm.initial
-        improvements = 0
-        regressions = 0
-        unsatisfiable = False
-        truncated = True
-        steps = 0
-        for _ in range(horizon):
-            a, phase = step(v, rng)
-            if phase == "unsatisfiable":
-                unsatisfiable = True
-            rows_at = table[v]
-            if rows_at is None:
-                rows_at = table[v] = {a: compile_row(v, a) for a in policy.choice(v)[0]}
-            absorbing, entries = rows_at[a]
-            if absorbing:
-                truncated = False
-                break
-            r = draw()
-            # Without a break the loop leaves the last successor bound.
-            for threshold, nxt, improving, regressing in entries:
-                if r < threshold:
+    def run(start: int, stop: int, outcomes) -> None:
+        node_of_state, state_pairs, initial = pm.pdfa.node_of_state, pm.state_pairs, pm.initial
+        rng = random.Random()
+        # The C-level seed: the same state as ``rng.seed``, without its
+        # Python-level type checks.
+        reseed = super(random.Random, rng).seed
+        draw, step, choice, store = rng.random, policy.step, policy.choice, outcomes.extend
+        for ep in range(start, stop):
+            reseed(_episode_seed(seed, ep))
+            v = initial
+            improvements = 0
+            regressions = 0
+            unsatisfiable = False
+            truncated = True
+            steps = 0
+            for _ in range(horizon):
+                a, phase = step(v, rng)
+                if phase == "unsatisfiable":
+                    unsatisfiable = True
+                rows_at = table[v]
+                if rows_at is None:
+                    rows_at = table[v] = {a: compile_row(v, a) for a in choice(v)[0]}
+                absorbing, entries = rows_at[a]
+                if absorbing:
+                    truncated = False
                     break
-            steps += 1
-            improvements += improving
-            regressions += regressing
-            v = nxt
-        final_node = node_of_state.get(state_pairs[v][1], -1)
-        store((steps, improvements, regressions, final_node, truncated + 2 * unsatisfiable))
-        histogram[improvements] = histogram.get(improvements, 0) + 1
-        final_nodes[final_node] = final_nodes.get(final_node, 0) + 1
-        regressions_observed += regressions
-        truncated_episodes += truncated
-        unsatisfiable_episodes += unsatisfiable
-    return EpisodeStats(
-        episodes, seed, horizon, histogram,
-        {"none" if node < 0 else str(node): n for node, n in final_nodes.items()},
-        regressions_observed, truncated_episodes, unsatisfiable_episodes, outcomes,
-    )
+                r = draw()
+                # Without a break the loop leaves the last successor bound.
+                for threshold, nxt, improving, regressing in entries:
+                    if r < threshold:
+                        break
+                steps += 1
+                improvements += improving
+                regressions += regressing
+                v = nxt
+            final_node = node_of_state.get(state_pairs[v][1], -1)
+            store((steps, improvements, regressions, final_node, truncated + 2 * unsatisfiable))
+
+    return run
+
+
+def _processes(episodes: int) -> int:
+    """How many processes share a batch of ``episodes`` episodes: at most one
+    per CPU this process may run on, each with at least
+    MIN_EPISODES_PER_PROCESS episodes.  One where ``fork`` or
+    ``sched_getaffinity`` is missing, and where another thread runs, since a
+    forked child gets only the forking thread and could inherit a lock
+    another one holds."""
+    most = episodes // MIN_EPISODES_PER_PROCESS
+    if most < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    threading = sys.modules.get("threading")  # read, not imported
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return min(most, len(os.sched_getaffinity(0)))
+
+
+def _forked_rollouts(run, bounds: list, outcomes) -> None:
+    """Append the outcomes of the episode ranges ``bounds[k]`` to
+    ``bounds[k + 1]`` to ``outcomes``, in order: the first range run here,
+    each other one in a forked child that writes its outcome words to a pipe.
+
+    A range whose child could not be forked, exited non-zero or sent fewer
+    words than its episodes have is run here instead, so a fault of the
+    rollouts raises here as it does without children.  Every child is reaped
+    before this returns or raises.
+    """
+    children = []  # (start, stop, pid and read end, or None where fork failed)
+    pids, fds = [], []  # children not yet reaped, read ends not yet closed
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            child = _fork(run, start, stop, outcomes[:0], fds)
+            if child is not None:
+                pids.append(child[0])
+                fds.append(child[1])
+            children.append((start, stop, child))
+        run(bounds[0], bounds[1], outcomes)
+        for start, stop, child in children:
+            mark = len(outcomes)
+            if child is not None:
+                pid, fd = child
+                whole = _receive(fd, outcomes, OUTCOME_WORDS * (stop - start))
+                fds.remove(fd)
+                os.close(fd)
+                status = os.waitpid(pid, 0)[1]
+                pids.remove(pid)
+                if whole and status == 0:
+                    continue
+                del outcomes[mark:]
+            run(start, stop, outcomes)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        if pids:
+            # Only on an exception: what the children compute is dropped.
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork(run, start: int, stop: int, outcomes, inherited: list):
+    """(pid, read end of its pipe) of a forked child that appends the outcome
+    words of episodes ``start`` to ``stop - 1`` to the empty array
+    ``outcomes`` and writes them to that pipe, after closing the
+    ``inherited`` read ends; None when ``fork`` fails."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            for fd in inherited:
+                os.close(fd)
+            run(start, stop, outcomes)
+            with open(w, "wb") as pipe:
+                pipe.write(outcomes)
+            code = 0
+        finally:
+            # Skip the parent's exit handlers and buffered output.
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _receive(fd: int, outcomes, words: int) -> bool:
+    """Append up to ``words`` words read from ``fd`` to ``outcomes``,
+    _CHUNK_WORDS at a time; whether all of them came."""
+    with open(fd, "rb", closefd=False) as pipe:
+        while words:
+            n = min(words, _CHUNK_WORDS)
+            chunk = pipe.read(n * outcomes.itemsize)
+            if len(chunk) < n * outcomes.itemsize:
+                return False
+            outcomes.frombytes(chunk)
+            words -= n
+    return True
 
 
 def stats_to_json(stats: EpisodeStats) -> dict:

@@ -66,6 +66,20 @@ def test_cli_import_loads_no_code_generator():
     assert child.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_or_thread_pool():
+    """``monte_carlo`` forks its children with ``os`` alone, and finds out
+    whether other threads run by reading ``sys.modules``, not by importing
+    ``threading``."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import prefplan.cli; "
+        "loaded = lambda: sorted({m.split('.')[0] for m in sys.modules} "
+        "& {'multiprocessing', 'concurrent', 'threading'}); "
+        "print(loaded()); prefplan.verify._processes(10**6); print(loaded())"
+    )
+    child = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert child.stdout.split("\n") == ["[]", "[]", ""]
+
+
 def test_src_generates_no_code():
     calls = {
         f"{path.name}:{node.lineno}"

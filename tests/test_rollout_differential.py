@@ -13,12 +13,19 @@ rows, which ``prefplan.verify`` rebuilds from its outcome array.
 Real draws land within one rounding step of a threshold almost never, so
 every rollout also runs with draws that often hit the thresholds exactly,
 on distributions whose running sums depend on the summation order.
+
+``monte_carlo`` splits a large batch into episode ranges and runs all but
+the first in forked children; every comparison runs on one range, on two
+and on three, reached by lowering ``MIN_EPISODES_PER_PROCESS`` and faking
+the CPUs ``os.sched_getaffinity`` reports.
 """
 
 import json
 import math
+import os
 import random
 from collections import Counter
+from contextlib import contextmanager
 from types import SimpleNamespace
 from unittest import mock
 
@@ -29,7 +36,7 @@ from hypothesis import strategies as st
 import prefplan.verify as verify
 import reference_rollout
 from prefplan.synthesis import CompositePolicy, synthesize
-from prefplan.verify import monte_carlo, stats_to_csv, stats_to_json
+from prefplan.verify import _episode_seed, monte_carlo, stats_to_csv, stats_to_json
 
 from conftest import DIST_SHAPES, dead_start_product, random_product, render, unsatisfiable_product
 
@@ -84,6 +91,20 @@ def counting_pick(seen):
     return counted
 
 
+@contextmanager
+def episode_ranges(processes):
+    """``monte_carlo`` cuts every batch of at least ``processes`` episodes
+    into ``processes`` ranges, all but the first run in forked children."""
+    with mock.patch.object(verify, "MIN_EPISODES_PER_PROCESS", 1), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(processes))):
+        yield
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def assert_same_rollouts(pm, episodes, seed):
     """Every mode, tie-break, horizon and draw source; returns what the
     oracle met, to show what the inputs exercise: summed improvements and
@@ -99,14 +120,16 @@ def assert_same_rollouts(pm, episodes, seed):
             for horizon in (1, 3, None):
                 with mock.patch.object(verify, "random", draws), \
                         mock.patch.object(reference_rollout, "random", draws):
-                    fast = monte_carlo(CompositePolicy(result, mode, tie_break), episodes, horizon, seed)
                     with mock.patch.object(reference_rollout.CompositePolicy, "_pick", counting_pick(seen)):
                         slow = reference_rollout.monte_carlo(
                             pm, reference_rollout.CompositePolicy(result, mode, tie_break), episodes, horizon, seed
                         )
-                assert json.dumps(stats_to_json(fast)) == json.dumps(stats_to_json(slow))
-                assert render(stats_to_csv, fast) == reference_rollout.stats_to_csv(slow)
-                assert list(fast.rows) == slow.rows
+                    for processes in (1, 2, 3):
+                        with episode_ranges(processes):
+                            fast = monte_carlo(CompositePolicy(result, mode, tie_break), episodes, horizon, seed)
+                        assert json.dumps(stats_to_json(fast)) == json.dumps(stats_to_json(slow))
+                        assert render(stats_to_csv, fast) == reference_rollout.stats_to_csv(slow)
+                        assert list(fast.rows) == slow.rows
                 seen["improvements"] += sum(k * n for k, n in slow.improvements_histogram.items())
                 seen["regressions"] += slow.regressions_observed
                 seen["unsatisfiable"] += slow.unsatisfiable_episodes
@@ -151,3 +174,84 @@ def test_rollout_inputs_reach_every_branch_of_the_step_table(po1_b2, po1_b4, po2
     seen += assert_same_rollouts(unsatisfiable_product(), 20, 5)
     wanted = ("uniform picks", "unsatisfiable", "absorbed", "truncated", "no final node")
     assert all(seen[k] > 0 for k in wanted), seen
+
+
+def po2_rollouts(po2_b4, policy_class=CompositePolicy, episodes=30, processes=3):
+    """stats.json and episodes.csv of po2 rollouts on ``processes`` ranges."""
+    policy = policy_class(synthesize(po2_b4[4]), "sasi", "uniform")
+    with episode_ranges(processes):
+        stats = monte_carlo(policy, episodes, None, 11)
+    return json.dumps(stats_to_json(stats)), render(stats_to_csv, stats)
+
+
+def test_split_rollouts_fork_and_leave_no_child(po2_b4):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(os, "fork", counted):
+        split = po2_rollouts(po2_b4)
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert split == po2_rollouts(po2_b4, processes=1)
+
+
+def test_rollouts_without_fork_give_the_same_bytes(po2_b4):
+    attempts = []
+
+    def failing():
+        attempts.append(1)
+        raise OSError("fork unavailable")
+
+    with mock.patch.object(os, "fork", failing):
+        split = po2_rollouts(po2_b4)
+    assert len(attempts) == 2
+    assert split == po2_rollouts(po2_b4, processes=1)
+
+
+def test_a_range_whose_child_fails_is_rerun_here(po2_b4):
+    parent = os.getpid()
+
+    class FailsInChildren(CompositePolicy):
+        def step(self, v, rng=None):
+            if os.getpid() != parent:
+                raise RuntimeError("fault in a child")
+            return super().step(v, rng)
+
+    split = po2_rollouts(po2_b4, FailsInChildren)
+    assert_no_child_left()
+    assert split == po2_rollouts(po2_b4, processes=1)
+
+
+@pytest.mark.parametrize("episode", [0, 29], ids=["parent's range", "last child's range"])
+def test_a_fault_raises_here_as_without_children(po2_b4, tmp_path, episode):
+    # The policy fails at the first step of one episode and notes the pid of
+    # each process it fails in.  In the first range the parent fails while
+    # its children run; in the last one the child fails first, and the
+    # parent, rerunning that range, fails the same way.
+    faults = tmp_path / "faults"
+    start = random.Random(_episode_seed(11, episode)).getstate()
+
+    class Faulty(CompositePolicy):
+        def step(self, v, rng=None):
+            if rng.getstate() == start:
+                with open(faults, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                raise RuntimeError(f"fault at episode {episode}")
+            return super().step(v, rng)
+
+    for processes in (1, 3):
+        faults.unlink(missing_ok=True)
+        with pytest.raises(RuntimeError, match=f"fault at episode {episode}"):
+            po2_rollouts(po2_b4, Faulty, processes=processes)
+        assert_no_child_left()
+        pids = [int(line) for line in faults.read_text(encoding="utf-8").split()]
+        if processes == 3 and episode:
+            assert len(pids) == 2 and pids[0] != os.getpid() == pids[1]
+        else:
+            assert pids == [os.getpid()]
