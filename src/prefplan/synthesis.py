@@ -10,11 +10,15 @@ marked copies of the paper's doubled improvement MDP, which are only ever
 targets, so both give the same regions and strategies (``improvement_mdp.dot``
 still draws the doubled form).
 
-The solvers take support rows, ``state -> {action: [positive-probability
-successors]}``, which is all qualitative reachability depends on.  Each model
+The solvers take support rows, ``state -> {action: (positive-probability
+successors)}``, which is all qualitative reachability depends on.  Each model
 builds its rows in the loop that visits its edges anyway, and keeps no other
 copy of them: ``build_product`` (``ProductMdp.dist`` pairs its rows with the
 MDP's probabilities), the improvement MDP's one pass and the verifier's chain.
+Every row is a tuple of ints, so the garbage collector stops tracking it, and
+then its state's row dict, at the first full collection that sees them.  The
+improvement MDP keeps the product's own tuple for every action none of whose
+successors changes MP class, and builds a routed one only for the others.
 ``pwin`` is one backward search over a predecessor index built per solve.
 ``aswin`` decides the strongly connected components of the support graph
 one at a time, sinks first (``scc_order``): a single state in one step, a
@@ -111,7 +115,7 @@ class ProductMdp(Record):
     mdp: LabeledMdp
     pdfa: PreferenceDfa
     state_pairs: tuple  # of (s, q)
-    rows: dict  # v -> {a: [v' per positive entry of the MDP's (s, a), in order]}: the solvers' input
+    rows: dict  # v -> {a: (v' per positive entry of the MDP's (s, a), in order)}: the solvers' input
     initial: int
     node_members: dict  # node id -> frozenset of product states
     node_edges: frozenset  # (worse node id, better node id)
@@ -130,6 +134,12 @@ class ProductMdp(Record):
     def transitions(self) -> dict:
         """(v, a) -> ``dist(v, a)``, built on each read; read by ``perfbench/tracing.py`` only."""
         return {(v, a): self.dist(v, a) for v, row in self.rows.items() for a in row}
+
+    @cached_property
+    def state_ids(self) -> list:
+        """v -> the id the exports give state v, ``<mdp state>#q<dfa state>``."""
+        names = self.mdp.states
+        return [f"{names[s]}#q{q}" for s, q in self.state_pairs]
 
 
 def build_product(
@@ -166,7 +176,7 @@ def build_product(
         s, q = state_pairs[v]
         support_rows[v] = row = {}
         for a in mdp.enabled(s):
-            row[a] = support = []
+            support = []
             for s2, p in mdp.transitions[(s, a)]:
                 if not p:
                     continue  # a zero-probability successor is not an edge
@@ -180,6 +190,7 @@ def build_product(
                     state_pairs.append((s2, q2))
                     frontier.append(w)
                 support.append(w)
+            row[a] = tuple(support)
 
     groups: dict = {}
     for v, (_, q) in enumerate(state_pairs):
@@ -453,11 +464,12 @@ class ImprovementCache:
 
     ``order`` is the product's SCC order, which every ``aswin`` on the
     product or a model derived from it sweeps.  ``aswin_by_node`` holds the
-    per-node almost-sure regions.  Every product
-    state's most-preferred (MP) node set is interned into a class id:
-    ``mp_class[v]`` indexes ``mp_sets``, and ``improves[c1][c2]`` tells
-    whether a state of class c2 improves on one of class c1.  Outside this
-    module the relation is read through ``is_improvement`` and ``mp_of``.
+    per-node almost-sure regions.  Every product state's most-preferred (MP)
+    node set, worked out once per distinct z-set (the nodes whose region holds
+    the state), is interned into a class id in the order the states first
+    show it: ``mp_class[v]`` indexes ``mp_sets``, and ``improves[c1][c2]``
+    tells whether a state of class c2 improves on one of class c1.  Outside
+    this module the relation is read through ``is_improvement`` and ``mp_of``.
     """
 
     def __init__(self, product: ProductMdp):
@@ -467,14 +479,18 @@ class ImprovementCache:
             node_id: aswin(pm.rows, members, self.order)
             for node_id, members in sorted(pm.node_members.items())
         }
-        z_sets = [[] for _ in range(pm.n_states())]
-        for node_id, region in self.aswin_by_node.items():
+        # A state's z-set, the nodes whose region holds it, as a bit mask:
+        # bit k stands for the k-th node of ``aswin_by_node``.
+        nodes, z_masks = list(self.aswin_by_node), [0] * pm.n_states()
+        for k, region in enumerate(self.aswin_by_node.values()):
+            bit = 1 << k
             for v in region.region:
-                z_sets[v].append(node_id)
-        class_of = {}
-        self.mp_class = [  # state -> class id
-            class_of.setdefault(mp_nodes(pm, frozenset(nodes)), len(class_of)) for nodes in z_sets
-        ]
+                z_masks[v] |= bit
+        class_of, class_of_z = {}, {}  # MP set -> class id, z-set mask -> class id
+        for z in dict.fromkeys(z_masks):  # each distinct z-set once, in first-occurrence order
+            z_set = frozenset(n for k, n in enumerate(nodes) if z >> k & 1)
+            class_of_z[z] = class_of.setdefault(mp_nodes(pm, z_set), len(class_of))
+        self.mp_class = [class_of_z[z] for z in z_masks]  # state -> class id
         self.mp_sets = list(class_of)  # class id -> frozenset of MP nodes
         self.improves = [  # class -> class -> bool
             [
@@ -538,7 +554,9 @@ class ImprovementMdp(Record):
     """
 
     cache: ImprovementCache
-    rows: dict  # v -> {kept action: [successors, improving ones as ``cache.improved``]}
+    # v -> {kept action: (successors, improving ones as ``cache.improved``)};
+    # the product's own tuple where no successor changes MP class
+    rows: dict
     dead: frozenset  # product states with no enabled action
 
     @cached_property
@@ -565,6 +583,14 @@ def build_improvement_mdp(cache: ImprovementCache) -> ImprovementMdp:
         up = improves[c]
         rows[v] = row = {}
         for a, successors in pm.rows[v].items():
+            for w in successors:
+                if cls[w] != c:
+                    break
+            else:
+                # No successor changes class, so none improves or regresses:
+                # the product's own row serves.
+                row[a] = successors
+                continue
             routed = []
             for w in successors:
                 d = cls[w]
@@ -572,7 +598,7 @@ def build_improvement_mdp(cache: ImprovementCache) -> ImprovementMdp:
                     break  # regression guard: the move could lose ground
                 routed.append(improved if up[d] else w)
             else:
-                row[a] = routed
+                row[a] = tuple(routed)
     return ImprovementMdp(
         cache=cache,
         rows=rows,
@@ -694,29 +720,21 @@ class CompositePolicy:
 
 
 def product_state_id(pm: ProductMdp, v: int) -> str:
-    s, q = pm.state_pairs[v]
-    return f"{pm.mdp.states[s]}#q{q}"
+    return pm.state_ids[v]
 
 
 def strategy_to_json(pm: ProductMdp, strategy: Strategy) -> dict:
-    entries = []
-    for v in sorted(strategy.actions):
-        entries.append(
-            {
-                "state": product_state_id(pm, v),
-                "actions": sorted(pm.mdp.actions[a] for a in strategy.actions[v]),
-            }
-        )
-    undefined = [
-        product_state_id(pm, v)
-        for v in range(pm.n_states())
-        if v not in strategy.actions
+    ids, names, actions = pm.state_ids, pm.mdp.actions, strategy.actions
+    entries = [
+        {"state": ids[v], "actions": sorted(names[a] for a in actions[v])}
+        for v in sorted(actions)
     ]
+    undefined = [sid for v, sid in enumerate(ids) if v not in actions]
     return {"mode": strategy.mode, "entries": entries, "undefined_states": undefined}
 
 
 def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
-    ids = {product_state_id(pm, v): v for v in range(pm.n_states())}
+    ids = {sid: v for v, sid in enumerate(pm.state_ids)}
     action_index = {name: a for a, name in enumerate(pm.mdp.actions)}
     mode, entries = json_fields(doc, "strategy file", StrategyError, {"mode": str, "entries": list})
     if mode not in MODES:
@@ -744,11 +762,12 @@ def strategy_from_json(pm: ProductMdp, doc: dict) -> Strategy:
 
 def regions_to_json(cache: ImprovementCache) -> dict:
     pm, nodes = cache.product, {}
+    ids = pm.state_ids
     for node_id, region in sorted(cache.aswin_by_node.items()):
         nodes[str(node_id)] = {
             "tags": tag_labels(pm.pdfa.spec, pm.pdfa.graph.nodes[node_id].mp),
-            "members": sorted(product_state_id(pm, v) for v in pm.node_members[node_id]),
-            "almost_sure_region": sorted(product_state_id(pm, v) for v in region.region),
+            "members": sorted(ids[v] for v in pm.node_members[node_id]),
+            "almost_sure_region": sorted(ids[v] for v in region.region),
         }
     return {"nodes": nodes, "edges": sorted([w, b] for w, b in pm.node_edges)}
 
@@ -765,8 +784,7 @@ def improvement_mdp_to_dot(im: ImprovementMdp, write) -> None:
     names, transitions = pm.mdp.actions, pm.mdp.transitions
     labels: dict = {}  # (s, a) -> label per positive entry, the successors of ``pm.dist``
     write("digraph improvement_mdp {\n  rankdir=LR;\n")
-    for v in range(pm.n_states()):
-        sid = product_state_id(pm, v)
+    for v, sid in enumerate(pm.state_ids):
         write(f'  v{v}B [shape=box label="{sid} bot"];\n'
               f'  v{v}T [shape=box label="{sid} top" style=filled fillcolor="palegreen"];\n')
     for v, (s, _) in enumerate(pm.state_pairs):

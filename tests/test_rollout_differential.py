@@ -162,6 +162,19 @@ def test_dead_start_rollouts_match_reference():
     assert assert_same_rollouts(dead_start_product(), 50, 3)["regressions"] > 0
 
 
+def test_csv_chunks_join_to_the_reference_bytes(po2_b4):
+    # stats_to_csv writes _CSV_CHUNK lines per write; with 7, the 30 episodes
+    # take five writes after the header, and no chunk edge may show.
+    pm = po2_b4[4]
+    result = synthesize(pm)
+    slow = reference_rollout.monte_carlo(pm, reference_rollout.CompositePolicy(result), 30, None, 5)
+    writes = []
+    with mock.patch.object(verify, "_CSV_CHUNK", 7):
+        stats_to_csv(monte_carlo(CompositePolicy(result), 30, None, 5), writes.append)
+    assert len(writes) == 6
+    assert "".join(writes) == reference_rollout.stats_to_csv(slow)
+
+
 def test_rollout_inputs_reach_every_branch_of_the_step_table(po1_b2, po1_b4, po2_b4):
     # The fixed inputs above, plus a product whose every episode is
     # unsatisfiable and ends outside every graph node (compared only here),

@@ -1,5 +1,7 @@
 """Product construction, qualitative solvers, and improving-strategy synthesis."""
 
+import gc
+
 import pytest
 
 import reference_solvers
@@ -206,7 +208,7 @@ def test_rows_list_the_successors_of_dist(source, request):
         pm = random_product(source)[3]
     for v, row in pm.rows.items():
         for a, succ in row.items():
-            assert succ == [w for w, _ in pm.dist(v, a)]
+            assert succ == tuple(w for w, _ in pm.dist(v, a))
 
 
 def test_product_initial_consumes_start_label(po1_b4):
@@ -332,6 +334,37 @@ def test_improvement_mdp_disables_regressing_actions(po1_b4):
                 is_improvement(cache, w, v) for w, p in pm.dist(v, a) if p > 0
             )
             assert (a in im.rows[v]) == (not regresses)
+
+
+@pytest.mark.parametrize("source", ["po2_b4", *range(10)])
+def test_rows_are_shared_tuples_the_collector_skips(source, request):
+    # Support rows hold ints only, so one full collection untracks every row
+    # tuple and then every row dict.  An action none of whose successors
+    # changes MP class has nothing to route: the improvement MDP keeps the
+    # product's own row for it.
+    if isinstance(source, str):
+        pm = request.getfixturevalue(source)[4]
+    else:
+        pm = random_product(source)[3]
+    cache = aswin_by_node(pm)
+    im = build_improvement_mdp(cache)
+    gc.collect()
+    for rows in (pm.rows, im.rows):
+        for row in rows.values():
+            assert not gc.is_tracked(row)
+            for successors in row.values():
+                assert type(successors) is tuple and not gc.is_tracked(successors)
+    cls, shared = cache.mp_class, 0
+    for v in range(pm.n_states()):
+        for a, routed in im.rows[v].items():
+            successors = pm.rows[v][a]
+            if all(cls[w] == cls[v] for w in successors):
+                assert routed is successors
+                shared += 1
+            else:
+                assert routed is not successors
+    if isinstance(source, str):
+        assert 0 < shared < sum(map(len, im.rows.values()))
 
 
 def test_dead_states_never_positively_winning():
@@ -581,6 +614,8 @@ def test_improvement_table_matches_definition(source, request):
         pm = random_product(source)[3]
     cache = aswin_by_node(pm)
     mp = [mp_nodes(pm, z_set(cache, v)) for v in range(pm.n_states())]
+    # Class ids number the MP sets in the order the states first show them.
+    assert cache.mp_sets == list(dict.fromkeys(mp))
     improving = 0
     for v, mp_v in enumerate(mp):
         assert cache.mp_of(v) == mp_v

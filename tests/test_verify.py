@@ -240,11 +240,11 @@ def test_induced_chain_marks(po1_b4):
         if v not in result.sasi.actions:
             assert row == {}
             continue
-        assert row == {0: [
+        assert row == {0: tuple(
             improved if is_improvement(cache, v, w) else w
             for a in sorted(result.sasi.actions[v])
             for w, _ in dist(v, a)
-        ]}
+        )}
 
 
 def improving_reach_values(pm, strategy, cache):
