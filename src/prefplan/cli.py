@@ -44,7 +44,6 @@ from .synthesis import (
     aswin_by_node,
     build_product,
     improvement_mdp_to_dot,
-    product_state_id,
     regions_to_json,
     strategy_from_json,
     strategy_to_json,
@@ -200,6 +199,7 @@ def cmd_verify(args) -> int:
         cache = result.cache
     report_doc = {}
     all_ok = True
+    ids = product.state_ids
     for mode, strategy in to_check:
         if not strategy.actions:
             report_doc[mode] = {"defined": False}
@@ -212,19 +212,19 @@ def cmd_verify(args) -> int:
             "condition_a": report.condition_a,
             "condition_b": report.condition_b,
             "domain_size": len(strategy.actions),
-            "stuck_states": [product_state_id(product, v) for v in report.stuck_states],
+            "stuck_states": [ids[v] for v in report.stuck_states],
             "regressing_edges": [
                 {
                     # Every chain edge starts in the strategy's domain, so the
                     # path to it is its source alone; kept for the format.
-                    "path": [product_state_id(product, v)],
-                    "from": product_state_id(product, v),
-                    "to": product_state_id(product, w),
+                    "path": [ids[v]],
+                    "from": ids[v],
+                    "to": ids[w],
                 }
                 for v, w in report.regressing_edges
             ],
             "bottom_based_improvements": [
-                [product_state_id(product, v), product_state_id(product, w)]
+                [ids[v], ids[w]]
                 for v, w in report.bottom_based_improvements
             ],
         }

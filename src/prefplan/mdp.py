@@ -14,7 +14,7 @@ import math
 
 from .record import Record, field
 from .schema import CELL, CELLS, STRINGS, json_fields
-from .scltl import DEFAULT_STATE_CAP, CapacityError
+from .scltl import DEFAULT_STATE_CAP, CapacityError, dot_escape
 
 __all__ = [
     "MdpError",
@@ -391,7 +391,7 @@ def mdp_to_dot(mdp: LabeledMdp, write) -> None:
     for i, sid in enumerate(mdp.states):
         label = sid
         if mdp.labels[i]:
-            label += "\\n{" + ",".join(sorted(mdp.labels[i])) + "}"
+            label += "\\n{" + dot_escape(",".join(sorted(mdp.labels[i]))) + "}"
         write(f'  s{i} [shape=ellipse label="{label}"];\n')
     for (s, a), dist in sorted(mdp.transitions.items()):
         write("".join(f'  s{s} -> s{t} [label="{mdp.actions[a]}:{p:g}"];\n' for t, p in dist))

@@ -26,9 +26,11 @@ from .scltl import (
     DEFAULT_STATE_CAP,
     CapacityError,
     declare_alphabet,
+    dot_escape,
     symbol_index,
     symbol_labels,
     to_dfa,
+    transitions_to_json,
 )
 
 __all__ = [
@@ -84,20 +86,9 @@ class PreferenceDfa(Record):
 
     @cached_property
     def rows(self) -> tuple:
-        """Per state, the successor on each symbol by position: the sum of
-        its components' scaled rows, looked up in ``index``."""
-        scaled = [
-            [tuple(q * w for q in row) for row in d.rows]
-            for d, w in zip(self.component_dfas, self.weights)
-        ]
-        no_outcomes = (0,) * len(self.symbols)  # the one state's code on every letter
-        rows = []
-        for tup in self.states:
-            codes = no_outcomes
-            for k, q in enumerate(tup):
-                codes = map(add, codes, scaled[k][q]) if k else scaled[0][q]
-            rows.append(tuple(map(self.index.__getitem__, codes)))
-        return tuple(rows)
+        """Per state, the successor on each symbol by position: the
+        transpose of the columns."""
+        return tuple(zip(*map(self.column, range(len(self.symbols)))))
 
     def column(self, k: int) -> tuple:
         """Every state's successor on ``symbols[k]``, by state number."""
@@ -252,7 +243,6 @@ def _state_tags(pdfa: PreferenceDfa, i: int) -> list:
 
 def pdfa_to_json(pdfa: PreferenceDfa) -> dict:
     spec = pdfa.spec
-    names = [sorted(sigma) for sigma in pdfa.symbols]
     return {
         "alphabet": list(pdfa.alphabet),
         "outcomes": [o.name for o in spec.outcomes],
@@ -267,11 +257,7 @@ def pdfa_to_json(pdfa: PreferenceDfa) -> dict:
         "initial": pdfa.initial,
         "final": sorted(pdfa.final),
         "tags": {str(i): _state_tags(pdfa, i) for i in sorted(pdfa.final)},
-        "transitions": [
-            {"from": i, "symbol": name, "to": j}
-            for i, row in enumerate(pdfa.rows)
-            for name, j in zip(names, row)
-        ],
+        "transitions": transitions_to_json(pdfa.symbols, pdfa.rows),
         "graph": {
             "nodes": [
                 {
@@ -292,9 +278,9 @@ def pdfa_to_dot(pdfa: PreferenceDfa, write) -> None:
     spec = pdfa.spec
     write('digraph preference_dfa {\n  rankdir=LR;\n  subgraph cluster_automaton {\n    label="automaton";\n')
     for i in range(len(pdfa.states)):
-        label = _state_label(pdfa, i)
+        label = dot_escape(_state_label(pdfa, i))
         if i in pdfa.final:
-            tag_text = ",".join(_state_tags(pdfa, i))
+            tag_text = dot_escape(",".join(_state_tags(pdfa, i)))
             write(f'    q{i} [shape=doublecircle label="{label}\\n{{{tag_text}}}"];\n')
         else:
             write(f'    q{i} [shape=circle label="{label}"];\n')
@@ -310,7 +296,7 @@ def pdfa_to_dot(pdfa: PreferenceDfa, write) -> None:
         ))
     write('  }\n  subgraph cluster_graph {\n    label="preference graph";\n')
     for n in pdfa.graph.nodes:
-        tag_text = ",".join(tag_labels(spec, n.mp))
+        tag_text = dot_escape(",".join(tag_labels(spec, n.mp)))
         write(f'    X{n.node_id} [shape=box label="X{n.node_id} {{{tag_text}}}"];\n')
     for worse, better in sorted(pdfa.graph.edges):
         write(f'    X{worse} -> X{better} [label="≺"];\n')

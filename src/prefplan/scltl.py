@@ -39,8 +39,10 @@ __all__ = [
     "progress",
     "canonicalize",
     "to_dfa",
+    "transitions_to_json",
     "dfa_to_json",
     "dfa_to_dot",
+    "dot_escape",
     "symbol_labels",
 ]
 
@@ -601,18 +603,24 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 # ---------------------------------------------------------------------------
 
 
+def transitions_to_json(symbols, rows) -> list:
+    """The ``transitions`` list of the automaton exports: one entry per
+    state and symbol, the symbol as its sorted atoms."""
+    names = [sorted(sigma) for sigma in symbols]
+    return [
+        {"from": i, "symbol": name, "to": j}
+        for i, row in enumerate(rows)
+        for name, j in zip(names, row)
+    ]
+
+
 def dfa_to_json(dfa: Dfa) -> dict:
-    names = [sorted(sigma) for sigma in dfa.symbols]
     return {
         "alphabet": list(dfa.alphabet),
         "states": [{"id": i, "label": label} for i, label in enumerate(dfa.states)],
         "initial": dfa.initial,
         "accepting": sorted(dfa.accepting),
-        "transitions": [
-            {"from": i, "symbol": name, "to": j}
-            for i, row in enumerate(dfa.rows)
-            for name, j in zip(names, row)
-        ],
+        "transitions": transitions_to_json(dfa.symbols, dfa.rows),
     }
 
 
@@ -621,7 +629,8 @@ def symbol_labels(symbols) -> list[str]:
     return ["{%s}" % ",".join(sorted(sigma)) for sigma in symbols]
 
 
-def _dot_escape(s: str) -> str:
+def dot_escape(s: str) -> str:
+    """``s`` with ``\\`` and ``"`` escaped, to stand inside a quoted DOT string."""
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
@@ -630,7 +639,7 @@ def dfa_to_dot(dfa: Dfa, write) -> None:
     write("digraph dfa {\n  rankdir=LR;\n")
     for i, label in enumerate(dfa.states):
         shape = "doublecircle" if i in dfa.accepting else "circle"
-        write(f'  q{i} [shape={shape} label="{_dot_escape(label)}"];\n')
+        write(f'  q{i} [shape={shape} label="{dot_escape(label)}"];\n')
     write(f"  init [shape=point]; init -> q{dfa.initial};\n")
     # Group parallel edges by target to keep the output readable.
     texts = symbol_labels(dfa.symbols)
@@ -639,7 +648,7 @@ def dfa_to_dot(dfa: Dfa, write) -> None:
         for text, j in zip(texts, row):
             by_target.setdefault(j, []).append(text)
         write("".join(
-            f'  q{i} -> q{j} [label="{_dot_escape(" ".join(labels))}"];\n'
+            f'  q{i} -> q{j} [label="{dot_escape(" ".join(labels))}"];\n'
             for j, labels in sorted(by_target.items())
         ))
     write("}\n")

@@ -47,7 +47,7 @@ from .mdp import LabeledMdp, MdpError
 from .prefdfa import PreferenceDfa, tag_labels
 from .record import Record, field
 from .schema import STRINGS, json_fields
-from .scltl import DEFAULT_STATE_CAP, CapacityError
+from .scltl import DEFAULT_STATE_CAP, CapacityError, dot_escape
 
 __all__ = [
     "BOTTOM",
@@ -75,7 +75,6 @@ __all__ = [
     "strategy_to_json",
     "regions_to_json",
     "improvement_mdp_to_dot",
-    "product_state_id",
 ]
 
 class StrategyError(ValueError):
@@ -719,10 +718,6 @@ class CompositePolicy:
 # ---------------------------------------------------------------------------
 
 
-def product_state_id(pm: ProductMdp, v: int) -> str:
-    return pm.state_ids[v]
-
-
 def strategy_to_json(pm: ProductMdp, strategy: Strategy) -> dict:
     ids, names, actions = pm.state_ids, pm.mdp.actions, strategy.actions
     entries = [
@@ -781,10 +776,10 @@ def improvement_mdp_to_dot(im: ImprovementMdp, write) -> None:
     product state once: ``v<i>T`` steps to the plain copy of every
     successor, and ``v<i>B`` differs only where an edge improves."""
     pm, improved = im.cache.product, im.cache.improved
-    names, transitions = pm.mdp.actions, pm.mdp.transitions
+    names, transitions = list(map(dot_escape, pm.mdp.actions)), pm.mdp.transitions
     labels: dict = {}  # (s, a) -> label per positive entry, the successors of ``pm.dist``
     write("digraph improvement_mdp {\n  rankdir=LR;\n")
-    for v, sid in enumerate(pm.state_ids):
+    for v, sid in enumerate(map(dot_escape, pm.state_ids)):
         write(f'  v{v}B [shape=box label="{sid} bot"];\n'
               f'  v{v}T [shape=box label="{sid} top" style=filled fillcolor="palegreen"];\n')
     for v, (s, _) in enumerate(pm.state_pairs):

@@ -267,9 +267,9 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
     stop at the horizon (flagged truncated) or in an absorbing state.
     ``_rollouts`` runs one contiguous range of episodes.  A batch of at least
     ``MIN_EPISODES_PER_PROCESS`` episodes per CPU this process may run on is
-    cut into one range per such CPU, and ``_forked_rollouts`` runs every range
-    but the first in a forked child; otherwise, or where forking is
-    unavailable or unsafe, the whole batch is one range run here.  Episode
+    cut into one range per such CPU; otherwise, or where forking is
+    unavailable or unsafe, the whole batch is one range.  ``_forked_rollouts``
+    runs the first range here and every other one in a forked child.  Episode
     seeds depend on the episode index alone, so the outcomes, and with them
     ``stats.json`` and ``episodes.csv``, are the same bytes either way.  An
     episode's outcome takes OUTCOME_WORDS words of one ``array('q')``, so
@@ -292,10 +292,7 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
     run = _rollouts(policy, horizon, seed)
     outcomes = array("q")
     processes = _processes(episodes)
-    if processes == 1:
-        run(0, episodes, outcomes)
-    else:
-        _forked_rollouts(run, [episodes * k // processes for k in range(processes + 1)], outcomes)
+    _forked_rollouts(run, [episodes * k // processes for k in range(processes + 1)], outcomes)
 
     # Word k of every episode is the column outcomes[k::OUTCOME_WORDS].
     flags = Counter(outcomes[4::OUTCOME_WORDS])

@@ -5,7 +5,7 @@ for each product state and for both copies of the state, one line at a time.
 ``prefplan.synthesis.improvement_mdp_to_dot`` must give the same string.
 """
 
-from prefplan.synthesis import ImprovementMdp, product_state_id
+from prefplan.synthesis import ImprovementMdp
 
 
 def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
@@ -13,7 +13,7 @@ def improvement_mdp_to_dot(im: ImprovementMdp) -> str:
     names = pm.mdp.actions
     lines = ["digraph improvement_mdp {", "  rankdir=LR;"]
     for v in range(pm.n_states()):
-        sid = product_state_id(pm, v)
+        sid = pm.state_ids[v]
         lines.append(f'  v{v}B [shape=box label="{sid} bot"];')
         lines.append(f'  v{v}T [shape=box label="{sid} top" style=filled fillcolor="palegreen"];')
     for v in range(pm.n_states()):

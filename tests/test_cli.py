@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -179,6 +180,16 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "malformed gridworld config: regions: 'A' must be a list of cells, each a list of two numbers, got 5"),
         ("gridworld", {**PO1_GRID4_DOC, "regions": {"A": [[0, 0, 0]]}},
          "malformed gridworld config: regions: 'A' must be a list of cells, each a list of two numbers, got [[0, 0, 0]]"),
+        ("synth", _replace(_mdp_doc(), "states", 1, id="s"), "duplicate state ids"),
+        ("synth", _replace(_mdp_doc(), "transitions", 0, action="b"), "reference to undeclared action 'b'"),
+        ("synth", _replace(_mdp_doc(), "transitions", 1, **{"from": "s"}), "duplicate transition for ('s','a')"),
+        ("gridworld", {**PO1_GRID4_DOC, "width": 0}, "malformed gridworld config: grid dimensions must be positive"),
+        ("gridworld", {**PO1_GRID4_DOC, "drift": [{"cell": [1, 3], "directions": ["North"]}]},
+         "malformed gridworld config: drift cell (1, 3) is an obstacle"),
+        ("gridworld", {**PO1_GRID4_DOC, "drift": [{"cell": [0, 1], "directions": []}]},
+         "malformed gridworld config: drift cell (0, 1) has no directions"),
+        ("prefdfa", {**PO1_PREF_DOC, "outcomes": PO1_PREF_DOC["outcomes"][:1] * 2, "preferences": []},
+         "outcome names must be unique"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -193,6 +204,8 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-width-fraction", "grid-height-fraction", "grid-battery-fraction",
         "grid-start-bool", "grid-start-strings", "grid-obstacle-short", "grid-drift-cell-bool",
         "grid-region-int", "grid-region-cell-3d",
+        "mdp-duplicate-state", "mdp-undeclared-action", "mdp-duplicate-transition", "grid-width-zero",
+        "grid-drift-on-obstacle", "grid-drift-no-directions", "pref-duplicate-outcome",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -208,6 +221,14 @@ def test_compile_capacity_exit_code(workdir):
     formula = workdir / "formula.json"
     formula.write_text(json.dumps({"atoms": ["A", "B"], "formula": "F (A & X (B & X A))"}))
     assert run("--out", "art", "--state-cap", "2", "compile", str(formula)) == 3
+
+
+def test_product_over_state_cap_writes_nothing(workdir, capsys):
+    assert run("--out", "g", "gridworld", PO1_GRID4) == 0
+    capsys.readouterr()
+    assert run("--out", "art", "--state-cap", "50", "synth", "g/mdp.json", PO1_PREF) == 3
+    assert capsys.readouterr().err == "error: product exceeded 50 states\n"
+    assert not (workdir / "art").exists()
 
 
 def _small_grid(**fields):
@@ -583,10 +604,14 @@ def test_verify_external_strategy_pass(workdir):
         (lambda doc: {**doc, "mode": "foo"}, "strategy file: unknown mode 'foo'"),
         (lambda doc: {**doc, "entries": doc["entries"] + doc["entries"][:1]},
          "strategy lists product state {state!r} twice"),
+        (lambda doc: _replace(doc, "entries", 0, state="nowhere#q0"),
+         "strategy references unknown product state 'nowhere#q0'"),
+        (lambda doc: _replace(doc, "entries", 0, actions=[]), "empty action set at {state!r}"),
     ],
     ids=[
         "unknown-action", "missing-actions", "string-actions", "missing-state",
         "missing-entries", "missing-mode", "list", "unknown-mode", "duplicate-state",
+        "unknown-state", "empty-actions",
     ],
 )
 def test_verify_rejects_malformed_strategy_in_one_line(workdir, capsys, damage, message):
@@ -639,6 +664,59 @@ def test_zero_probability_successor_changes_nothing(workdir):
         assert names == sorted(p.name for p in out.iterdir())
         for name in names:
             assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (out.name, name)
+
+
+# A DOT quoted string: any character but `"` and `\`, or `\` and the one it escapes.
+DOT_LABEL = re.compile(r'label="((?:[^"\\]|\\.)*)"(?=[ \];])')
+
+
+def _dot_labels(path) -> set:
+    """Every ``label="..."`` of a DOT file, unescaped (``\\n`` is a line
+    break); a label that is no valid quoted string fails the test."""
+    labels = set()
+    for line in path.read_text().splitlines():
+        if 'label="' in line:
+            match = DOT_LABEL.search(line)
+            assert match, line
+            labels.add(re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], match[1]))
+    return labels
+
+
+def test_dot_labels_quote_user_names(workdir):
+    # The three-state inputs with state, action and outcome names, and a
+    # gridworld with a region name, that hold the two characters a DOT
+    # string must escape.
+    rename = {"s0": 's"0', "s2": "s\\2", "a": 'go"x', "b": "back\\y", "visit_A": 'reach"A', "visit_B": "b\\B"}
+    for name, doc in (("mdp.json", three_state_mdp_doc()), ("pref.json", THREE_STATE_PREF_DOC)):
+        text = json.dumps(doc)
+        for old, new in rename.items():
+            text = text.replace(json.dumps(old), json.dumps(new))
+        (workdir / name).write_text(text)
+    assert run("--out", "art", "synth", "mdp.json", "pref.json") == 0
+    assert run("--out", "art", "prefdfa", "pref.json") == 0
+    art = workdir / "art"
+
+    spi = json.loads((art / "strategy_spi.json").read_text())
+    sids = [entry["state"] for entry in spi["entries"]] + spi["undefined_states"]
+    assert 's"0#q0' in sids and "s\\2#q2" in sids
+    labels = _dot_labels(art / "improvement_mdp.dot")
+    assert {f"{sid} {copy}" for sid in sids for copy in ("bot", "top")} <= labels
+    assert {'go"x', "back\\y"} <= {label.rpartition(":")[0] for label in labels}
+
+    pdfa = json.loads((art / "preference_dfa.json").read_text())
+    tags = pdfa["tags"]
+    assert 'x(b\\B,reach"A)' in {tag for node_tags in tags.values() for tag in node_tags}
+    states = {
+        s["label"] + ("\n{" + ",".join(tags[str(s["id"])]) + "}" if str(s["id"]) in tags else "")
+        for s in pdfa["states"]
+    }
+    nodes = {f"X{n['id']} {{{','.join(n['tags'])}}}" for n in pdfa["graph"]["nodes"]}
+    assert states | nodes <= _dot_labels(art / "preference_dfa.dot")
+
+    grid = {"width": 2, "height": 1, "start": [0, 0], "battery_capacity": 1, "regions": {'A"\\': [[1, 0]]}}
+    (workdir / "grid.json").write_text(json.dumps(grid))
+    assert run("--out", "grid", "gridworld", "grid.json", "--dot") == 0
+    assert 'c1r0b0\n{A"\\}' in _dot_labels(workdir / "grid" / "mdp.dot")
 
 
 def test_undecodable_input_in_one_line(workdir, capsys):

@@ -73,6 +73,8 @@ def test_parse_po2_guarded_until():
 
     collect(f.left)
     assert literals == {NegAtom("B"), NegAtom("C"), NegAtom("D"), NegAtom("F")}
+    # and turns a negated conjunction into a disjunction.
+    assert fmt(parse("!(a & b)", AB)) == "(!a | !b)"
 
 
 def test_parse_rejects_negated_temporal():
@@ -147,23 +149,31 @@ def test_formula_at_depth_bound_compiles(text):
     assert dfa.accepting
 
 
+NESTED = f"formula nested deeper than {DEPTH} levels"
+
+
 @pytest.mark.parametrize(
-    "text, position",
+    "text, position, message",
     [
-        ("X " * (DEPTH + 1) + "a", 2 * DEPTH),
-        ("! " * (DEPTH + 1) + "a", 2 * DEPTH),
-        ("(" * (DEPTH + 1) + "a" + ")" * (DEPTH + 1), DEPTH),
-        (" & ".join(["a"] * (DEPTH + 2)), 4 * DEPTH + 2),
-        (" U ".join(["a"] * (DEPTH + 2)), 4 * DEPTH + 2),
-        ("F " * (DEPTH + 1) + "a", 2 * DEPTH),
+        ("X " * (DEPTH + 1) + "a", 2 * DEPTH, NESTED),
+        ("! " * (DEPTH + 1) + "a", 2 * DEPTH, NESTED),
+        ("(" * (DEPTH + 1) + "a" + ")" * (DEPTH + 1), DEPTH, NESTED),
+        (" & ".join(["a"] * (DEPTH + 2)), 4 * DEPTH + 2, NESTED),
+        (" U ".join(["a"] * (DEPTH + 2)), 4 * DEPTH + 2, NESTED),
+        ("F " * (DEPTH + 1) + "a", 2 * DEPTH, NESTED),
+        # The other syntax errors, each with the position it names.
+        ("(a & b", 6, "expected ')'"),
+        ("a b", 2, "unexpected trailing token 'b'"),
+        ("a $ b", 2, "unexpected character '$'"),
+        ("a & U", 4, "'U' is not a proposition"),
     ],
-    ids=["X", "not", "parens", "and", "until", "F"],
+    ids=["X", "not", "parens", "and", "until", "F", "unclosed", "trailing", "character", "until-atom"],
 )
-def test_parse_rejects_nesting_beyond_bound(text, position):
+def test_parse_rejects_nesting_beyond_bound(text, position, message):
     with pytest.raises(ParseError) as err:
         parse(text, AB)
     assert err.value.position == position
-    assert f"deeper than {DEPTH} levels" in str(err.value)
+    assert str(err.value) == f"{message} (at position {position})"
 
 
 def test_alphabet_declaration_errors():
@@ -295,6 +305,7 @@ CORPUS_2ATOMS = [
     "a & F b",
     "a | (b & X a)",
     "!(a | b) U a",
+    "!(a & b)",
     "F (a & X b)",
     "(F a) & (F b)",
     "(a U b) | (b U a)",
