@@ -14,7 +14,7 @@ import math
 
 from .record import Record, field
 from .schema import CELL, CELLS, STRINGS, json_fields
-from .scltl import DEFAULT_STATE_CAP, CapacityError, dot_escape
+from .scltl import DEFAULT_STATE_CAP, CapacityError, declare_alphabet, dot_escape
 
 __all__ = [
     "MdpError",
@@ -287,6 +287,7 @@ def gridworld_config_from_json(doc: dict) -> GridworldConfig:
     ]
     json_fields(regions, f"{where}: regions", MdpError, dict.fromkeys(regions, CELLS))
     try:
+        declare_alphabet(regions)  # a region name is an atom a preference document declares
         for name, value in (("width", width), ("height", height), ("battery_capacity", battery)):
             if int(value) != value:
                 raise ValueError(f"{name!r} must be a whole number, got {value!r}")

@@ -229,7 +229,7 @@ class EpisodeStats(Record, frozen=False):
     regressions_observed: int = 0
     truncated_episodes: int = 0
     unsatisfiable_episodes: int = 0
-    outcomes: object = field(repr=False)  # array('q'), OUTCOME_WORDS entries per episode
+    outcomes: object = field(repr=False)  # memoryview of 'q' words, OUTCOME_WORDS per episode
 
     @property
     def rows(self):
@@ -250,8 +250,6 @@ _MASK = (1 << 63) - 1
 # A batch is split across processes only if each gets at least this many
 # episodes: on no workload did forking pay at 2,000 episodes.
 MIN_EPISODES_PER_PROCESS = 5000
-# A child's outcomes are read from its pipe this many words at a time.
-_CHUNK_WORDS = 8192
 
 
 def _episode_seed(seed: int, episode: int) -> int:
@@ -269,17 +267,19 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
     ``MIN_EPISODES_PER_PROCESS`` episodes per CPU this process may run on is
     cut into one range per such CPU; otherwise, or where forking is
     unavailable or unsafe, the whole batch is one range.  ``_forked_rollouts``
-    runs the first range here and every other one in a forked child.  Episode
-    seeds depend on the episode index alone, so the outcomes, and with them
-    ``stats.json`` and ``episodes.csv``, are the same bytes either way.  An
-    episode's outcome takes OUTCOME_WORDS words of one ``array('q')``, so
-    memory grows by about 40 bytes an episode; the totals are counted from
-    that array once every range is in, and ``EpisodeStats.rows`` rebuilds the
-    rows on each read.
+    runs the first range here and every other one in a forked child, each
+    writing episode ``ep``'s OUTCOME_WORDS words at word ``OUTCOME_WORDS * ep``
+    of one anonymous mapping of 40 bytes an episode, shared with the children
+    on Unix.  Episode seeds depend on the episode index alone, so the outcomes,
+    and with them ``stats.json`` and ``episodes.csv``, are the same bytes
+    either way.  The totals are counted once every range is in;
+    ``EpisodeStats.outcomes`` is a view of the mapping's words, from which
+    ``EpisodeStats.rows`` rebuilds the rows on each read.
     """
-    # Imported here: loading the extension module would cost every CLI
-    # process, not only ``simulate``'s, about 0.3 ms.
-    from array import array
+    # Imported here, as ``struct`` is in ``_rollouts``: loading either
+    # extension module would cost every CLI process, not only ``simulate``'s,
+    # 0.3 to 0.7 ms (``python -X importtime``).
+    import mmap
 
     if episodes < 1:
         raise ValueError("need at least one episode")
@@ -290,9 +290,10 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
         raise ValueError("horizon must be positive")
 
     run = _rollouts(policy, horizon, seed)
-    outcomes = array("q")
+    shared = mmap.mmap(-1, 8 * OUTCOME_WORDS * episodes)
     processes = _processes(episodes)
-    _forked_rollouts(run, [episodes * k // processes for k in range(processes + 1)], outcomes)
+    _forked_rollouts(run, [episodes * k // processes for k in range(processes + 1)], shared)
+    outcomes = memoryview(shared).cast("q")
 
     # Word k of every episode is the column outcomes[k::OUTCOME_WORDS].
     flags = Counter(outcomes[4::OUTCOME_WORDS])
@@ -305,9 +306,9 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
 
 
 def _rollouts(policy: CompositePolicy, horizon: int, seed: int):
-    """``run(start, stop, outcomes)``, which appends the OUTCOME_WORDS
-    outcome words of each episode from ``start`` to ``stop - 1`` to the
-    ``array('q')`` ``outcomes``.
+    """``run(start, stop, shared)``, which writes the OUTCOME_WORDS outcome
+    words of each episode ``ep`` from ``start`` to ``stop - 1`` into the
+    writable buffer ``shared``, at byte ``8 * OUTCOME_WORDS * ep``.
 
     Per step ``run`` calls ``policy.step`` once and looks the picked action's
     row up in a table indexed by product state, shared by every call of this
@@ -321,8 +322,11 @@ def _rollouts(policy: CompositePolicy, horizon: int, seed: int):
     ``random.Random(seed)`` starts in.  Draws and sums are those of sampling
     straight from ``pm.dist``.
     """
+    import struct
+
     cache = policy.result.cache
     pm = cache.product
+    record = struct.Struct(f"{OUTCOME_WORDS}q")  # one episode's outcome words
 
     def compile_row(v: int, a: int):
         dist = pm.dist(v, a)
@@ -335,13 +339,13 @@ def _rollouts(policy: CompositePolicy, horizon: int, seed: int):
 
     table = [None] * pm.n_states()  # v -> {candidate action: compiled row}
 
-    def run(start: int, stop: int, outcomes) -> None:
+    def run(start: int, stop: int, shared) -> None:
         node_of_state, state_pairs, initial = pm.pdfa.node_of_state, pm.state_pairs, pm.initial
         rng = random.Random()
         # The C-level seed: the same state as ``rng.seed``, without its
         # Python-level type checks.
         reseed = super(random.Random, rng).seed
-        draw, step, choice, store = rng.random, policy.step, policy.choice, outcomes.extend
+        draw, step, choice, pack, size = rng.random, policy.step, policy.choice, record.pack_into, record.size
         for ep in range(start, stop):
             reseed(_episode_seed(seed, ep))
             v = initial
@@ -371,7 +375,7 @@ def _rollouts(policy: CompositePolicy, horizon: int, seed: int):
                 regressions += regressing
                 v = nxt
             final_node = node_of_state.get(state_pairs[v][1], -1)
-            store((steps, improvements, regressions, final_node, truncated + 2 * unsatisfiable))
+            pack(shared, size * ep, steps, improvements, regressions, final_node, truncated + 2 * unsatisfiable)
 
     return run
 
@@ -392,92 +396,55 @@ def _processes(episodes: int) -> int:
     return min(most, len(os.sched_getaffinity(0)))
 
 
-def _forked_rollouts(run, bounds: list, outcomes) -> None:
-    """Append the outcomes of the episode ranges ``bounds[k]`` to
-    ``bounds[k + 1]`` to ``outcomes``, in order: the first range run here,
-    each other one in a forked child that writes its outcome words to a pipe.
+def _forked_rollouts(run, bounds: list, shared) -> None:
+    """Write the outcomes of the episode ranges ``bounds[k]`` to
+    ``bounds[k + 1]`` into the shared mapping ``shared``: the first range
+    run here, each other one in a forked child that writes into the same
+    pages.
 
-    A range whose child could not be forked, exited non-zero or sent fewer
-    words than its episodes have is run here instead, so a fault of the
-    rollouts raises here as it does without children.  Every child is reaped
-    before this returns or raises.
+    A range whose child could not be forked or did not exit 0 is run here
+    again, overwriting whatever the child wrote, so a fault of the rollouts
+    raises here as it does without children.  Every child is reaped before
+    this returns or raises.
     """
-    children = []  # (start, stop, pid and read end, or None where fork failed)
-    pids, fds = [], []  # children not yet reaped, read ends not yet closed
+    children = []  # (start, stop, pid or None where fork failed), not yet reaped
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            child = _fork(run, start, stop, outcomes[:0], fds)
-            if child is not None:
-                pids.append(child[0])
-                fds.append(child[1])
-            children.append((start, stop, child))
-        run(bounds[0], bounds[1], outcomes)
-        for start, stop, child in children:
-            mark = len(outcomes)
-            if child is not None:
-                pid, fd = child
-                whole = _receive(fd, outcomes, OUTCOME_WORDS * (stop - start))
-                fds.remove(fd)
-                os.close(fd)
-                status = os.waitpid(pid, 0)[1]
-                pids.remove(pid)
-                if whole and status == 0:
-                    continue
-                del outcomes[mark:]
-            run(start, stop, outcomes)
+            children.append((start, stop, _fork(run, start, stop, shared)))
+        run(bounds[0], bounds[1], shared)
+        while children:
+            start, stop, pid = children[0]
+            failed = pid is None or os.waitpid(pid, 0)[1] != 0
+            del children[0]
+            if failed:
+                run(start, stop, shared)
     finally:
-        for fd in fds:
-            os.close(fd)
-        if pids:
-            # Only on an exception: what the children compute is dropped.
-            import signal
+        # Empty unless an exception came: what the children compute is dropped.
+        for _, _, pid in children:
+            if pid is not None:
+                import signal
 
-            for pid in pids:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _fork(run, start: int, stop: int, outcomes, inherited: list):
-    """(pid, read end of its pipe) of a forked child that appends the outcome
-    words of episodes ``start`` to ``stop - 1`` to the empty array
-    ``outcomes`` and writes them to that pipe, after closing the
-    ``inherited`` read ends; None when ``fork`` fails."""
-    r, w = os.pipe()
+def _fork(run, start: int, stop: int, shared):
+    """The pid of a forked child that writes the outcomes of episodes
+    ``start`` to ``stop - 1`` into ``shared`` and exits 0; None when
+    ``fork`` fails."""
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
         return None
     if pid == 0:
         code = 1
         try:
-            os.close(r)
-            for fd in inherited:
-                os.close(fd)
-            run(start, stop, outcomes)
-            with open(w, "wb") as pipe:
-                pipe.write(outcomes)
+            run(start, stop, shared)
             code = 0
         finally:
             # Skip the parent's exit handlers and buffered output.
             os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _receive(fd: int, outcomes, words: int) -> bool:
-    """Append up to ``words`` words read from ``fd`` to ``outcomes``,
-    _CHUNK_WORDS at a time; whether all of them came."""
-    with open(fd, "rb", closefd=False) as pipe:
-        while words:
-            n = min(words, _CHUNK_WORDS)
-            chunk = pipe.read(n * outcomes.itemsize)
-            if len(chunk) < n * outcomes.itemsize:
-                return False
-            outcomes.frombytes(chunk)
-            words -= n
-    return True
+    return pid
 
 
 def stats_to_json(stats: EpisodeStats) -> dict:

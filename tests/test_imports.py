@@ -57,10 +57,11 @@ def test_cli_import_loads_no_code_generator():
     """Every CLI process imports ``prefplan.cli`` first.  ``dataclasses``
     (which imports ``inspect``) ran ``exec`` for each method of each record,
     most of that import's time; ``-S`` keeps ``site`` from loading either.
-    ``array``, an extension module, is loaded by the rollouts alone."""
+    ``mmap`` and ``struct``, which hold and pack the rollout outcomes, are
+    loaded by the rollouts alone, and ``array`` by none of src."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import prefplan.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'array'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'array', 'mmap', 'struct'} & set(sys.modules)))"
     )
     child = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "[]"

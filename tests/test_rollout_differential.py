@@ -8,7 +8,7 @@ and the cumulative sums at every step, builds a fresh generator per
 episode and keeps a row per episode.  Both must make the same RNG draws,
 write the same ``stats.json`` and ``episodes.csv`` bytes, the latter
 compared with the ``csv.writer`` version of the writer, and give the same
-rows, which ``prefplan.verify`` rebuilds from its outcome array.
+rows, which ``prefplan.verify`` rebuilds from its outcome words.
 
 Real draws land within one rounding step of a threshold almost never, so
 every rollout also runs with draws that often hit the thresholds exactly,
@@ -24,6 +24,7 @@ import json
 import math
 import os
 import random
+import signal
 from collections import Counter
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -239,6 +240,37 @@ def test_a_range_whose_child_fails_is_rerun_here(po2_b4):
     split = po2_rollouts(po2_b4, FailsInChildren)
     assert_no_child_left()
     assert split == po2_rollouts(po2_b4, processes=1)
+
+
+def test_a_range_whose_child_is_killed_is_rerun_here(po2_b4):
+    # Each child marks the episodes it runs unsatisfiable, which none is, and
+    # sends itself SIGKILL halfway through its range; the parent's rerun must
+    # overwrite what the child wrote before it died.
+    parent = os.getpid()
+    halfway = {random.Random(_episode_seed(11, ep)).getstate() for ep in (15, 25)}
+
+    class KilledInChildren(CompositePolicy):
+        def step(self, v, rng=None):
+            if os.getpid() == parent:
+                return super().step(v, rng)
+            if rng.getstate() in halfway:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return super().step(v, rng)[0], "unsatisfiable"
+
+    statuses = []
+    waitpid = os.waitpid
+
+    def recorded(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    with mock.patch.object(os, "waitpid", recorded):
+        split = po2_rollouts(po2_b4, KilledInChildren)
+    assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL] * 2
+    assert_no_child_left()
+    assert split == po2_rollouts(po2_b4, processes=1)
+    assert json.loads(split[0])["unsatisfiable_episodes"] == 0
 
 
 @pytest.mark.parametrize("episode", [0, 29], ids=["parent's range", "last child's range"])

@@ -19,6 +19,7 @@ from prefplan.synthesis import (
     synthesize,
 )
 from prefplan.verify import (
+    OUTCOME_WORDS,
     ValueIterationError,
     build_induced_chain,
     check_strategy_conditions,
@@ -416,8 +417,9 @@ def test_po2_two_improvements_on_every_path(po2_b4):
 
 
 def test_rollout_memory_per_episode_is_a_few_words(po2_b4):
-    # Rollouts and the CSV export keep no object per episode: the traced
-    # peak grows by the outcome array's words, not by a row per episode.
+    # Rollouts and the CSV export keep no object per episode: the outcomes
+    # are OUTCOME_WORDS words an episode in a mapping outside the traced
+    # Python heap, which grows by no row per episode.
     policy = CompositePolicy(synthesize(po2_b4[4]), mode="sasi")
 
     def traced_peak(episodes):
@@ -431,6 +433,7 @@ def test_rollout_memory_per_episode_is_a_few_words(po2_b4):
     traced_peak(100)  # the policy's per-state choices, filled on first visit
     small, large = traced_peak(5000), traced_peak(25000)
     assert (large - small) / 20000 <= 64, (small, large)
+    assert monte_carlo(policy, episodes=25000, seed=4).outcomes.nbytes == 25000 * 8 * OUTCOME_WORDS
 
 
 def test_csv_shape(po1_b4):
