@@ -1,5 +1,5 @@
-"""Labeled MDPs: JSON ingestion, validation, and a battery-constrained
-stochastic gridworld generator.
+"""Labeled MDPs: JSON ingestion, checked in the one pass that reads it, and a
+battery-constrained stochastic gridworld generator, valid by construction.
 
 Gridworld dynamics: four compass actions, each costing one battery unit.
 Moves into obstacles or off the grid bounce back to the source cell.  Moves
@@ -42,7 +42,8 @@ class LabeledMdp(Record):
     """Finite labeled MDP with a partial action map.
 
     ``transitions[(s, a)]`` is a tuple of (successor, probability) pairs
-    summing to one; every state has at least one defined action.
+    summing to one; every state has at least one defined action.  The record
+    checks none of this: ``load_mdp`` and ``build_gridworld`` make it so.
     """
 
     atoms: tuple
@@ -58,60 +59,18 @@ class LabeledMdp(Record):
     def enabled(self, s: int) -> list:
         return [a for a in range(len(self.actions)) if (s, a) in self.transitions]
 
-    def validate(self):
-        n = len(self.states)
-        if len(set(self.states)) != n:
-            raise MdpError("duplicate state ids")
-        if len(self.labels) != n:
-            raise MdpError("labels must cover every state")
-        atom_set = set(self.atoms)
-        for s, label in enumerate(self.labels):
-            extra = set(label) - atom_set
-            if extra:
-                raise MdpError(f"state {self.states[s]!r} labeled with undeclared atoms {sorted(extra)}")
-        defined = set()
-        for (s, a), dist in self.transitions.items():
-            if not 0 <= s < n or not 0 <= a < len(self.actions):
-                raise MdpError(f"dangling transition reference ({s},{a})")
-            total = 0.0
-            for t, p in dist:
-                if not 0 <= t < n:
-                    raise MdpError(f"dangling successor index {t}")
-                if not math.isfinite(p):
-                    raise MdpError(
-                        f"probability {p} at ({self.states[s]!r},{self.actions[a]!r}) is not a finite number"
-                    )
-                if p < 0:
-                    raise MdpError(f"negative probability {p} at ({self.states[s]!r},{self.actions[a]!r})")
-                total += p
-            if abs(total - 1.0) > PROB_TOL:
-                raise MdpError(
-                    f"distribution at ({self.states[s]!r},{self.actions[a]!r}) sums to {total}"
-                )
-            defined.add(s)
-        for s in range(n):
-            if s not in defined:
-                raise MdpError(f"state {self.states[s]!r} has no defined action")
-        total = sum(p for _, p in self.initial)
-        if abs(total - 1.0) > PROB_TOL:
-            raise MdpError(f"initial distribution sums to {total}")
-        for t, p in self.initial:
-            if not 0 <= t < n:
-                raise MdpError(f"dangling initial state index {t}")
-            if not math.isfinite(p):
-                raise MdpError(f"initial probability {p} is not a finite number")
-            if p < 0:
-                raise MdpError(f"negative initial probability {p}")
-
-    __post_init__ = validate
-
 
 def load_mdp(doc: dict) -> LabeledMdp:
-    """Load the MDP JSON schema.
+    """Load and check the MDP JSON schema in one pass, in reading order.
 
     Schema: {"atoms": [...], "states": [{"id", "label": [...]}],
     "actions": [...], "transitions": [{"from", "action", "to":
     [{"state", "prob"}]}], "initial": [{"state", "prob"}]}.
+
+    State ids are unique and labels name declared atoms; a transition names
+    declared states and action, once per pair, with finite, non-negative
+    probabilities that sum to one within ``PROB_TOL``; every state has an
+    action; the initial distribution sums to one likewise.
     """
     atoms, state_entries, actions, transition_entries, initial_entries = json_fields(
         doc, "MDP document", MdpError,
@@ -127,6 +86,11 @@ def load_mdp(doc: dict) -> LabeledMdp:
         state_index = {sid: i for i, sid in enumerate(states)}
         if len(state_index) != len(states):
             raise MdpError("duplicate state ids")
+        atom_set = frozenset(atoms)
+        for sid, label in zip(states, labels):
+            if not label <= atom_set:
+                # A label that is not all strings fails sorted(); _check_entries names it.
+                raise MdpError(f"state {sid!r} labeled with undeclared atoms {sorted(label - atom_set)}")
         action_index = {a: i for i, a in enumerate(actions)}
 
         def resolve_state(sid):
@@ -150,16 +114,37 @@ def load_mdp(doc: dict) -> LabeledMdp:
             if (s, a) in transitions:
                 raise MdpError(f"duplicate transition for ({entry['from']!r},{entry['action']!r})")
             dist = tuple(map(weighted, entry["to"]))
-            total = sum(p for _, p in dist)
+            total = sum((p for _, p in dist), 0.0)
             if total != 1.0 and abs(total - 1.0) <= PROB_TOL:
-                # Rounding drift is normalized away; validate rejects a larger error.
+                # Rounding drift is normalized away; a negative entry is named as normalized.
                 dist = tuple((t, p / total) for t, p in dist)
+            for _, p in dist:
+                if not 0.0 <= p < math.inf:  # false for NaN too
+                    where = f"({entry['from']!r},{entry['action']!r})"
+                    if not math.isfinite(p):
+                        raise MdpError(f"probability {p} at {where} is not a finite number")
+                    raise MdpError(f"negative probability {p} at {where}")
+            if abs(total - 1.0) > PROB_TOL:
+                raise MdpError(f"distribution at ({entry['from']!r},{entry['action']!r}) sums to {total}")
             transitions[(s, a)] = dist
-
         initial = tuple(map(weighted, initial_entries))
+
+        defined = {s for s, _ in transitions}
+        for s, sid in enumerate(states):
+            if s not in defined:
+                raise MdpError(f"state {sid!r} has no defined action")
+        total = sum(p for _, p in initial)
+        if abs(total - 1.0) > PROB_TOL:
+            raise MdpError(f"initial distribution sums to {total}")
+        for _, p in initial:
+            if not math.isfinite(p):
+                raise MdpError(f"initial probability {p} is not a finite number")
+            if p < 0:
+                raise MdpError(f"negative initial probability {p}")
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError):
         # Entries are checked only once reading them failed: checking each
-        # one up front doubles the load time of a large MDP.
+        # one up front doubles the load time of a large MDP.  An MdpError is
+        # a ValueError, so a malformed entry is named before any other fault.
         _check_entries(state_entries, transition_entries, initial_entries)
         raise
     return LabeledMdp(

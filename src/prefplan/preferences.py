@@ -4,14 +4,15 @@ An outcome set carries a strict-preference relation P; incomparability J is
 derived as the distinct pairs P orders in neither direction.  Indifference
 between outcomes is eliminated up front by replacing each indifference class
 with the disjunction of its members, so the runtime structure never stores an
-indifference relation.
+indifference relation.  Declarations are checked once, by ``build_spec``, the
+one function that builds a ``PreferenceSpec``.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .record import Record, field
+from .record import Record
 from .schema import STRINGS, json_fields
 from .scltl import Formula, Or, fmt, parse
 
@@ -19,7 +20,6 @@ __all__ = [
     "Comparison",
     "Outcome",
     "PreferenceSpec",
-    "PreferenceDeclarations",
     "PreferenceError",
     "build_spec",
     "load_preference_document",
@@ -47,7 +47,7 @@ class Outcome(Record):
 
 
 class PreferenceSpec(Record):
-    """Validated outcome set with strict relation P.
+    """Outcome set with strict relation P, as ``build_spec`` builds it.
 
     ``strict`` holds (better, worse) index pairs and is irreflexive,
     asymmetric and transitively closed.
@@ -67,28 +67,9 @@ class PreferenceSpec(Record):
         idx = range(self.n)
         return frozenset((i, j) for i in idx for j in idx if i != j and (i, j) not in ordered)
 
-    def validate(self):
-        idx = range(self.n)
-        for i, j in self.strict:
-            if i not in idx or j not in idx:
-                raise PreferenceError(f"relation references unknown outcome index ({i},{j})")
-            if i == j:
-                raise PreferenceError(f"strict preference is irreflexive, got ({i},{i})")
-            if (j, i) in self.strict:
-                raise PreferenceError(f"strict preference cycle between {i} and {j}")
-        for i, j in self.strict:
-            for j2, k in self.strict:
-                if j2 == j and (i, k) not in self.strict and i != k:
-                    raise PreferenceError(f"strict preference not transitively closed at ({i},{k})")
-
-    __post_init__ = validate
-
     def mp(self, psi) -> frozenset:
         """Most-preferred (maximal under P) outcomes among ``psi`` (indices)."""
         members = frozenset(psi)
-        for i in members:
-            if not 0 <= i < self.n:
-                raise PreferenceError(f"outcome index {i} out of range")
         return frozenset(
             i for i in members
             if not any((j, i) in self.strict for j in members)
@@ -112,87 +93,60 @@ class PreferenceSpec(Record):
         return witness and unopposed
 
 
-class PreferenceDeclarations(Record, frozen=False):
-    """Raw declaration: named outcomes plus strict/indifference statements."""
+def build_spec(outcomes, statements=()) -> PreferenceSpec:
+    """Check declarations and close them into a preference structure.
 
-    atoms: tuple[str, ...]
-    outcomes: list  # list of (name, Formula)
-    statements: list = field(default_factory=list)  # ("strict", better, worse) | ("indifferent", a, b)
-
-    def __post_init__(self):
-        names = [name for name, _ in self.outcomes]
-        if len(set(names)) != len(names):
-            raise PreferenceError("outcome names must be unique")
-        known = set(names)
-        for stmt in self.statements:
-            kind, a, b = stmt
-            if kind not in ("strict", "indifferent"):
-                raise PreferenceError(f"unknown statement kind {kind!r}")
-            for name in (a, b):
-                if name not in known:
-                    raise PreferenceError(f"statement references unknown outcome {name!r}")
-            if a == b:
-                raise PreferenceError(f"self-comparison on outcome {a!r}")
-
-
-def _merge_indifference_classes(decl: PreferenceDeclarations):
-    """Union-find over indifference statements; classes keep first-member order."""
-    names = [name for name, _ in decl.outcomes]
-    parent = {name: name for name in names}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # Keep the representative that appears first in declaration order.
-            if names.index(ra) > names.index(rb):
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    for kind, a, b in decl.statements:
+    ``outcomes`` lists (name, Formula) pairs and ``statements`` holds
+    ("strict", better, worse) and ("indifferent", a, b) triples.  Names must
+    be unique, and each statement of a known kind over two distinct declared
+    names.  Indifference classes are merged into disjunctions first, strict
+    statements are retargeted to the merged outcomes and transitively
+    closed; every remaining distinct pair is incomparable.  This is the only
+    constructor of ``PreferenceSpec``: its relation is irreflexive,
+    asymmetric and closed.
+    """
+    names = [name for name, _ in outcomes]
+    if len(set(names)) != len(names):
+        raise PreferenceError("outcome names must be unique")
+    # name -> the member that stands for its indifference class; classes are
+    # listed, and their members joined, in declaration order.
+    rep = dict(zip(names, names))
+    for kind, a, b in statements:
+        if kind not in ("strict", "indifferent"):
+            raise PreferenceError(f"unknown statement kind {kind!r}")
+        for name in (a, b):
+            if name not in rep:
+                raise PreferenceError(f"statement references unknown outcome {name!r}")
+        if a == b:
+            raise PreferenceError(f"self-comparison on outcome {a!r}")
         if kind == "indifferent":
-            union(a, b)
+            keep, drop = rep[a], rep[b]
+            rep = {name: keep if r == drop else r for name, r in rep.items()}
 
+    formulas = dict(outcomes)
     classes: dict = {}
     for name in names:
-        classes.setdefault(find(name), []).append(name)
-    return classes, find
-
-
-def build_spec(decl: PreferenceDeclarations) -> PreferenceSpec:
-    """Close declarations into a validated preference structure.
-
-    Indifference classes are merged into disjunctions first, strict
-    statements are retargeted to class representatives and transitively
-    closed; every remaining distinct pair is incomparable.
-    """
-    formulas = dict(decl.outcomes)
-    classes, find = _merge_indifference_classes(decl)
+        classes.setdefault(rep[name], []).append(name)
 
     merged: list[Outcome] = []
-    names: set = set()
+    taken: set = set()
     rep_index: dict = {}
-    for rep, members in classes.items():
+    for key, members in classes.items():
         f = formulas[members[0]]
         for m in members[1:]:
             f = Or(f, formulas[m])
         name = "|".join(members)
-        if name in names:
+        if name in taken:
             raise PreferenceError(f"two outcomes are named {name!r} once indifference classes are merged")
-        names.add(name)
-        rep_index[rep] = len(merged)
+        taken.add(name)
+        rep_index[key] = len(merged)
         merged.append(Outcome(name, f))
 
     strict = set()
-    for kind, better, worse in decl.statements:
+    for kind, better, worse in statements:
         if kind != "strict":
             continue
-        i, j = rep_index[find(better)], rep_index[find(worse)]
+        i, j = rep_index[rep[better]], rep_index[rep[worse]]
         if i == j:
             raise PreferenceError(
                 f"contradictory statements: {better!r} strictly preferred to {worse!r} "
@@ -251,8 +205,7 @@ def load_preference_document(doc: dict) -> tuple[tuple[str, ...], PreferenceSpec
             raise PreferenceError(f"unknown preference kind {kind!r}")
         statements.append((kind, a, b))
 
-    decl = PreferenceDeclarations(atoms=tuple(atoms), outcomes=outcomes, statements=statements)
-    return decl.atoms, build_spec(decl)
+    return tuple(atoms), build_spec(outcomes, statements)
 
 
 def spec_to_json(atoms, spec: PreferenceSpec) -> dict:

@@ -15,6 +15,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .record import Record, field
+from .scltl import CapacityError
 from .synthesis import (
     MODES,
     NO_GUARANTEE,
@@ -274,7 +275,8 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
     and with them ``stats.json`` and ``episodes.csv``, are the same bytes
     either way.  The totals are counted once every range is in;
     ``EpisodeStats.outcomes`` is a view of the mapping's words, from which
-    ``EpisodeStats.rows`` rebuilds the rows on each read.
+    ``EpisodeStats.rows`` rebuilds the rows on each read.  A batch whose
+    mapping cannot be made raises ``CapacityError`` before any episode runs.
     """
     # Imported here, as ``struct`` is in ``_rollouts``: loading either
     # extension module would cost every CLI process, not only ``simulate``'s,
@@ -290,7 +292,11 @@ def monte_carlo(policy: CompositePolicy, episodes: int, horizon: int = None, see
         raise ValueError("horizon must be positive")
 
     run = _rollouts(policy, horizon, seed)
-    shared = mmap.mmap(-1, 8 * OUTCOME_WORDS * episodes)
+    size = 8 * OUTCOME_WORDS * episodes
+    try:
+        shared = mmap.mmap(-1, size)
+    except (OverflowError, OSError):  # a size beyond ssize_t, or more than the system will map
+        raise CapacityError(f"cannot map {size} bytes for the outcomes of {episodes} episodes") from None
     processes = _processes(episodes)
     _forked_rollouts(run, [episodes * k // processes for k in range(processes + 1)], shared)
     outcomes = memoryview(shared).cast("q")

@@ -9,7 +9,6 @@ import pytest
 from prefplan.mdp import LabeledMdp, build_gridworld, gridworld_config_from_json, load_mdp
 from prefplan.prefdfa import build_preference_dfa
 from prefplan.preferences import (
-    PreferenceDeclarations,
     build_spec,
     load_preference_document,
 )
@@ -57,8 +56,7 @@ def po2_b4():
 @pytest.fixture(scope="session")
 def po1_spec():
     atoms = ("A", "B", "E")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    return atoms, build_spec(
         outcomes=[
             ("visit_A", parse("F A", atoms)),
             ("visit_B", parse("F B", atoms)),
@@ -69,14 +67,12 @@ def po1_spec():
             ("strict", "visit_E", "visit_A"),
         ],
     )
-    return atoms, build_spec(decl)
 
 
 @pytest.fixture(scope="session")
 def po2_spec():
     atoms = ("A", "B", "C", "D", "F")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    return atoms, build_spec(
         outcomes=[
             ("phiA", parse("!(B|C|D|F) U A", atoms)),
             ("phiB", parse("!(A|C|D|F) U B", atoms)),
@@ -91,7 +87,6 @@ def po2_spec():
             ("indifferent", "phiB", "phiC"),
         ],
     )
-    return atoms, build_spec(decl)
 
 
 # Ten atoms and the five outcome shapes of the benchmark's wide-alphabet
@@ -194,8 +189,7 @@ def random_preference_problem(seed, n_outcomes=3, connected=True):
                     covered.update((i, j))
         if not connected or covered == set(range(n_outcomes)):
             break
-    decl = PreferenceDeclarations(atoms=atoms, outcomes=outcomes, statements=statements)
-    return atoms, build_spec(decl)
+    return atoms, build_spec(outcomes, statements)
 
 
 def run_dfa(automaton, word, start=None):
@@ -266,12 +260,11 @@ def dead_start_product():
     almost surely reach x and y, but each move gives up one of them while a
     worse goal stays reachable, so both regress and product state 0 is dead."""
     atoms = ("x", "y", "z", "w")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    spec = build_spec(
         outcomes=[(f"visit_{p}", parse(f"F {p}", atoms)) for p in atoms],
         statements=[("strict", "visit_y", "visit_z"), ("strict", "visit_x", "visit_w")],
     )
-    pdfa = build_preference_dfa(build_spec(decl), atoms)
+    pdfa = build_preference_dfa(spec, atoms)
     states = ("s0", "s1", "s2", "sx", "sy", "sz", "sw")
     s = {name: i for i, name in enumerate(states)}
     transitions = {
@@ -299,8 +292,8 @@ def unsatisfiable_product():
     """One outcome F g on an MDP that never sees g: the start can guarantee
     nothing, never improves and steps into an absorbing trap."""
     atoms = ("g",)
-    decl = PreferenceDeclarations(atoms=atoms, outcomes=[("win", parse("F g", atoms))], statements=[])
-    pdfa = build_preference_dfa(build_spec(decl), atoms)
+    spec = build_spec(outcomes=[("win", parse("F g", atoms))], statements=[])
+    pdfa = build_preference_dfa(spec, atoms)
     mdp = LabeledMdp(
         atoms=atoms,
         states=("s", "trap"),

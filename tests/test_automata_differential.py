@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import reference_automata
 from prefplan.prefdfa import build_preference_dfa
-from prefplan.preferences import PreferenceDeclarations, build_spec, load_preference_document
+from prefplan.preferences import build_spec, load_preference_document
 from prefplan.scltl import (
     MAX_ALPHABET_ATOMS,
     And,
@@ -184,8 +184,7 @@ def test_preference_dfa_matches_oracle_on_partial_formulas(atoms, data):
         for j in range(i + 1, n)
         if data.draw(st.booleans())
     ]
-    decl = PreferenceDeclarations(atoms=atoms, outcomes=outcomes, statements=statements)
-    check_pdfa(build_spec(decl), atoms)
+    check_pdfa(build_spec(outcomes, statements), atoms)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -202,7 +201,7 @@ def test_preference_dfa_matches_oracle_on_bundles(bundle):
 
 def test_preference_dfa_without_outcomes_matches_oracle():
     atoms = ("a",)
-    spec = build_spec(PreferenceDeclarations(atoms=atoms, outcomes=[], statements=[]))
+    spec = build_spec([])
     assert len(check_pdfa(spec, atoms).states) == 1
 
 
@@ -210,13 +209,12 @@ def test_single_state_component_matches_oracle():
     # "true" compiles to one accepting state: a radix-1 digit between two
     # others, always 0, so it adds nothing to any state code.
     atoms = ("p", "q")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    spec = build_spec(
         outcomes=[(name, parse(text, atoms)) for name, text in
                   (("reach", "F p"), ("always", "true"), ("until", "p U q"))],
         statements=[("strict", "reach", "until")],
     )
-    fast = check_pdfa(build_spec(decl), atoms)
+    fast = check_pdfa(spec, atoms)
     assert [len(d.states) for d in fast.component_dfas] == [2, 1, 3]
 
 
@@ -226,12 +224,11 @@ def test_lockstep_outcomes_beyond_64_bit_codes_match_oracle():
     # lockstep and few product states are reachable.
     atoms = ("p", "q")
     texts = ["F p", "F q", "p U q", "q U p", "F (p & q)", "!p U q", "!q U p"]
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    spec = build_spec(
         outcomes=[(f"o{k}", parse(texts[k % len(texts)], atoms)) for k in range(50)],
         statements=[("strict", "o0", "o1"), ("strict", "o2", "o3")],
     )
-    fast = check_pdfa(build_spec(decl), atoms)
+    fast = check_pdfa(spec, atoms)
     assert prod(len(d.states) for d in fast.component_dfas) > 2**64
     assert len(fast.states) == 22
 
@@ -249,12 +246,10 @@ def test_wide_alphabet_matches_oracle():
 def test_full_alphabet_classifies_like_the_oracle():
     atoms = tuple(f"a{i}" for i in range(MAX_ALPHABET_ATOMS))
     texts = {"reach": "F a0", "seq": "F (a1 & X F a2)", "guard": "!(a3 | a4) U a5"}
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    spec = build_spec(
         outcomes=[(name, parse(text, atoms)) for name, text in texts.items()],
         statements=[("strict", "seq", "reach"), ("strict", "guard", "reach")],
     )
-    spec = build_spec(decl)
     pdfa = build_preference_dfa(spec, atoms)
     assert len(pdfa.symbols) == 2 ** MAX_ALPHABET_ATOMS
     node_of_mp = {node.mp: node.node_id for node in pdfa.graph.nodes}

@@ -1,7 +1,10 @@
 """CLI subcommands: wiring, exit codes, artifact round-trips, determinism."""
 
+import errno
 import hashlib
 import json
+import mmap
+import os
 import re
 from pathlib import Path
 from unittest import mock
@@ -155,7 +158,7 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         *[
             ("synth", _replace(_mdp_doc(atoms=("A",)), "states", 0, label=label),
              f"state entry: 'label' must be a list of strings, got {label!r}")
-            for label in ([["A"]], [{}])
+            for label in ([["A"]], [{}], [1, "zz"])
         ],
         ("synth", _mdp_doc(prob=10**400), "successor of ('s','a'): 'prob' is too large for a float, got 1000"),
         ("synth", json.dumps(_mdp_doc(prob="many")).replace('"many"', "1" + "0" * 5000),
@@ -194,6 +197,18 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "malformed gridworld config: drift cell (0, 1) has no directions"),
         ("prefdfa", {**PO1_PREF_DOC, "outcomes": PO1_PREF_DOC["outcomes"][:1] * 2, "preferences": []},
          "outcome names must be unique"),
+        # load_mdp checks a document in one pass, in reading order: these pin
+        # which of two checks names a fault first and where each sum starts.
+        # A message that ends in a newline is the whole line.
+        ("synth", _mdp_doc(initial=(("s", float("inf")),)), "initial distribution sums to inf\n"),
+        ("synth", _mdp_doc(initial=()), "initial distribution sums to 0\n"),
+        ("synth", _replace(_mdp_doc(), "transitions", 0, to=[]), "distribution at ('s','a') sums to 0.0\n"),
+        ("synth", _mdp_doc(prob=0.5), "distribution at ('s','a') sums to 0.5\n"),
+        ("synth", _replace(_mdp_doc(), "transitions", 0, to=[{"state": "s", "prob": 1.5}, {"state": "t", "prob": -0.5}]),
+         "negative probability -0.5 at ('s','a')\n"),
+        ("synth", _mdp_doc(prob=float("inf")), "probability inf at ('s','a') is not a finite number\n"),
+        ("synth", _replace(_mdp_doc(), "states", 0, label=["zz"]), "state 's' labeled with undeclared atoms ['zz']\n"),
+        ("synth", {**_mdp_doc(), "transitions": _mdp_doc()["transitions"][:1]}, "state 't' has no defined action\n"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -204,12 +219,14 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-start-col-half", "grid-start-row-half", "mdp-prob-string", "mdp-atom-uncovered", "mdp-two-initial",
         "mdp-prob-nan", "mdp-initial-nan", "mdp-initial-negative", "grid-battery-bool", "mdp-prob-bool", "mdp-initial-bool",
         "pref-class-name-taken", "mdp-prob-numeric-string", "mdp-initial-numeric-string", "mdp-id-int",
-        "mdp-label-string", "mdp-label-nested", "mdp-label-object", "mdp-prob-overflow", "mdp-prob-digits", "mdp-nested-deep",
+        "mdp-label-string", "mdp-label-nested", "mdp-label-object", "mdp-label-mixed", "mdp-prob-overflow", "mdp-prob-digits", "mdp-nested-deep",
         "grid-width-fraction", "grid-height-fraction", "grid-battery-fraction",
         "grid-start-bool", "grid-start-strings", "grid-obstacle-short", "grid-drift-cell-bool",
         "grid-region-int", "grid-region-cell-3d", "grid-region-not-atom", "grid-region-keyword",
         "mdp-duplicate-state", "mdp-undeclared-action", "mdp-duplicate-transition", "grid-width-zero",
         "grid-drift-on-obstacle", "grid-drift-no-directions", "pref-duplicate-outcome",
+        "mdp-initial-inf", "mdp-initial-empty", "mdp-to-empty", "mdp-sum-half", "mdp-prob-negative",
+        "mdp-prob-inf", "mdp-label-undeclared", "mdp-state-no-action",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -232,6 +249,26 @@ def test_product_over_state_cap_writes_nothing(workdir, capsys):
     capsys.readouterr()
     assert run("--out", "art", "--state-cap", "50", "synth", "g/mdp.json", PO1_PREF) == 3
     assert capsys.readouterr().err == "error: product exceeded 50 states\n"
+    assert not (workdir / "art").exists()
+
+
+@pytest.mark.parametrize(
+    "episodes, mmap_error",
+    [(10**18, None), (100, OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)))],
+    ids=["beyond-ssize_t", "no-memory"],
+)
+def test_simulate_beyond_memory_writes_nothing(workdir, capsys, monkeypatch, episodes, mmap_error):
+    # Never a count whose mapping is made: every one of its episodes would run.
+    assert run("--out", "g", "gridworld", PO1_GRID4) == 0
+    capsys.readouterr()
+    if mmap_error is not None:
+        def refuse(*args):
+            raise mmap_error
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+    assert run("--out", "art", "simulate", "g/mdp.json", PO1_PREF, "--episodes", str(episodes)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: cannot map {40 * episodes} bytes for the outcomes of {episodes} episodes\n"
     assert not (workdir / "art").exists()
 
 

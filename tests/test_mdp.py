@@ -1,13 +1,14 @@
 """MDP ingestion/validation and the gridworld generator rules."""
 
+import json
 import math
 
 import pytest
 
 from prefplan.mdp import (
     GRID_ACTIONS,
+    PROB_TOL,
     GridworldConfig,
-    LabeledMdp,
     MdpError,
     build_gridworld,
     gridworld_config_from_json,
@@ -91,15 +92,11 @@ def test_load_rejects_negative_probability():
     "prob, initial", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)], ids=["nan", "inf", "initial-nan"]
 )
 def test_rejects_non_finite_probability(prob, initial):
+    doc = minimal_doc()
+    doc["transitions"][0]["to"] = [{"state": "s1", "prob": prob}]
+    doc["initial"] = [{"state": "s0", "prob": initial}]
     with pytest.raises(MdpError, match="not a finite number"):
-        LabeledMdp(
-            atoms=(),
-            states=("s0",),
-            actions=("go",),
-            labels=(frozenset(),),
-            transitions={(0, 0): ((0, prob),)},
-            initial=((0, initial),),
-        )
+        load_mdp(doc)
 
 
 def test_mdp_json_roundtrip():
@@ -246,6 +243,49 @@ def test_bundle_gridworlds_build(bundle, grid, capacity, obstacles):
     assert set(mdp.atoms) == {"A", "B", "C", "D", "E", "F"}
     assert mdp.actions == GRID_ACTIONS
     assert mdp.n_states() == (25 - obstacles) * (capacity + 1)
+
+
+def drift_config(stay_probability):
+    """A 4x3 grid with drift cells of one to four directions, some blocked."""
+    return GridworldConfig(
+        width=4,
+        height=3,
+        start=(0, 0),
+        battery_capacity=2,
+        obstacles=frozenset({(1, 1)}),
+        drift_cells={
+            (0, 2): ("West",),  # off the grid
+            (1, 2): ("South", "East"),  # South is the obstacle
+            (2, 1): ("North", "East", "West"),  # West is the obstacle
+            (3, 0): GRID_ACTIONS,  # East and South are off the grid
+        },
+        regions={"goal": frozenset({(3, 2)}), "mid": frozenset({(2, 1), (3, 2)})},
+        stay_probability=stay_probability,
+    )
+
+
+BUNDLE_GRIDS = [("po1", "gridworld_battery4.json"), ("po1", "gridworld_battery2.json"),
+                ("po2", "gridworld_battery4.json")]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [gridworld_config_from_json(read_bundle_json(f"{b}/{g}")) for b, g in BUNDLE_GRIDS]
+    + [drift_config(stay) for stay in (0.1, 1 / 3, 0.7)],
+    ids=[f"{b}-{g}" for b, g in BUNDLE_GRIDS] + ["stay-0.1", "stay-1/3", "stay-0.7"],
+)
+def test_generated_gridworld_passes_the_loader(cfg):
+    # LabeledMdp checks nothing itself, so every model build_gridworld makes
+    # must be one that load_mdp accepts, and read back as the same model.
+    built = build_gridworld(cfg)
+    loaded = load_mdp(json.loads(json.dumps(mdp_to_json(built))))
+    assert (loaded.atoms, loaded.states, loaded.actions, loaded.labels, loaded.initial) == (
+        built.atoms, built.states, built.actions, built.labels, built.initial
+    )
+    assert loaded.transitions.keys() == built.transitions.keys()
+    for key, dist in built.transitions.items():
+        assert [t for t, _ in loaded.transitions[key]] == [t for t, _ in dist]
+        assert all(abs(p - q) <= PROB_TOL for (_, p), (_, q) in zip(loaded.transitions[key], dist))
 
 
 def test_dot_export():

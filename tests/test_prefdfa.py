@@ -10,7 +10,7 @@ computed through the individual outcome DFAs, never through the product.
 import pytest
 
 from prefplan.prefdfa import build_preference_dfa, pdfa_to_dot, pdfa_to_json, tag_labels
-from prefplan.preferences import Comparison, PreferenceDeclarations, build_spec
+from prefplan.preferences import Comparison, build_spec
 from prefplan.scltl import CapacityError, all_symbols, parse, to_dfa
 
 from conftest import classify_word, index_of, random_preference_problem, render, run_dfa, satisfied
@@ -160,12 +160,10 @@ def test_empty_strict_relation_gives_one_node_per_mp_set():
     # With an empty strict relation every satisfied set is its own MP set:
     # {x}, {y} and {x,y} are three untagged nodes, pairwise incomparable.
     atoms = ("a", "b")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    spec = build_spec(
         outcomes=[("x", parse("F a", atoms)), ("y", parse("F b", atoms))],
         statements=[],
     )
-    spec = build_spec(decl)
     pdfa = build_preference_dfa(spec, atoms)
     x, y = index_of(spec, "x"), index_of(spec, "y")
     # Untagged nodes are numbered by their sorted MP sets.
@@ -180,12 +178,10 @@ def test_empty_strict_relation_gives_one_node_per_mp_set():
 
 def test_product_cap():
     atoms = ("a", "b")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    spec = build_spec(
         outcomes=[("x", parse("F a", atoms)), ("y", parse("F b", atoms))],
         statements=[("strict", "x", "y")],
     )
-    spec = build_spec(decl)
     with pytest.raises(CapacityError):
         build_preference_dfa(spec, atoms, state_cap=2)
 
@@ -279,8 +275,7 @@ def test_outcomes_outside_strict_relation_correspond():
     # "lone" takes part in no strict pair; MP sets that differ in it are
     # distinct nodes, and the graph still agrees with ``compare`` everywhere.
     atoms = ("p", "q")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    spec = build_spec(
         outcomes=[
             ("top", parse("F p", atoms)),
             ("low", parse("F q", atoms)),
@@ -288,7 +283,6 @@ def test_outcomes_outside_strict_relation_correspond():
         ],
         statements=[("strict", "top", "low")],
     )
-    spec = build_spec(decl)
     pdfa = build_preference_dfa(spec, atoms)
     outcome_dfas = [to_dfa(o.formula, atoms) for o in spec.outcomes]
     w1 = ({"q"},)  # satisfies low and lone
@@ -304,12 +298,10 @@ def test_unrelated_outcome_splits_nodes():
     # b > a and an unrelated c: {b} and {b,c} are INCOMPARABLE under
     # ``compare``, so they must be different nodes with no edge between them.
     atoms = ("A", "B", "C")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    spec = build_spec(
         outcomes=[(name, parse(f"F {name.upper()}", atoms)) for name in ("a", "b", "c")],
         statements=[("strict", "b", "a")],
     )
-    spec = build_spec(decl)
     pdfa = build_preference_dfa(spec, atoms)
     ia, ib, ic = (index_of(spec, n) for n in ("a", "b", "c"))
     node_b = classify_word(pdfa, [{"B"}])

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from prefplan.preferences import (
     Comparison,
-    PreferenceDeclarations,
     PreferenceError,
-    PreferenceSpec,
     build_spec,
     load_preference_document,
     spec_to_json,
@@ -47,46 +45,50 @@ def test_build_spec_po1(po1_spec):
 
 def test_build_spec_cycle_rejected():
     atoms = ("a", "b")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
-        outcomes=[("x", parse("F a", atoms)), ("y", parse("F b", atoms))],
-        statements=[("strict", "x", "y"), ("strict", "y", "x")],
-    )
     with pytest.raises(PreferenceError, match="cycle"):
-        build_spec(decl)
+        build_spec(
+            outcomes=[("x", parse("F a", atoms)), ("y", parse("F b", atoms))],
+            statements=[("strict", "x", "y"), ("strict", "y", "x")],
+        )
 
 
 def test_build_spec_transitive_cycle_rejected():
     atoms = ("a", "b")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
-        outcomes=[
-            ("x", parse("F a", atoms)),
-            ("y", parse("F b", atoms)),
-            ("z", parse("a U b", atoms)),
-        ],
-        statements=[("strict", "x", "y"), ("strict", "y", "z"), ("strict", "z", "x")],
-    )
     with pytest.raises(PreferenceError, match="cycle"):
-        build_spec(decl)
+        build_spec(
+            outcomes=[
+                ("x", parse("F a", atoms)),
+                ("y", parse("F b", atoms)),
+                ("z", parse("a U b", atoms)),
+            ],
+            statements=[("strict", "x", "y"), ("strict", "y", "z"), ("strict", "z", "x")],
+        )
 
 
 def test_build_spec_contradiction_rejected():
     atoms = ("a", "b")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
-        outcomes=[("x", parse("F a", atoms)), ("y", parse("F b", atoms))],
-        statements=[("strict", "x", "y"), ("indifferent", "x", "y")],
-    )
     with pytest.raises(PreferenceError, match="contradictory"):
-        build_spec(decl)
+        build_spec(
+            outcomes=[("x", parse("F a", atoms)), ("y", parse("F b", atoms))],
+            statements=[("strict", "x", "y"), ("indifferent", "x", "y")],
+        )
+
+
+def test_build_spec_merges_chained_indifference():
+    # z ~ y and x ~ y make one class, though no statement names x and z together.
+    atoms = ("a", "b")
+    spec = build_spec(
+        outcomes=[(name, parse("F a", atoms)) for name in ("w", "x", "y", "z")],
+        statements=[("indifferent", "z", "y"), ("indifferent", "x", "y"), ("strict", "w", "z")],
+    )
+    assert [o.name for o in spec.outcomes] == ["w", "x|y|z"]
+    assert names(spec, spec.strict) == [("w", "x|y|z")]
 
 
 def test_build_spec_unknown_name_rejected():
     atoms = ("a",)
-    with pytest.raises(PreferenceError):
-        PreferenceDeclarations(
-            atoms=atoms,
+    with pytest.raises(PreferenceError, match="unknown outcome 'ghost'"):
+        build_spec(
             outcomes=[("x", parse("F a", atoms))],
             statements=[("strict", "x", "ghost")],
         )
@@ -94,9 +96,8 @@ def test_build_spec_unknown_name_rejected():
 
 def test_build_spec_self_comparison_rejected():
     atoms = ("a",)
-    with pytest.raises(PreferenceError):
-        PreferenceDeclarations(
-            atoms=atoms,
+    with pytest.raises(PreferenceError, match="self-comparison on outcome 'x'"):
+        build_spec(
             outcomes=[("x", parse("F a", atoms))],
             statements=[("strict", "x", "x")],
         )
@@ -178,8 +179,7 @@ def random_specs_up_to_six():
                 for j in range(i + 1, n):
                     if rng.random() < 0.4:
                         statements.append(("strict", f"o{i}", f"o{j}"))
-            decl = PreferenceDeclarations(atoms=atoms, outcomes=base[:n], statements=statements)
-            out.append(build_spec(decl))
+            out.append(build_spec(base[:n], statements))
     return out
 
 
@@ -229,14 +229,12 @@ def test_partition_after_build(po2_spec):
 def test_build_spec_idempotent(po2_spec):
     # Re-declaring the closed spec's outcomes and strict pairs rebuilds it.
     atoms, spec = po2_spec
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    rebuilt = build_spec(
         outcomes=[(o.name, o.formula) for o in spec.outcomes],
         statements=[
             ("strict", spec.outcomes[i].name, spec.outcomes[j].name) for i, j in spec.strict
         ],
     )
-    rebuilt = build_spec(decl)
     assert [o.name for o in rebuilt.outcomes] == [o.name for o in spec.outcomes]
     assert {(i, j) for i, j in rebuilt.strict} == set(spec.strict)
     assert set(rebuilt.incomparable) == set(spec.incomparable)
@@ -257,26 +255,15 @@ def test_random_declarations_always_partition(data):
                 statements.append(("strict", f"o{i}", f"o{j}"))
             elif kind == "indifferent":
                 statements.append(("indifferent", f"o{i}", f"o{j}"))
-    decl = PreferenceDeclarations(atoms=atoms, outcomes=outcomes, statements=statements)
     try:
-        spec = build_spec(decl)
+        spec = build_spec(outcomes, statements)
     except PreferenceError:
         return  # contradiction between a strict edge and a merge; fine
-    spec.validate()
-
-
-def test_validation_rejects_untransitive():
-    from prefplan.preferences import Outcome
-
-    with pytest.raises(PreferenceError):
-        PreferenceSpec(
-            outcomes=(
-                Outcome("x", parse("F a", ("a", "b"))),
-                Outcome("y", parse("F b", ("a", "b"))),
-                Outcome("z", parse("a U b", ("a", "b"))),
-            ),
-            strict=frozenset({(0, 1), (1, 2)}),  # missing (0, 2)
-        )
+    # What build_spec guarantees: P relates outcomes, and is irreflexive,
+    # asymmetric and transitively closed.
+    assert all(0 <= i < spec.n and 0 <= j < spec.n for i, j in spec.strict)
+    assert all(i != j and (j, i) not in spec.strict for i, j in spec.strict)
+    assert all((i, k) in spec.strict for i, j in spec.strict for j2, k in spec.strict if j2 == j)
 
 
 # ---------------------------------------------------------------------------

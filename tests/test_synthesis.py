@@ -428,14 +428,11 @@ def test_po2_battery4_sasi_north(po2_b4):
 def test_no_improvement_possible_everywhere_undefined():
     # Single outcome: the graph has no edges, so nothing ever improves.
     from prefplan.prefdfa import build_preference_dfa
-    from prefplan.preferences import PreferenceDeclarations, build_spec
+    from prefplan.preferences import build_spec
     from prefplan.scltl import parse
 
     atoms = ("g",)
-    decl = PreferenceDeclarations(
-        atoms=atoms, outcomes=[("win", parse("F g", atoms))], statements=[]
-    )
-    spec = build_spec(decl)
+    spec = build_spec([("win", parse("F g", atoms))])
     pdfa = build_preference_dfa(spec, atoms)
     mdp = random_mdp(11, n_states=12, atoms=atoms, label_density=0.2)
     pm = build_product(mdp, pdfa)

@@ -8,7 +8,7 @@ import pytest
 import reference_solvers
 from prefplan.mdp import LabeledMdp
 from prefplan.prefdfa import build_preference_dfa
-from prefplan.preferences import PreferenceDeclarations, build_spec
+from prefplan.preferences import build_spec
 from prefplan.scltl import parse
 from prefplan.synthesis import (
     CompositePolicy,
@@ -289,12 +289,10 @@ def test_condition_a_agrees_with_value_iteration(po1_b2, po1_b4, po2_b4):
 
 def coin_pipeline():
     atoms = ("h", "t")
-    decl = PreferenceDeclarations(
-        atoms=atoms,
+    spec = build_spec(
         outcomes=[("heads", parse("F h", atoms)), ("tails", parse("F t", atoms))],
         statements=[("strict", "heads", "tails")],
     )
-    spec = build_spec(decl)
     pdfa = build_preference_dfa(spec, atoms)
     mdp = LabeledMdp(
         atoms=atoms,
