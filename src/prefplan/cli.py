@@ -24,7 +24,6 @@ from .mdp import (
 )
 from .prefdfa import build_preference_dfa, pdfa_to_dot, pdfa_to_json
 from .preferences import PreferenceError, load_preference_document, spec_to_json
-from .record import replace
 from .schema import STRINGS, json_fields
 from .scltl import (
     DEFAULT_STATE_CAP,
@@ -156,9 +155,7 @@ def cmd_prefdfa(args) -> int:
 
 
 def cmd_gridworld(args) -> int:
-    cfg = gridworld_config_from_json(_read_json(args.config))
-    if args.stay_probability is not None:
-        cfg = replace(cfg, stay_probability=args.stay_probability)
+    cfg = gridworld_config_from_json(_read_json(args.config), args.stay_probability)
     mdp = build_gridworld(cfg, state_cap=args.state_cap)
     out = _out_dir(args)
     _write_json(out / "mdp.json", mdp_to_json(mdp))

@@ -1,5 +1,6 @@
-"""Labeled MDPs: JSON ingestion, checked in the one pass that reads it, and a
-battery-constrained stochastic gridworld generator, valid by construction.
+"""Labeled MDPs and gridworld configs, each checked in the one pass that reads
+it, and a battery-constrained stochastic gridworld generator, valid by
+construction.
 
 Gridworld dynamics: four compass actions, each costing one battery unit.
 Moves into obstacles or off the grid bounce back to the source cell.  Moves
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .record import Record, field
+from .record import Record
 from .schema import CELL, CELLS, STRINGS, json_fields
 from .scltl import DEFAULT_STATE_CAP, CapacityError, declare_alphabet, dot_escape
 
@@ -41,9 +42,10 @@ class MdpError(ValueError):
 class LabeledMdp(Record):
     """Finite labeled MDP with a partial action map.
 
-    ``transitions[(s, a)]`` is a tuple of (successor, probability) pairs
-    summing to one; every state has at least one defined action.  The record
-    checks none of this: ``load_mdp`` and ``build_gridworld`` make it so.
+    ``transitions[(s, a)]`` is a tuple of (successor, probability) pairs,
+    every probability positive, summing to one, and so is ``initial``; every
+    state has at least one defined action.  The record checks none of this:
+    ``load_mdp`` and ``build_gridworld`` make it so.
     """
 
     atoms: tuple
@@ -70,7 +72,8 @@ def load_mdp(doc: dict) -> LabeledMdp:
     State ids are unique and labels name declared atoms; a transition names
     declared states and action, once per pair, with finite, non-negative
     probabilities that sum to one within ``PROB_TOL``; every state has an
-    action; the initial distribution sums to one likewise.
+    action; the initial distribution sums to one likewise.  An entry of
+    probability 0 is not an edge: once checked, it is dropped.
     """
     atoms, state_entries, actions, transition_entries, initial_entries = json_fields(
         doc, "MDP document", MdpError,
@@ -118,12 +121,14 @@ def load_mdp(doc: dict) -> LabeledMdp:
             if total != 1.0 and abs(total - 1.0) <= PROB_TOL:
                 # Rounding drift is normalized away; a negative entry is named as normalized.
                 dist = tuple((t, p / total) for t, p in dist)
-            for _, p in dist:
-                if not 0.0 <= p < math.inf:  # false for NaN too
-                    where = f"({entry['from']!r},{entry['action']!r})"
+            if not all(0.0 < p < math.inf for _, p in dist):  # false for NaN too
+                where = f"({entry['from']!r},{entry['action']!r})"
+                for _, p in dist:
                     if not math.isfinite(p):
                         raise MdpError(f"probability {p} at {where} is not a finite number")
-                    raise MdpError(f"negative probability {p} at {where}")
+                    if p < 0:
+                        raise MdpError(f"negative probability {p} at {where}")
+                dist = tuple((t, p) for t, p in dist if p)
             if abs(total - 1.0) > PROB_TOL:
                 raise MdpError(f"distribution at ({entry['from']!r},{entry['action']!r}) sums to {total}")
             transitions[(s, a)] = dist
@@ -141,6 +146,7 @@ def load_mdp(doc: dict) -> LabeledMdp:
                 raise MdpError(f"initial probability {p} is not a finite number")
             if p < 0:
                 raise MdpError(f"negative initial probability {p}")
+        initial = tuple((t, p) for t, p in initial if p)
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError):
         # Entries are checked only once reading them failed: checking each
         # one up front doubles the load time of a large MDP.  An MdpError is
@@ -205,59 +211,23 @@ def mdp_to_json(mdp: LabeledMdp) -> dict:
 
 
 class GridworldConfig(Record):
+    """A gridworld config as ``gridworld_config_from_json`` reads and checks it
+    (each cell on the grid, stay probability in (0, 1)); the record checks nothing."""
+
     width: int
     height: int
     start: tuple  # (col, row)
     battery_capacity: int
-    obstacles: frozenset = frozenset()  # of (col, row)
-    drift_cells: dict = field(default_factory=dict)  # (col, row) -> tuple of directions
-    regions: dict = field(default_factory=dict)  # atom -> frozenset of (col, row)
-    stay_probability: float = 0.5
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise MdpError("grid dimensions must be positive")
-        if self.battery_capacity < 1:
-            raise MdpError("battery capacity must be at least 1")
-        if not 0 < self.stay_probability < 1:
-            raise MdpError("stay probability must lie strictly between 0 and 1")
-        for cell in self.obstacles:
-            self._check_bounds(cell, "obstacle")
-        for cell, directions in self.drift_cells.items():
-            self._check_bounds(cell, "drift cell")
-            if cell in self.obstacles:
-                raise MdpError(f"drift cell {cell} is an obstacle")
-            if not directions:
-                raise MdpError(f"drift cell {cell} has no directions")
-            for d in directions:
-                if d not in _DELTAS:
-                    raise MdpError(f"invalid drift direction {d!r} at {cell}")
-        for atom, cells in self.regions.items():
-            for cell in cells:
-                self._check_bounds(cell, f"region {atom}")
-                if cell in self.obstacles:
-                    raise MdpError(f"region {atom} overlaps obstacle at {cell}")
-        self._check_bounds(self.start, "start")
-        if self.start in self.obstacles:
-            raise MdpError("start cell is an obstacle")
-
-    def _check_bounds(self, cell, what):
-        col, row = cell
-        if not (0 <= col < self.width and 0 <= row < self.height):
-            raise MdpError(f"{what} at {cell} is outside the {self.width}x{self.height} grid")
-        if col != int(col) or row != int(row):
-            raise MdpError(f"{what} at {cell} is not a grid cell: coordinates must be integers")
-
-    def walkable(self):
-        return [
-            (col, row)
-            for row in range(self.height)
-            for col in range(self.width)
-            if (col, row) not in self.obstacles
-        ]
+    obstacles: frozenset  # of (col, row)
+    drift_cells: dict  # (col, row) -> tuple of directions
+    regions: dict  # atom -> frozenset of (col, row)
+    stay_probability: float
 
 
-def gridworld_config_from_json(doc: dict) -> GridworldConfig:
+def gridworld_config_from_json(doc: dict, stay_probability: float | None = None) -> GridworldConfig:
+    """Read and check a gridworld config in one pass: shapes, region names, whole
+    sizes, then every range and cell.  ``stay_probability``, when given, replaces
+    the config's value after the shape checks and before the range check."""
     where = "malformed gridworld config"
     number = (int, float)
     width, height, start, battery, obstacles, drift, regions, stay = json_fields(
@@ -271,23 +241,61 @@ def gridworld_config_from_json(doc: dict) -> GridworldConfig:
         for entry in drift
     ]
     json_fields(regions, f"{where}: regions", MdpError, dict.fromkeys(regions, CELLS))
+    if stay_probability is not None:
+        stay = stay_probability
     try:
         declare_alphabet(regions)  # a region name is an atom a preference document declares
         for name, value in (("width", width), ("height", height), ("battery_capacity", battery)):
             if int(value) != value:
                 raise ValueError(f"{name!r} must be a whole number, got {value!r}")
-        return GridworldConfig(
-            width=int(width),
-            height=int(height),
-            start=tuple(start),
-            battery_capacity=int(battery),
-            obstacles=frozenset(tuple(c) for c in obstacles),
-            drift_cells={tuple(cell): tuple(directions) for cell, directions in drift_entries},
-            regions={atom: frozenset(tuple(c) for c in cells) for atom, cells in regions.items()},
-            stay_probability=float(stay),
-        )
+        width, height, battery, stay = int(width), int(height), int(battery), float(stay)
+        obstacles = frozenset(tuple(c) for c in obstacles)
+        regions = {atom: frozenset(tuple(c) for c in cells) for atom, cells in regions.items()}
+
+        def check_cell(cell, what):
+            col, row = cell
+            if not (0 <= col < width and 0 <= row < height):
+                raise ValueError(f"{what} at {cell} is outside the {width}x{height} grid")
+            if col != int(col) or row != int(row):
+                raise ValueError(f"{what} at {cell} is not a grid cell: coordinates must be integers")
+
+        if width < 1 or height < 1:
+            raise ValueError("grid dimensions must be positive")
+        if battery < 1:
+            raise ValueError("battery capacity must be at least 1")
+        if not 0 < stay < 1:
+            raise ValueError("stay probability must lie strictly between 0 and 1")
+        for cell in obstacles:
+            check_cell(cell, "obstacle")
+        drift_cells = {}
+        for cell, directions in drift_entries:
+            cell = tuple(cell)
+            if cell in drift_cells:
+                raise ValueError(f"drift cell {cell} is listed twice")
+            check_cell(cell, "drift cell")
+            if cell in obstacles:
+                raise ValueError(f"drift cell {cell} is an obstacle")
+            if not directions:
+                raise ValueError(f"drift cell {cell} has no directions")
+            for d in directions:
+                if d not in _DELTAS:
+                    raise ValueError(f"invalid drift direction {d!r} at {cell}")
+            drift_cells[cell] = tuple(directions)
+        for atom, cells in regions.items():
+            for cell in cells:
+                check_cell(cell, f"region {atom}")
+                if cell in obstacles:
+                    raise ValueError(f"region {atom} overlaps obstacle at {cell}")
+        start = tuple(start)
+        check_cell(start, "start")
+        if start in obstacles:
+            raise ValueError("start cell is an obstacle")
     except (TypeError, ValueError, OverflowError) as e:
         raise MdpError(f"{where}: {e}") from e
+    return GridworldConfig(
+        width=width, height=height, start=start, battery_capacity=battery,
+        obstacles=obstacles, drift_cells=drift_cells, regions=regions, stay_probability=stay,
+    )
 
 
 def _state_id(cell, battery) -> str:
@@ -304,7 +312,8 @@ def build_gridworld(cfg: GridworldConfig, state_cap: int = DEFAULT_STATE_CAP) ->
     n_states = (cfg.width * cfg.height - len(cfg.obstacles)) * (cfg.battery_capacity + 1)
     if n_states > state_cap:
         raise CapacityError(f"gridworld has {n_states} states, more than the cap of {state_cap}")
-    cells = cfg.walkable()
+    cells = [(col, row) for row in range(cfg.height) for col in range(cfg.width)
+             if (col, row) not in cfg.obstacles]
     atoms = tuple(sorted(cfg.regions))
     cell_atoms = {}
     for atom, region in cfg.regions.items():

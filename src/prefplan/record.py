@@ -1,9 +1,11 @@
 """Value records built from closures: the part of ``dataclasses`` this package uses,
-without the ``exec`` of generated methods and the ``inspect`` import it costs at start-up."""
+without the ``exec`` of generated methods and the ``inspect`` import it costs at start-up.
+A record checks nothing itself (no ``__post_init__`` runs): the reader that builds one
+from a document checks it."""
 
 from operator import attrgetter
 
-__all__ = ["Record", "field", "record", "replace"]
+__all__ = ["Record", "field", "record"]
 
 _MISSING = object()
 _setattr = object.__setattr__
@@ -39,7 +41,7 @@ def record(cls, frozen=False):
     for name in cls.__dict__.get("__annotations__", {}):
         spec = cls.__dict__.get(name, _MISSING)
         fields[name] = spec if isinstance(spec, field) else field(default=spec)
-    names, n, post_init = tuple(fields), len(fields), getattr(cls, "__post_init__", None)
+    names, n = tuple(fields), len(fields)
     compared = [name for name, spec in fields.items() if spec.compare]
     values = attrgetter(*compared or ["__class__"])  # one name gives a bare value; none, the class
 
@@ -52,8 +54,6 @@ def record(cls, frozen=False):
         else:
             for name, value in zip(names, args):
                 _setattr(self, name, value)
-        if post_init is not None:
-            post_init(self)
 
     def __repr__(self):
         shown = (f"{name}={getattr(self, name)!r}" for name, spec in fields.items() if spec.repr)
@@ -91,8 +91,3 @@ class Record:
     def __init_subclass__(cls, frozen=True, **kwargs):
         super().__init_subclass__(**kwargs)
         record(cls, frozen)
-
-
-def replace(obj, **changes):
-    """``obj`` with ``changes``, built anew so that ``__post_init__`` checks it."""
-    return obj.__class__(**{**{name: getattr(obj, name) for name in obj._record_fields}, **changes})

@@ -114,7 +114,7 @@ class ProductMdp(Record):
     mdp: LabeledMdp
     pdfa: PreferenceDfa
     state_pairs: tuple  # of (s, q)
-    rows: dict  # v -> {a: (v' per positive entry of the MDP's (s, a), in order)}: the solvers' input
+    rows: dict  # v -> {a: (v' per entry of the MDP's (s, a), in order)}: the solvers' input
     initial: int
     node_members: dict  # node id -> frozenset of product states
     node_edges: frozenset  # (worse node id, better node id)
@@ -126,7 +126,7 @@ class ProductMdp(Record):
         return list(self.rows[v])
 
     def dist(self, v: int, a: int) -> tuple:  # ((v', p), ...) over rows[v][a]
-        probs = [p for _, p in self.mdp.transitions[(self.state_pairs[v][0], a)] if p]
+        probs = [p for _, p in self.mdp.transitions[(self.state_pairs[v][0], a)]]
         return tuple(zip(self.rows[v][a], probs))
 
     @property
@@ -149,18 +149,17 @@ def build_product(
     """Synchronous product; the automaton consumes the label of each state
     entered, including the initial one.
 
-    ``mdp`` must have exactly one initial state of positive probability.  The
-    automaton is stepped through one ``pdfa.column`` per distinct MDP label, so
-    only the letters the MDP emits are computed, not the 2^|AP|-wide ``pdfa.rows``."""
+    ``mdp`` must have exactly one initial state.  The automaton is stepped
+    through one ``pdfa.column`` per distinct MDP label, so only the letters the
+    MDP emits are computed, not the 2^|AP|-wide ``pdfa.rows``."""
     if set(mdp.atoms) - set(pdfa.alphabet):
         raise MdpError(
             f"MDP atoms {sorted(mdp.atoms)} not covered by preference alphabet "
             f"{sorted(pdfa.alphabet)}"
         )
-    starts = [s for s, p in mdp.initial if p]
-    if len(starts) != 1:
+    if len(mdp.initial) != 1:
         raise MdpError("product construction expects a single initial state")
-    s0 = starts[0]
+    s0 = mdp.initial[0][0]
     positions = [pdfa.position[label] for label in mdp.labels]  # per MDP state
     columns = {k: pdfa.column(k) for k in set(positions)}  # only the letters the MDP emits
     letter = [columns[k] for k in positions]  # per MDP state, its label's column
@@ -176,9 +175,7 @@ def build_product(
         support_rows[v] = row = {}
         for a in mdp.enabled(s):
             support = []
-            for s2, p in mdp.transitions[(s, a)]:
-                if not p:
-                    continue  # a zero-probability successor is not an edge
+            for s2, _ in mdp.transitions[(s, a)]:
                 q2 = letter[s2][q]
                 w = pair_index.get((s2, q2))
                 if w is None:
@@ -777,7 +774,7 @@ def improvement_mdp_to_dot(im: ImprovementMdp, write) -> None:
     successor, and ``v<i>B`` differs only where an edge improves."""
     pm, improved = im.cache.product, im.cache.improved
     names, transitions = list(map(dot_escape, pm.mdp.actions)), pm.mdp.transitions
-    labels: dict = {}  # (s, a) -> label per positive entry, the successors of ``pm.dist``
+    labels: dict = {}  # (s, a) -> label per entry, the successors of ``pm.dist``
     write("digraph improvement_mdp {\n  rankdir=LR;\n")
     for v, sid in enumerate(map(dot_escape, pm.state_ids)):
         write(f'  v{v}B [shape=box label="{sid} bot"];\n'
@@ -791,7 +788,7 @@ def improvement_mdp_to_dot(im: ImprovementMdp, write) -> None:
             row = labels.get((s, a))
             if row is None:
                 row = labels[(s, a)] = [
-                    f'[label="{names[a]}:{p:g}"];' for _, p in transitions[(s, a)] if p
+                    f'[label="{names[a]}:{p:g}"];' for _, p in transitions[(s, a)]
                 ]
             for w, t, label in zip(pm.rows[v][a], routed, row):
                 body = f"v{w}B {label}"

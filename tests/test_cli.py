@@ -209,6 +209,19 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         ("synth", _mdp_doc(prob=float("inf")), "probability inf at ('s','a') is not a finite number\n"),
         ("synth", _replace(_mdp_doc(), "states", 0, label=["zz"]), "state 's' labeled with undeclared atoms ['zz']\n"),
         ("synth", {**_mdp_doc(), "transitions": _mdp_doc()["transitions"][:1]}, "state 't' has no defined action\n"),
+        ("gridworld", {**PO1_GRID4_DOC, "obstacles": [[5, 0]]},
+         "malformed gridworld config: obstacle at (5, 0) is outside the 5x5 grid\n"),
+        ("gridworld", {**PO1_GRID4_DOC, "regions": {"A": [[1, 3]]}},
+         "malformed gridworld config: region A overlaps obstacle at (1, 3)\n"),
+        ("gridworld", {**PO1_GRID4_DOC, "start": [1, 3]}, "malformed gridworld config: start cell is an obstacle\n"),
+        ("gridworld", {**PO1_GRID4_DOC, "drift": [{"cell": [0, 1], "directions": ["North", "Up"]}]},
+         "malformed gridworld config: invalid drift direction 'Up' at (0, 1)\n"),
+        ("gridworld", {**PO1_GRID4_DOC, "battery_capacity": 0},
+         "malformed gridworld config: battery capacity must be at least 1\n"),
+        ("gridworld", {**PO1_GRID4_DOC, "stay_probability": 1.0},
+         "malformed gridworld config: stay probability must lie strictly between 0 and 1\n"),
+        ("gridworld", {**PO1_GRID4_DOC, "drift": PO1_GRID4_DOC["drift"] + [{"cell": [2, 2], "directions": ["South"]}]},
+         "malformed gridworld config: drift cell (2, 2) is listed twice\n"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -227,6 +240,8 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-drift-on-obstacle", "grid-drift-no-directions", "pref-duplicate-outcome",
         "mdp-initial-inf", "mdp-initial-empty", "mdp-to-empty", "mdp-sum-half", "mdp-prob-negative",
         "mdp-prob-inf", "mdp-label-undeclared", "mdp-state-no-action",
+        "grid-obstacle-outside", "grid-region-on-obstacle", "grid-start-on-obstacle", "grid-drift-direction-unknown",
+        "grid-battery-zero", "grid-stay-one", "grid-drift-cell-twice",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):
@@ -805,14 +820,22 @@ def test_missing_input_exit_code(workdir):
     assert run("--out", "art", "synth", "missing.json", "nope.json") == 1
 
 
-def test_gridworld_stay_probability_override(workdir):
+def test_gridworld_stay_probability_override(workdir, capsys):
     assert run("--out", "a", "gridworld", PO1_GRID4, "--stay-probability", "0.8") == 0
     doc = json.loads((workdir / "a" / "mdp.json").read_text())
     mdp = load_mdp(doc)
     probs = {p for dist in mdp.transitions.values() for _, p in dist}
     assert 0.8 in probs and 0.5 not in probs
-    # The override goes through the config's validation again.
+    # The override replaces the config's value before the range check: it
+    # stands in for an out-of-range value, and is itself checked.
+    (workdir / "stay.json").write_text(json.dumps({**PO1_GRID4_DOC, "stay_probability": 1.5}))
+    assert run("--out", "c", "gridworld", "stay.json", "--stay-probability", "0.8") == 0
+    assert (workdir / "c" / "mdp.json").read_bytes() == (workdir / "a" / "mdp.json").read_bytes()
+    capsys.readouterr()
     assert run("--out", "b", "gridworld", PO1_GRID4, "--stay-probability", "1.5") == 1
+    assert capsys.readouterr().err == (
+        "error: malformed gridworld config: stay probability must lie strictly between 0 and 1\n"
+    )
     assert not (workdir / "b").exists()
 
 

@@ -92,6 +92,18 @@ def test_src_generates_no_code():
     assert not any("dataclasses" in imported_roots(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py"))
 
 
+def test_no_src_class_defines_post_init():
+    """``record`` runs no ``__post_init__``, so a check put in one would never
+    run: each reader checks its input as it builds the record."""
+    hooks = {
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and any(getattr(item, "name", None) == "__post_init__" for item in node.body)
+    }
+    assert hooks == set()
+
+
 def test_every_export_resolves():
     names = [f"prefplan.{path.stem}" for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
     exports = {name: getattr(importlib.import_module(name), "__all__", ()) for name in names}

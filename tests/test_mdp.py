@@ -215,18 +215,26 @@ def test_distributions_stochastic():
 
 
 def test_config_validation():
+    def read(**fields):
+        return gridworld_config_from_json({
+            "width": 3, "height": 3, "start": [0, 0], "battery_capacity": 2, "obstacles": [[1, 1]],
+            "drift": [{"cell": [2, 2], "directions": ["West", "South"]}], "regions": {"goal": [[2, 0]]},
+            "stay_probability": 0.5, **fields,
+        })
+
+    assert read() == small_config()
     with pytest.raises(MdpError, match="obstacle"):
-        small_config(start=(1, 1))
+        read(start=[1, 1])
     with pytest.raises(MdpError, match="overlaps obstacle"):
-        small_config(regions={"goal": frozenset({(1, 1)})})
+        read(regions={"goal": [[1, 1]]})
     with pytest.raises(MdpError, match="outside"):
-        small_config(obstacles=frozenset({(9, 9)}))
+        read(obstacles=[[9, 9]])
     with pytest.raises(MdpError, match="drift direction"):
-        small_config(drift_cells={(2, 2): ("Up",)})
+        read(drift=[{"cell": [2, 2], "directions": ["Up"]}])
     with pytest.raises(MdpError, match="battery"):
-        small_config(battery_capacity=0)
+        read(battery_capacity=0)
     with pytest.raises(MdpError, match="stay probability"):
-        small_config(stay_probability=1.0)
+        read(stay_probability=1.0)
 
 
 @pytest.mark.parametrize(

@@ -174,10 +174,10 @@ def test_product_shape_and_probabilities(po1_b4):
 
 
 def test_dist_steps_the_positive_mdp_entries_in_order():
-    # A zero-probability entry is no edge, and a successor listed twice stays
-    # two entries: dist is the MDP's distribution stepped through the
-    # automaton, nothing merged or reordered.
-    doc = three_state_mdp_doc(zero_successor=True)
+    # load_mdp drops a zero-probability entry, successor or initial, and a
+    # successor listed twice stays two entries: dist is the MDP's
+    # distribution stepped through the automaton, nothing merged or reordered.
+    doc = three_state_mdp_doc(zero_successor=True, zero_initial=True)
     doc["transitions"][0]["to"] = [
         {"state": "s1", "prob": 0.25}, {"state": "s2", "prob": 0.5}, {"state": "s1", "prob": 0.25},
     ]
@@ -191,7 +191,8 @@ def test_dist_steps_the_positive_mdp_entries_in_order():
     assert pm.n_states() == 3
     s0, s1, s2 = sorted(range(3), key=pm.state_pairs.__getitem__)  # product state per MDP state
     assert pm.dist(s0, 0) == ((s1, 0.25), (s2, 0.5), (s1, 0.25))
-    assert mdp.transitions[(2, 0)] == ((2, 1.0), (1, 0.0))
+    assert mdp.transitions[(2, 0)] == ((2, 1.0),)
+    assert mdp.initial == ((0, 1.0),)
     assert pm.dist(s2, 0) == ((s2, 1.0),)
 
 
