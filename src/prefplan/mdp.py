@@ -42,24 +42,27 @@ class MdpError(ValueError):
 class LabeledMdp(Record):
     """Finite labeled MDP with a partial action map.
 
-    ``transitions[(s, a)]`` is a tuple of (successor, probability) pairs,
-    every probability positive, summing to one, and so is ``initial``; every
-    state has at least one defined action.  The record checks none of this:
-    ``load_mdp`` and ``build_gridworld`` make it so.
+    ``rows[s]`` maps each action defined at state ``s``, in ascending order,
+    to a tuple of (successor, probability) pairs, every probability positive,
+    summing to one, and so is ``initial``; every state has at least one
+    defined action.  The record checks none of this: ``load_mdp`` and
+    ``build_gridworld`` make it so.
     """
 
     atoms: tuple
     states: tuple  # state ids (strings)
     actions: tuple  # action names
     labels: tuple  # frozenset of atoms per state
-    transitions: dict  # (state index, action index) -> ((succ index, prob), ...)
+    rows: tuple  # per state index, {action index: ((succ index, prob), ...)}
     initial: tuple  # ((state index, prob), ...)
 
     def n_states(self) -> int:
         return len(self.states)
 
-    def enabled(self, s: int) -> list:
-        return [a for a in range(len(self.actions)) if (s, a) in self.transitions]
+    @property
+    def transitions(self) -> dict:
+        """(s, a) -> ``rows[s][a]``, built on each read; read by ``perfbench/tracing.py`` only."""
+        return {(s, a): dist for s, row in enumerate(self.rows) for a, dist in row.items()}
 
 
 def load_mdp(doc: dict) -> LabeledMdp:
@@ -108,35 +111,56 @@ def load_mdp(doc: dict) -> LabeledMdp:
                 raise TypeError("a probability must be a number")
             return resolve_state(entry["state"]), float(p)
 
-        transitions = {}
+        rows = [{} for _ in states]
+        top = [-1] * len(rows)  # per state, its highest action so far
+        ascending, inf = True, math.inf
         for entry in transition_entries:
             s = resolve_state(entry["from"])
             if entry["action"] not in action_index:
                 raise MdpError(f"reference to undeclared action {entry['action']!r}")
             a = action_index[entry["action"]]
-            if (s, a) in transitions:
+            row = rows[s]
+            if a in row:
                 raise MdpError(f"duplicate transition for ({entry['from']!r},{entry['action']!r})")
-            dist = tuple(map(weighted, entry["to"]))
-            total = sum((p for _, p in dist), 0.0)
+            if a > top[s]:
+                top[s] = a
+            else:
+                ascending = False  # the rows are sorted below
+            pairs, probs, positive = [], [], True
+            for successor in entry["to"]:
+                # Read as ``weighted`` reads an entry, inlined: this is the loader's hot loop.
+                p = successor["prob"]
+                if p.__class__ is not float and p.__class__ is not int:
+                    raise TypeError("a probability must be a number")
+                t = state_index.get(successor["state"])
+                if t is None:
+                    raise MdpError(f"reference to undeclared state {successor['state']!r}")
+                p = float(p)
+                pairs.append((t, p))
+                probs.append(p)
+                if not 0.0 < p < inf:  # true for NaN too
+                    positive = False
+            total = sum(probs, 0.0)
             if total != 1.0 and abs(total - 1.0) <= PROB_TOL:
-                # Rounding drift is normalized away; a negative entry is named as normalized.
-                dist = tuple((t, p / total) for t, p in dist)
-            if not all(0.0 < p < math.inf for _, p in dist):  # false for NaN too
+                # Rounding drift is normalized away; a negative entry is named as
+                # normalized.  Dividing by a total this close to one keeps every
+                # probability's sign and finiteness, so ``positive`` still holds.
+                pairs = [(t, p / total) for t, p in pairs]
+            if not positive:
                 where = f"({entry['from']!r},{entry['action']!r})"
-                for _, p in dist:
+                for _, p in pairs:
                     if not math.isfinite(p):
                         raise MdpError(f"probability {p} at {where} is not a finite number")
                     if p < 0:
                         raise MdpError(f"negative probability {p} at {where}")
-                dist = tuple((t, p) for t, p in dist if p)
+                pairs = [(t, p) for t, p in pairs if p]
             if abs(total - 1.0) > PROB_TOL:
                 raise MdpError(f"distribution at ({entry['from']!r},{entry['action']!r}) sums to {total}")
-            transitions[(s, a)] = dist
+            row[a] = tuple(pairs)
         initial = tuple(map(weighted, initial_entries))
 
-        defined = {s for s, _ in transitions}
         for s, sid in enumerate(states):
-            if s not in defined:
+            if not rows[s]:
                 raise MdpError(f"state {sid!r} has no defined action")
         total = sum(p for _, p in initial)
         if abs(total - 1.0) > PROB_TOL:
@@ -147,6 +171,8 @@ def load_mdp(doc: dict) -> LabeledMdp:
             if p < 0:
                 raise MdpError(f"negative initial probability {p}")
         initial = tuple((t, p) for t, p in initial if p)
+        if not ascending:
+            rows = [dict(sorted(row.items())) for row in rows]
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError):
         # Entries are checked only once reading them failed: checking each
         # one up front doubles the load time of a large MDP.  An MdpError is
@@ -158,7 +184,7 @@ def load_mdp(doc: dict) -> LabeledMdp:
         states=states,
         actions=tuple(actions),
         labels=labels,
-        transitions=transitions,
+        rows=tuple(rows),
         initial=initial,
     )
 
@@ -197,9 +223,10 @@ def mdp_to_json(mdp: LabeledMdp) -> dict:
             {
                 "from": mdp.states[s],
                 "action": mdp.actions[a],
-                "to": [{"state": mdp.states[t], "prob": p} for t, p in mdp.transitions[(s, a)]],
+                "to": [{"state": mdp.states[t], "prob": p} for t, p in dist],
             }
-            for (s, a) in sorted(mdp.transitions)
+            for s, row in enumerate(mdp.rows)
+            for a, dist in row.items()
         ],
         "initial": [{"state": mdp.states[t], "prob": p} for t, p in mdp.initial],
     }
@@ -336,13 +363,14 @@ def build_gridworld(cfg: GridworldConfig, state_cap: int = DEFAULT_STATE_CAP) ->
             or cell in cfg.obstacles
         )
 
-    transitions = {}
+    rows = []
     for cell in cells:
         for battery in range(cfg.battery_capacity + 1):
-            s = index[(cell, battery)]
+            s, row = index[(cell, battery)], {}
+            rows.append(row)
             for a, action in enumerate(GRID_ACTIONS):
                 if battery == 0:
-                    transitions[(s, a)] = ((s, 1.0),)
+                    row[a] = ((s, 1.0),)
                     continue
                 dc, dr = _DELTAS[action]
                 intended = (cell[0] + dc, cell[1] + dr)
@@ -362,11 +390,10 @@ def build_gridworld(cfg: GridworldConfig, state_cap: int = DEFAULT_STATE_CAP) ->
                         outcome_probs[neighbor] = outcome_probs.get(neighbor, 0.0) + share
                 else:
                     outcome_probs[intended] = 1.0
-                dist = tuple(
+                row[a] = tuple(
                     (index[(target, battery - 1)], p)
                     for target, p in sorted(outcome_probs.items())
                 )
-                transitions[(s, a)] = dist
 
     initial = ((index[(cfg.start, cfg.battery_capacity)], 1.0),)
     return LabeledMdp(
@@ -374,7 +401,7 @@ def build_gridworld(cfg: GridworldConfig, state_cap: int = DEFAULT_STATE_CAP) ->
         states=tuple(states),
         actions=GRID_ACTIONS,
         labels=tuple(labels),
-        transitions=transitions,
+        rows=tuple(rows),
         initial=initial,
     )
 
@@ -388,6 +415,7 @@ def mdp_to_dot(mdp: LabeledMdp, write) -> None:
         if mdp.labels[i]:
             label += "\\n{" + dot_escape(",".join(sorted(mdp.labels[i]))) + "}"
         write(f'  s{i} [shape=ellipse label="{label}"];\n')
-    for (s, a), dist in sorted(mdp.transitions.items()):
-        write("".join(f'  s{s} -> s{t} [label="{mdp.actions[a]}:{p:g}"];\n' for t, p in dist))
+    for s, row in enumerate(mdp.rows):
+        for a, dist in row.items():
+            write("".join(f'  s{s} -> s{t} [label="{mdp.actions[a]}:{p:g}"];\n' for t, p in dist))
     write("}\n")

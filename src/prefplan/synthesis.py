@@ -13,8 +13,9 @@ still draws the doubled form).
 The solvers take support rows, ``state -> {action: (positive-probability
 successors)}``, which is all qualitative reachability depends on.  Each model
 builds its rows in the loop that visits its edges anyway, and keeps no other
-copy of them: ``build_product`` (``ProductMdp.dist`` pairs its rows with the
-MDP's probabilities), the improvement MDP's one pass and the verifier's chain.
+copy of them: ``build_product``, which walks the MDP's per-state rows
+(``ProductMdp.dist`` pairs its rows with their probabilities), the
+improvement MDP's one pass and the verifier's chain.
 Every row is a tuple of ints, so the garbage collector stops tracking it, and
 then its state's row dict, at the first full collection that sees them.  The
 improvement MDP keeps the product's own tuple for every action none of whose
@@ -108,7 +109,8 @@ class ProductMdp(Record):
     States are indices into ``state_pairs`` (mdp state, dfa state) pairs;
     ``node_members`` maps each preference-graph node to its product states
     and ``node_edges`` mirrors the graph edges over nonempty members.
-    The automaton adds no probabilities: ``dist`` reads them off the MDP.
+    ``rows[v]`` lists the actions of the MDP state's row, in its order.  The
+    automaton adds no probabilities: ``dist`` reads them off that row.
     """
 
     mdp: LabeledMdp
@@ -126,7 +128,7 @@ class ProductMdp(Record):
         return list(self.rows[v])
 
     def dist(self, v: int, a: int) -> tuple:  # ((v', p), ...) over rows[v][a]
-        probs = [p for _, p in self.mdp.transitions[(self.state_pairs[v][0], a)]]
+        probs = [p for _, p in self.mdp.rows[self.state_pairs[v][0]][a]]
         return tuple(zip(self.rows[v][a], probs))
 
     @property
@@ -151,7 +153,9 @@ def build_product(
 
     ``mdp`` must have exactly one initial state.  The automaton is stepped
     through one ``pdfa.column`` per distinct MDP label, so only the letters the
-    MDP emits are computed, not the 2^|AP|-wide ``pdfa.rows``."""
+    MDP emits are computed, not the 2^|AP|-wide ``pdfa.rows``.  Product states
+    are numbered in the order a depth-first frontier reaches them; the pair
+    index keys each (s, q) by the int ``s * len(pdfa.states) + q``."""
     if set(mdp.atoms) - set(pdfa.alphabet):
         raise MdpError(
             f"MDP atoms {sorted(mdp.atoms)} not covered by preference alphabet "
@@ -165,7 +169,8 @@ def build_product(
     letter = [columns[k] for k in positions]  # per MDP state, its label's column
     q0 = letter[s0][pdfa.initial]
 
-    pair_index = {(s0, q0): 0}
+    n_q, mdp_rows = len(pdfa.states), mdp.rows
+    pair_index = {s0 * n_q + q0: 0}  # the int s * n_q + q of each pair (s, q) -> its state
     state_pairs = [(s0, q0)]
     support_rows = {}
     frontier = [0]
@@ -173,16 +178,17 @@ def build_product(
         v = frontier.pop()
         s, q = state_pairs[v]
         support_rows[v] = row = {}
-        for a in mdp.enabled(s):
+        for a, dist in mdp_rows[s].items():
             support = []
-            for s2, _ in mdp.transitions[(s, a)]:
+            for s2, _ in dist:
                 q2 = letter[s2][q]
-                w = pair_index.get((s2, q2))
+                key = s2 * n_q + q2
+                w = pair_index.get(key)
                 if w is None:
                     w = len(state_pairs)
                     if w >= state_cap:
                         raise CapacityError(f"product exceeded {state_cap} states")
-                    pair_index[(s2, q2)] = w
+                    pair_index[key] = w
                     state_pairs.append((s2, q2))
                     frontier.append(w)
                 support.append(w)
@@ -773,7 +779,7 @@ def improvement_mdp_to_dot(im: ImprovementMdp, write) -> None:
     product state once: ``v<i>T`` steps to the plain copy of every
     successor, and ``v<i>B`` differs only where an edge improves."""
     pm, improved = im.cache.product, im.cache.improved
-    names, transitions = list(map(dot_escape, pm.mdp.actions)), pm.mdp.transitions
+    names, mdp_rows = list(map(dot_escape, pm.mdp.actions)), pm.mdp.rows
     labels: dict = {}  # (s, a) -> label per entry, the successors of ``pm.dist``
     write("digraph improvement_mdp {\n  rankdir=LR;\n")
     for v, sid in enumerate(map(dot_escape, pm.state_ids)):
@@ -788,7 +794,7 @@ def improvement_mdp_to_dot(im: ImprovementMdp, write) -> None:
             row = labels.get((s, a))
             if row is None:
                 row = labels[(s, a)] = [
-                    f'[label="{names[a]}:{p:g}"];' for _, p in transitions[(s, a)]
+                    f'[label="{names[a]}:{p:g}"];' for _, p in mdp_rows[s][a]
                 ]
             for w, t, label in zip(pm.rows[v][a], routed, row):
                 body = f"v{w}B {label}"

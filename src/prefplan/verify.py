@@ -476,14 +476,28 @@ _CSV_HEADER = ",".join(EpisodeRow._fields) + "\n"
 _CSV_CHUNK = 512  # episodes per ``write``: as fast as 4096 a chunk, with less memory held
 
 
+class _CsvTails(dict):
+    """An episode's outcome words -> its line after the seed, formatted on first lookup."""
+
+    def __missing__(self, outcome):
+        steps, up, down, node, flags = outcome
+        self[outcome] = tail = f"{steps},{up},{down},{'' if node < 0 else node},{flags & 1},{flags >> 1}\n"
+        return tail
+
+
 def stats_to_csv(stats: EpisodeStats, write) -> None:
-    """Write ``episodes.csv`` through ``write``, _CSV_CHUNK lines at a time."""
+    """Write ``episodes.csv`` through ``write``, _CSV_CHUNK lines at a time.
+
+    Episodes repeat few outcomes, so each distinct one is formatted once per
+    chunk; the table is emptied per chunk, so it holds at most a chunk's lines."""
     write(_CSV_HEADER)
     outcomes, base = stats.outcomes, stats.seed * _SEED_MUL  # _episode_seed's seed term
+    tails = _CsvTails()
     # Every field is an int or "", which csv.writer would write unquoted.
     for start in range(0, stats.episodes, _CSV_CHUNK):
         words = outcomes[start * OUTCOME_WORDS:(start + _CSV_CHUNK) * OUTCOME_WORDS]
+        tails.clear()
         write("".join([
-            f"{ep},{(base ^ (ep * _MIX)) & _MASK},{steps},{up},{down},{'' if node < 0 else node},{flags & 1},{flags >> 1}\n"
-            for ep, (steps, up, down, node, flags) in enumerate(zip(*[iter(words)] * OUTCOME_WORDS), start)
+            f"{ep},{(base ^ (ep * _MIX)) & _MASK},{tails[outcome]}"
+            for ep, outcome in enumerate(zip(*[iter(words)] * OUTCOME_WORDS), start)
         ]))

@@ -129,17 +129,17 @@ def random_mdp(
     states = tuple(f"s{i}" for i in range(n_states))
     actions = tuple(f"a{j}" for j in range(n_actions))
     traps = set(rng.sample(range(n_states), max(1, int(trap_fraction * n_states))))
-    transitions = {}
-    for s in range(n_states):
+    rows = tuple({} for _ in range(n_states))
+    for s, row in enumerate(rows):
         if s in traps:
-            transitions[(s, 0)] = ((s, 1.0),)
+            row[0] = ((s, 1.0),)
             continue
         for a in range(n_actions):
             if a > 0 and rng.random() < 0.3:
                 continue
             shape = shapes[rng.randrange(len(shapes))]
             succs = rng.sample(range(n_states), len(shape))
-            transitions[(s, a)] = tuple(zip(succs, shape))
+            row[a] = tuple(zip(succs, shape))
     labels = []
     for s in range(n_states):
         label = frozenset(a for a in atoms if rng.random() < label_density)
@@ -150,7 +150,7 @@ def random_mdp(
         states=states,
         actions=actions,
         labels=tuple(labels),
-        transitions=transitions,
+        rows=rows,
         initial=initial,
     )
 
@@ -267,22 +267,18 @@ def dead_start_product():
     pdfa = build_preference_dfa(spec, atoms)
     states = ("s0", "s1", "s2", "sx", "sy", "sz", "sw")
     s = {name: i for i, name in enumerate(states)}
-    transitions = {
-        (s["s0"], 0): ((s["s1"], 1.0),),
-        (s["s0"], 1): ((s["s2"], 1.0),),
-        (s["s1"], 0): ((s["sx"], 1.0),),
-        (s["s1"], 1): ((s["sz"], 1.0),),
-        (s["s2"], 0): ((s["sy"], 1.0),),
-        (s["s2"], 1): ((s["sw"], 1.0),),
-    }
-    for goal in ("sx", "sy", "sz", "sw"):
-        transitions[(s[goal], 0)] = ((s[goal], 1.0),)
+    rows = (
+        {0: ((s["s1"], 1.0),), 1: ((s["s2"], 1.0),)},
+        {0: ((s["sx"], 1.0),), 1: ((s["sz"], 1.0),)},
+        {0: ((s["sy"], 1.0),), 1: ((s["sw"], 1.0),)},
+        *({0: ((s[goal], 1.0),)} for goal in ("sx", "sy", "sz", "sw")),
+    )
     mdp = LabeledMdp(
         atoms=atoms,
         states=states,
         actions=("a", "b"),
         labels=tuple(frozenset(name[1:]) & frozenset(atoms) for name in states),
-        transitions=transitions,
+        rows=rows,
         initial=((s["s0"], 1.0),),
     )
     return build_product(mdp, pdfa)
@@ -299,7 +295,7 @@ def unsatisfiable_product():
         states=("s", "trap"),
         actions=("a",),
         labels=(frozenset(), frozenset()),
-        transitions={(0, 0): ((1, 1.0),), (1, 0): ((1, 1.0),)},
+        rows=({0: ((1, 1.0),)}, {0: ((1, 1.0),)}),
         initial=((0, 1.0),),
     )
     return build_product(mdp, pdfa)

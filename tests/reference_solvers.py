@@ -6,7 +6,7 @@ but independent of the support rows the fast solvers in ``prefplan.synthesis``
 take.  Those must return the same regions and strategies.
 
 The views below describe the three models the pipeline solves as closures,
-rebuilt from the MDP's transitions, the preference DFA's rows, the strategy
+rebuilt from the MDP's distributions, the preference DFA's rows, the strategy
 and ``is_improvement`` alone, so they never read the rows or distributions
 the pipeline builds: the product steps each positive MDP entry through the
 automaton, the improvement MDP keeps the actions without a regressing
@@ -32,8 +32,8 @@ def view_of_mdp(mdp) -> MdpView:
     """A labeled MDP as a closure view, its distributions as the MDP lists them."""
     return MdpView(
         states=tuple(range(mdp.n_states())),
-        enabled=mdp.enabled,
-        dist=lambda s, a: mdp.transitions[(s, a)],
+        enabled=lambda s: list(mdp.rows[s]),
+        dist=lambda s, a: mdp.rows[s][a],
     )
 
 
@@ -57,7 +57,7 @@ def product_dist(pm):
         s, q = pm.state_pairs[v]
         return tuple(
             (index[(t, pdfa.rows[q][pdfa.position[mdp.labels[t]]])], p)
-            for t, p in mdp.transitions[(s, a)]
+            for t, p in mdp.rows[s][a]
             if p > 0
         )
 
@@ -65,7 +65,7 @@ def product_dist(pm):
 
 
 def _product_enabled(pm, v):
-    return pm.mdp.enabled(pm.state_pairs[v][0])
+    return list(pm.mdp.rows[pm.state_pairs[v][0]])
 
 
 def product_view(pm) -> MdpView:

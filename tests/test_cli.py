@@ -455,6 +455,47 @@ def test_pipeline_exports_pinned(workdir, grid):
     assert _digests(workdir / "art", PIPELINE_SHA256[grid]) == PIPELINE_SHA256[grid]
 
 
+# sha256 of ``gridworld --dot`` on the bundled configs, recorded while the
+# MDP kept one (state, action)-keyed distribution map; a change here changes bytes.
+GRIDWORLD_SHA256 = {
+    "po1/gridworld_battery2.json": {
+        "mdp.dot": "f57754782b4e52f0110022f0751d2b4025f14236117cebc8ef3dc2fc6f37e648",
+        "mdp.json": "3473ccfb9c79a08bfc087bfb4d792800c228b3f34ef4e875930db566e7daa404",
+    },
+    "po1/gridworld_battery4.json": {
+        "mdp.dot": "25833b0fd3cd10c5257a7d34d3b991ad300bd79f4b24c5a294706cb19d1cc012",
+        "mdp.json": "4a1f26d2636970a0f90f3c0cbe53dbcba86071c7cb00ddd09a85dbdd2bea1449",
+    },
+    "po2/gridworld_battery4.json": {
+        "mdp.dot": "70c054ef07772a1a47c40048e3ca453beb4e8f2cc7a4af6150da12b7c8462747",
+        "mdp.json": "2ba15ecb9d30a453a53653a040f27381a5442968207d2197c4c693af219e2366",
+    },
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDWORLD_SHA256))
+def test_gridworld_exports_pinned(workdir, grid):
+    assert run("--out", "g", "gridworld", "--dot", str(BUNDLES / grid)) == 0
+    assert _digests(workdir / "g", GRIDWORLD_SHA256[grid]) == GRIDWORLD_SHA256[grid]
+
+
+def test_transitions_listed_in_reverse_give_the_same_artifacts(workdir):
+    # A document may list its transitions in any order: each state's row
+    # holds its actions ascending, so nothing downstream sees the order.
+    assert run("--out", "g", "gridworld", PO2_GRID4) == 0
+    doc = json.loads((workdir / "g" / "mdp.json").read_text())
+    reverse = {**doc, "transitions": doc["transitions"][::-1]}
+    (workdir / "reverse.json").write_text(json.dumps(reverse))
+    mdp = load_mdp(reverse)
+    assert mdp.rows == load_mdp(doc).rows
+    assert all(list(row) == sorted(row) for row in mdp.rows)
+    assert run("--out", "a", "synth", "g/mdp.json", PO2_PREF) == 0
+    assert run("--out", "b", "synth", "reverse.json", PO2_PREF) == 0
+    names = sorted(path.name for path in (workdir / "a").iterdir())
+    assert names == ["improvement_mdp.dot", "strategy_sasi.json", "strategy_spi.json", "winning_regions.json"]
+    assert _digests(workdir / "b", names) == _digests(workdir / "a", names)
+
+
 # sha256 of the simulate exports (300 episodes, default seed) in the modes
 # the pipeline pins above leave out, recorded while every rollout step still
 # called ``CompositePolicy.step``; keyed by the extra simulate arguments.  No
@@ -824,7 +865,7 @@ def test_gridworld_stay_probability_override(workdir, capsys):
     assert run("--out", "a", "gridworld", PO1_GRID4, "--stay-probability", "0.8") == 0
     doc = json.loads((workdir / "a" / "mdp.json").read_text())
     mdp = load_mdp(doc)
-    probs = {p for dist in mdp.transitions.values() for _, p in dist}
+    probs = {p for row in mdp.rows for dist in row.values() for _, p in dist}
     assert 0.8 in probs and 0.5 not in probs
     # The override replaces the config's value before the range check: it
     # stands in for an out-of-range value, and is itself checked.

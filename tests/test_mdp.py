@@ -1,5 +1,6 @@
 """MDP ingestion/validation and the gridworld generator rules."""
 
+import gc
 import json
 import math
 
@@ -37,7 +38,7 @@ def test_load_minimal():
     mdp = load_mdp(minimal_doc())
     assert mdp.n_states() == 2
     assert mdp.labels[1] == frozenset({"goal"})
-    assert mdp.enabled(0) == [0]
+    assert list(mdp.rows[0]) == [0]
 
 
 def test_load_rejects_substochastic():
@@ -54,7 +55,7 @@ def test_load_normalizes_rounding_drift():
         {"state": "s0", "prob": 0.3},
     ]
     mdp = load_mdp(doc)
-    assert sum(p for _, p in mdp.transitions[(0, 0)]) == 1.0
+    assert sum(p for _, p in mdp.rows[0][0]) == 1.0
 
 
 def test_load_rejects_undeclared_atom():
@@ -132,7 +133,7 @@ def state_index(mdp, cell, battery):
 def dist_of(mdp, cell, battery, action):
     s = state_index(mdp, cell, battery)
     a = GRID_ACTIONS.index(action)
-    return {mdp.states[t]: p for t, p in mdp.transitions[(s, a)]}
+    return {mdp.states[t]: p for t, p in mdp.rows[s][a]}
 
 
 def test_plain_move_deterministic():
@@ -181,10 +182,11 @@ def test_battery_monotone():
     def battery_of(sid):
         return int(sid.rpartition("b")[2])
 
-    for (s, a), dist in mdp.transitions.items():
-        for t, p in dist:
-            if p > 0:
-                assert battery_of(mdp.states[t]) <= battery_of(mdp.states[s])
+    for s, row in enumerate(mdp.rows):
+        for dist in row.values():
+            for t, p in dist:
+                if p > 0:
+                    assert battery_of(mdp.states[t]) <= battery_of(mdp.states[s])
 
 
 def test_labels_at_every_battery_level():
@@ -209,7 +211,7 @@ def test_generator_deterministic():
 
 def test_distributions_stochastic():
     mdp = build_gridworld(small_config())
-    for dist in mdp.transitions.values():
+    for dist in (dist for row in mdp.rows for dist in row.values()):
         assert abs(sum(p for _, p in dist) - 1.0) < 1e-9
         assert all(p > 0 for _, p in dist)
 
@@ -290,10 +292,11 @@ def test_generated_gridworld_passes_the_loader(cfg):
     assert (loaded.atoms, loaded.states, loaded.actions, loaded.labels, loaded.initial) == (
         built.atoms, built.states, built.actions, built.labels, built.initial
     )
-    assert loaded.transitions.keys() == built.transitions.keys()
-    for key, dist in built.transitions.items():
-        assert [t for t, _ in loaded.transitions[key]] == [t for t, _ in dist]
-        assert all(abs(p - q) <= PROB_TOL for (_, p), (_, q) in zip(loaded.transitions[key], dist))
+    assert [list(row) for row in loaded.rows] == [list(row) for row in built.rows]
+    for loaded_row, row in zip(loaded.rows, built.rows):
+        for a, dist in row.items():
+            assert [t for t, _ in loaded_row[a]] == [t for t, _ in dist]
+            assert all(abs(p - q) <= PROB_TOL for (_, p), (_, q) in zip(loaded_row[a], dist))
 
 
 def test_dot_export():
@@ -301,3 +304,24 @@ def test_dot_export():
     dot = render(mdp_to_dot, mdp)
     assert dot.startswith("digraph")
     assert "goal" in dot
+
+
+@pytest.mark.parametrize("order", ["listed", "reversed"])
+@pytest.mark.parametrize("b, g", BUNDLE_GRIDS + [("drift", "stay-1/3")])
+def test_loaded_rows_hold_tuples_the_collector_skips(b, g, order):
+    # A distribution holds (int, float) pairs only, so one full collection
+    # untracks every pair.  The collector looks at a tuple before the tuples
+    # it holds, so the distributions, and with them the row dicts, go at the
+    # next full collection (as any tuple of new tuples does).
+    cfg = drift_config(1 / 3) if b == "drift" else gridworld_config_from_json(read_bundle_json(f"{b}/{g}"))
+    doc = json.loads(json.dumps(mdp_to_json(build_gridworld(cfg))))
+    if order == "reversed":
+        doc["transitions"].reverse()
+    mdp = load_mdp(doc)
+    dists = [dist for row in mdp.rows for dist in row.values()]
+    assert all(type(dist) is tuple for dist in dists)
+    gc.collect()
+    assert not any(gc.is_tracked(pair) for dist in dists for pair in dist)
+    gc.collect()
+    assert not any(map(gc.is_tracked, dists))
+    assert not any(map(gc.is_tracked, mdp.rows))

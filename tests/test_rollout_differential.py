@@ -52,7 +52,7 @@ def boundary_random(pm):
     """A ``random.Random`` whose ``random()`` returns, half of the time, a
     running sum of some distribution of ``pm`` or the float just below it."""
     values = {math.nextafter(1.0, 0.0)}
-    for dist in pm.mdp.transitions.values():
+    for dist in (dist for row in pm.mdp.rows for dist in row.values()):
         acc = 0.0
         for _, p in dist:
             acc += p

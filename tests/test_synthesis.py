@@ -163,11 +163,11 @@ def test_product_shape_and_probabilities(po1_b4):
     assert pm.n_states() <= mdp.n_states() * len(pdfa.states)
     # Probabilities are copied verbatim onto the unique successor pair.
     for v, (s, q) in enumerate(pm.state_pairs):
-        assert pm.enabled(v) == mdp.enabled(s)
-        for a in mdp.enabled(s):
+        assert pm.enabled(v) == list(mdp.rows[s])
+        for a, dist in mdp.rows[s].items():
             stepped = [
                 ((s2, pdfa.rows[q][pdfa.position[mdp.labels[s2]]]), p)
-                for s2, p in mdp.transitions[(s, a)]
+                for s2, p in dist
                 if p > 0
             ]
             assert [(pm.state_pairs[w], p) for w, p in pm.dist(v, a)] == stepped
@@ -191,7 +191,7 @@ def test_dist_steps_the_positive_mdp_entries_in_order():
     assert pm.n_states() == 3
     s0, s1, s2 = sorted(range(3), key=pm.state_pairs.__getitem__)  # product state per MDP state
     assert pm.dist(s0, 0) == ((s1, 0.25), (s2, 0.5), (s1, 0.25))
-    assert mdp.transitions[(2, 0)] == ((2, 1.0),)
+    assert mdp.rows[2][0] == ((2, 1.0),)
     assert mdp.initial == ((0, 1.0),)
     assert pm.dist(s2, 0) == ((s2, 1.0),)
 
@@ -469,7 +469,7 @@ def doubled_reference(pm, cache):
         v, _ = state
         kept = [
             a
-            for a in pm.mdp.enabled(pm.state_pairs[v][0])
+            for a in pm.mdp.rows[pm.state_pairs[v][0]]
             if not any(is_improvement(cache, w, v) for w, _ in product(v, a))
         ]
         return kept or [-1]

@@ -299,11 +299,11 @@ def coin_pipeline():
         states=("flip", "sh", "st"),
         actions=("toss",),
         labels=(frozenset(), frozenset({"h"}), frozenset({"t"})),
-        transitions={
-            (0, 0): ((1, 0.5), (2, 0.5)),
-            (1, 0): ((1, 1.0),),
-            (2, 0): ((2, 1.0),),
-        },
+        rows=(
+            {0: ((1, 0.5), (2, 0.5))},
+            {0: ((1, 1.0),)},
+            {0: ((2, 1.0),)},
+        ),
         initial=((0, 1.0),),
     )
     pm = build_product(mdp, pdfa)
