@@ -58,18 +58,12 @@ EXIT_VERIFY = 2
 EXIT_CAP = 3
 
 
-class FormulaFileError(ValueError):
-    """Raised for a formula file that is not an ``{"atoms", "formula"}`` object."""
-
-
-class UsageError(ValueError):
-    """Raised for a combination of options that means nothing."""
-
-
-class JsonValueError(ValueError):
-    """Raised for a JSON file whose syntax parses but whose values Python
-    cannot hold, such as an integer of more digits than it converts, or
-    whose nesting is deeper than the parser recurses."""
+class InputError(ValueError):
+    """Raised for a formula file that is not an ``{"atoms", "formula"}``
+    object, for a combination of options that means nothing, and for a JSON
+    file whose syntax parses but whose values Python cannot hold (such as an
+    integer of more digits than it converts) or whose nesting is deeper than
+    the parser recurses."""
 
 
 # Errors that name a fault of the input.  A bare ValueError is not one: it
@@ -79,9 +73,7 @@ INPUT_ERRORS = (
     AlphabetError,
     PreferenceError,
     MdpError,
-    FormulaFileError,
-    UsageError,
-    JsonValueError,
+    InputError,
     StrategyError,
     OSError,
     json.JSONDecodeError,
@@ -96,9 +88,9 @@ def _read_json(path: str):
         except (json.JSONDecodeError, UnicodeDecodeError):
             raise
         except ValueError as e:
-            raise JsonValueError(f"{path}: {e}") from None
+            raise InputError(f"{path}: {e}") from None
         except RecursionError:
-            raise JsonValueError(f"{path}: nested deeper than the JSON parser's recursion limit") from None
+            raise InputError(f"{path}: nested deeper than the JSON parser's recursion limit") from None
 
 
 def _write_json(path: Path, doc) -> None:
@@ -128,7 +120,7 @@ def _load_pipeline(mdp_path: str, pref_path: str, state_cap: int):
 
 def cmd_compile(args) -> int:
     text, atoms = json_fields(
-        _read_json(args.formula_file), "formula file", FormulaFileError,
+        _read_json(args.formula_file), "formula file", InputError,
         {"formula": str, "atoms": STRINGS},
     )
     dfa = to_dfa(parse(text, atoms), atoms, state_cap=args.state_cap)
@@ -183,7 +175,7 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.mode and not args.strategy:
-        raise UsageError("--mode applies only to --strategy")
+        raise InputError("--mode applies only to --strategy")
     product = _load_pipeline(args.mdp, args.pref_file, args.state_cap)
     if args.strategy:
         # A given strategy needs only the improvement relation, not synthesis.

@@ -31,8 +31,8 @@ __all__ = [
 
 PROB_TOL = 1e-9
 
-GRID_ACTIONS = ("North", "East", "South", "West")
 _DELTAS = {"North": (0, 1), "East": (1, 0), "South": (0, -1), "West": (-1, 0)}
+GRID_ACTIONS = tuple(_DELTAS)
 
 
 class MdpError(ValueError):
@@ -325,84 +325,61 @@ def gridworld_config_from_json(doc: dict, stay_probability: float | None = None)
     )
 
 
-def _state_id(cell, battery) -> str:
-    return f"c{cell[0]}r{cell[1]}b{battery}"
-
-
 def build_gridworld(cfg: GridworldConfig, state_cap: int = DEFAULT_STATE_CAP) -> LabeledMdp:
     """Expand a gridworld config into a labeled MDP over (cell, battery).
 
-    State order is row-major over cells with ascending battery, so identical
-    configs always produce identical MDPs.  A config of more than
+    The k-th free cell in row-major order, at battery b, is state
+    ``k * (battery_capacity + 1) + b``, with id ``c{col}r{row}b{b}``, so
+    identical configs always produce identical MDPs.  A config of more than
     ``state_cap`` states raises ``CapacityError`` before any is enumerated.
     """
-    n_states = (cfg.width * cfg.height - len(cfg.obstacles)) * (cfg.battery_capacity + 1)
+    levels = cfg.battery_capacity + 1
+    n_states = (cfg.width * cfg.height - len(cfg.obstacles)) * levels
     if n_states > state_cap:
         raise CapacityError(f"gridworld has {n_states} states, more than the cap of {state_cap}")
     cells = [(col, row) for row in range(cfg.height) for col in range(cfg.width)
              if (col, row) not in cfg.obstacles]
-    atoms = tuple(sorted(cfg.regions))
+    first = {cell: k * levels for k, cell in enumerate(cells)}  # each free cell's battery-0 state
     cell_atoms = {}
     for atom, region in cfg.regions.items():
         for cell in region:
             cell_atoms.setdefault(cell, set()).add(atom)
 
-    states = []
-    index = {}
-    labels = []
+    def step(cell, direction):
+        """Where a move from ``cell`` lands: off the grid or into an obstacle, it stays put."""
+        dc, dr = _DELTAS[direction]
+        target = (cell[0] + dc, cell[1] + dr)
+        return target if target in first else cell
+
+    states, labels, rows = [], [], []
     for cell in cells:
-        for battery in range(cfg.battery_capacity + 1):
-            index[(cell, battery)] = len(states)
-            states.append(_state_id(cell, battery))
-            labels.append(frozenset(cell_atoms.get(cell, ())))
+        # Per action, the successors' battery-0 states and their probabilities,
+        # in the order of their cells; every battery level above 0 shares them.
+        moves = []
+        for action in GRID_ACTIONS:
+            intended = step(cell, action)
+            directions = cfg.drift_cells.get(intended, ())
+            probs = {intended: cfg.stay_probability if directions else 1.0}
+            for d in directions:
+                neighbor = step(intended, d)
+                probs[neighbor] = probs.get(neighbor, 0.0) + (1.0 - cfg.stay_probability) / len(directions)
+            moves.append(tuple((first[target], p) for target, p in sorted(probs.items())))
+        label = frozenset(cell_atoms.get(cell, ()))
+        for battery in range(levels):
+            states.append(f"c{cell[0]}r{cell[1]}b{battery}")
+            labels.append(label)
+            if battery == 0:  # absorbing
+                rows.append({a: ((first[cell], 1.0),) for a in range(len(GRID_ACTIONS))})
+            else:
+                rows.append({a: tuple((t + battery - 1, p) for t, p in move) for a, move in enumerate(moves)})
 
-    def blocked(cell):
-        col, row = cell
-        return (
-            not (0 <= col < cfg.width and 0 <= row < cfg.height)
-            or cell in cfg.obstacles
-        )
-
-    rows = []
-    for cell in cells:
-        for battery in range(cfg.battery_capacity + 1):
-            s, row = index[(cell, battery)], {}
-            rows.append(row)
-            for a, action in enumerate(GRID_ACTIONS):
-                if battery == 0:
-                    row[a] = ((s, 1.0),)
-                    continue
-                dc, dr = _DELTAS[action]
-                intended = (cell[0] + dc, cell[1] + dr)
-                if blocked(intended):
-                    intended = cell
-                outcome_probs: dict = {}
-                if intended in cfg.drift_cells:
-                    directions = cfg.drift_cells[intended]
-                    k = len(directions)
-                    share = (1.0 - cfg.stay_probability) / k
-                    outcome_probs[intended] = cfg.stay_probability
-                    for d in directions:
-                        ddc, ddr = _DELTAS[d]
-                        neighbor = (intended[0] + ddc, intended[1] + ddr)
-                        if blocked(neighbor):
-                            neighbor = intended
-                        outcome_probs[neighbor] = outcome_probs.get(neighbor, 0.0) + share
-                else:
-                    outcome_probs[intended] = 1.0
-                row[a] = tuple(
-                    (index[(target, battery - 1)], p)
-                    for target, p in sorted(outcome_probs.items())
-                )
-
-    initial = ((index[(cfg.start, cfg.battery_capacity)], 1.0),)
     return LabeledMdp(
-        atoms=atoms,
+        atoms=tuple(sorted(cfg.regions)),
         states=tuple(states),
         actions=GRID_ACTIONS,
         labels=tuple(labels),
         rows=tuple(rows),
-        initial=initial,
+        initial=((first[cfg.start] + cfg.battery_capacity, 1.0),),
     )
 
 

@@ -154,7 +154,9 @@ def build_spec(outcomes, statements=()) -> PreferenceSpec:
             )
         strict.add((i, j))
 
-    # Transitive closure (Warshall); a self-pair afterwards is a cycle.
+    # Transitive closure: rescan every pair until none is added.  Self-
+    # comparisons and indifferent pairs are rejected above, so a cycle leaves
+    # two distinct outcomes each preferred to the other.
     changed = True
     while changed:
         changed = False
@@ -164,7 +166,7 @@ def build_spec(outcomes, statements=()) -> PreferenceSpec:
                     strict.add((i, k))
                     changed = True
     for i, j in strict:
-        if i == j or (j, i) in strict:
+        if i != j and (j, i) in strict:
             a, b = merged[i].name, merged[j].name
             raise PreferenceError(f"cycle in strict preferences involving {a!r} and {b!r}")
 

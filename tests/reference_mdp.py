@@ -1,4 +1,5 @@
-"""The MDP loader and the product build as they were before per-state rows.
+"""The MDP loader and the product build as they were before per-state rows,
+and the gridworld generator as it was before it numbered states by rule.
 
 Test-only oracle: ``load_mdp`` keys each distribution by its ``(state,
 action)`` pair in document order and reads every successor through one
@@ -11,9 +12,13 @@ product numbering and, on a faulty document, the same exception and text.
 import math
 from typing import NamedTuple
 
-from prefplan.mdp import PROB_TOL, MdpError
+from prefplan.mdp import PROB_TOL, LabeledMdp, MdpError
 from prefplan.schema import STRINGS, json_fields
 from prefplan.scltl import DEFAULT_STATE_CAP, CapacityError
+
+
+GRID_ACTIONS = ("North", "East", "South", "West")
+_DELTAS = {"North": (0, 1), "East": (1, 0), "South": (0, -1), "West": (-1, 0)}
 
 
 class ReferenceMdp(NamedTuple):
@@ -168,3 +173,78 @@ def build_product(mdp: ReferenceMdp, pdfa, state_cap: int = DEFAULT_STATE_CAP) -
                 support.append(w)
             row[a] = tuple(support)
     return ReferenceProduct(tuple(state_pairs), support_rows)
+
+
+def _state_id(cell, battery) -> str:
+    return f"c{cell[0]}r{cell[1]}b{battery}"
+
+
+def build_gridworld(cfg, state_cap: int = DEFAULT_STATE_CAP) -> LabeledMdp:
+    n_states = (cfg.width * cfg.height - len(cfg.obstacles)) * (cfg.battery_capacity + 1)
+    if n_states > state_cap:
+        raise CapacityError(f"gridworld has {n_states} states, more than the cap of {state_cap}")
+    cells = [(col, row) for row in range(cfg.height) for col in range(cfg.width)
+             if (col, row) not in cfg.obstacles]
+    atoms = tuple(sorted(cfg.regions))
+    cell_atoms = {}
+    for atom, region in cfg.regions.items():
+        for cell in region:
+            cell_atoms.setdefault(cell, set()).add(atom)
+
+    states = []
+    index = {}
+    labels = []
+    for cell in cells:
+        for battery in range(cfg.battery_capacity + 1):
+            index[(cell, battery)] = len(states)
+            states.append(_state_id(cell, battery))
+            labels.append(frozenset(cell_atoms.get(cell, ())))
+
+    def blocked(cell):
+        col, row = cell
+        return (
+            not (0 <= col < cfg.width and 0 <= row < cfg.height)
+            or cell in cfg.obstacles
+        )
+
+    rows = []
+    for cell in cells:
+        for battery in range(cfg.battery_capacity + 1):
+            s, row = index[(cell, battery)], {}
+            rows.append(row)
+            for a, action in enumerate(GRID_ACTIONS):
+                if battery == 0:
+                    row[a] = ((s, 1.0),)
+                    continue
+                dc, dr = _DELTAS[action]
+                intended = (cell[0] + dc, cell[1] + dr)
+                if blocked(intended):
+                    intended = cell
+                outcome_probs: dict = {}
+                if intended in cfg.drift_cells:
+                    directions = cfg.drift_cells[intended]
+                    k = len(directions)
+                    share = (1.0 - cfg.stay_probability) / k
+                    outcome_probs[intended] = cfg.stay_probability
+                    for d in directions:
+                        ddc, ddr = _DELTAS[d]
+                        neighbor = (intended[0] + ddc, intended[1] + ddr)
+                        if blocked(neighbor):
+                            neighbor = intended
+                        outcome_probs[neighbor] = outcome_probs.get(neighbor, 0.0) + share
+                else:
+                    outcome_probs[intended] = 1.0
+                row[a] = tuple(
+                    (index[(target, battery - 1)], p)
+                    for target, p in sorted(outcome_probs.items())
+                )
+
+    initial = ((index[(cfg.start, cfg.battery_capacity)], 1.0),)
+    return LabeledMdp(
+        atoms=atoms,
+        states=tuple(states),
+        actions=GRID_ACTIONS,
+        labels=tuple(labels),
+        rows=tuple(rows),
+        initial=initial,
+    )

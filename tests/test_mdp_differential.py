@@ -1,4 +1,5 @@
-"""Differential tests: per-state MDP rows against the (state, action)-keyed oracle.
+"""Differential tests: per-state MDP rows against the (state, action)-keyed
+oracle, and the gridworld generator against its two-pass predecessor.
 
 ``prefplan.mdp.load_mdp`` stores each state's distributions as one row,
 actions ascending, and ``prefplan.synthesis.build_product`` walks those rows
@@ -6,7 +7,8 @@ and keys its pair index by one int per pair; ``reference_mdp`` keeps both as
 they were before.  A valid document must load to the same model and give the
 same product numbering and support rows, whatever order it lists its
 transitions in; a document with one fault must fail with the same exception
-and the same text.
+and the same text.  ``build_gridworld`` must expand every config to the model
+the oracle's generator gives, rows and their action order included.
 """
 
 import copy
@@ -83,6 +85,22 @@ def gridworld_configs(draw):
         obstacles=frozenset(obstacles), drift_cells=drift, regions=regions,
         stay_probability=draw(st.sampled_from([0.1, 1 / 3, 0.5, 0.7, 0.9])),
     )
+
+
+BUNDLE_CONFIGS = [gridworld_config_from_json(read_bundle_json(grid)) for grid in BUNDLE_GRIDS]
+
+
+def gridworld_parts(mdp):
+    """A generated model's fields, each row as its (action, distribution)
+    items: ``Record`` equality compares dicts without their order."""
+    return (mdp.atoms, mdp.states, mdp.actions, mdp.labels,
+            [list(row.items()) for row in mdp.rows], mdp.initial)
+
+
+@given(cfg=st.one_of(gridworld_configs(), st.sampled_from(BUNDLE_CONFIGS)))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_gridworlds_build_as_the_reference(cfg):
+    assert gridworld_parts(build_gridworld(cfg)) == gridworld_parts(reference_mdp.build_gridworld(cfg))
 
 
 @st.composite

@@ -1,9 +1,10 @@
 """Preference structure construction, MP sets, and outcome-set comparison."""
 
 import itertools
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefplan.preferences import (
@@ -63,6 +64,26 @@ def test_build_spec_transitive_cycle_rejected():
             ],
             statements=[("strict", "x", "y"), ("strict", "y", "z"), ("strict", "z", "x")],
         )
+
+
+@given(pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda p: p[0] != p[1]),
+                      min_size=2, max_size=8))
+@example(pairs=[(0, 2), (2, 0)])
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_build_spec_cycle_error_names_outcomes_preferred_to_each_other(pairs):
+    """A cycle is reported by two distinct outcomes, each reachable from the other."""
+    atoms = ("a",)
+    outcomes = [(f"o{i}", parse("F a", atoms)) for i in range(5)]
+    try:
+        build_spec(outcomes, [("strict", f"o{i}", f"o{j}") for i, j in pairs])
+    except PreferenceError as e:
+        a, b = (int(x) for x in re.fullmatch(r"cycle in strict preferences involving 'o(\d)' and 'o(\d)'", str(e)).groups())
+    else:
+        return
+    reach = {i: {j for i2, j in pairs if i2 == i} for i in range(5)}
+    for _ in range(5):
+        reach = {i: r.union(*(reach[j] for j in r)) for i, r in reach.items()}
+    assert a != b and b in reach[a] and a in reach[b]
 
 
 def test_build_spec_contradiction_rejected():
