@@ -54,10 +54,11 @@ MAX_ALPHABET_ATOMS = 16
 MAX_FORMULA_DEPTH = 100
 DEFAULT_STATE_CAP = 10**6
 
-# Names the parser can never read as atoms.  X and F are permitted as
+# Names the parser can never read as atoms; ``false`` is the rejecting
+# sink's label, so no atom may print like it.  X and F are permitted as
 # proposition names: they act as prefix operators only when an operand
 # follows, so region names like F stay expressible.
-RESERVED_WORDS = frozenset({"true", "U"})
+RESERVED_WORDS = frozenset({"true", "false", "U"})
 
 
 class ParseError(ValueError):
@@ -120,7 +121,12 @@ FALSE = FalseF()
 
 
 def fmt(f: Formula) -> str:
-    """Serialize a formula in the concrete syntax accepted by :func:`parse`."""
+    """Serialize a formula in the concrete syntax accepted by :func:`parse`.
+
+    The text also fixes the order of temporal atoms in :func:`canonicalize`,
+    so a change here relabels DFA states.  It parenthesizes every operator,
+    and no atom is named like a constant, so distinct formulas print apart.
+    """
     if isinstance(f, TrueF):
         return "true"
     if isinstance(f, FalseF):
@@ -139,29 +145,6 @@ def fmt(f: Formula) -> str:
         if isinstance(f.left, TrueF):
             return f"F ({fmt(f.right)})"
         return f"({fmt(f.left)} U {fmt(f.right)})"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _key(f: Formula) -> str:
-    """The serialized form that orders temporal atoms in :func:`canonicalize`.
-    The order is fixed because it shapes every canonical form, and so the
-    state labels of the exported DFAs."""
-    if isinstance(f, TrueF):
-        return "1"
-    if isinstance(f, FalseF):
-        return "0"
-    if isinstance(f, Atom):
-        return f"a:{f.name}"
-    if isinstance(f, NegAtom):
-        return f"n:{f.name}"
-    if isinstance(f, And):
-        return f"&({_key(f.left)},{_key(f.right)})"
-    if isinstance(f, Or):
-        return f"|({_key(f.left)},{_key(f.right)})"
-    if isinstance(f, Next):
-        return f"X({_key(f.child)})"
-    if isinstance(f, Until):
-        return f"U({_key(f.left)},{_key(f.right)})"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -278,10 +261,7 @@ class _Parser:
         return tok
 
     def _starts_formula(self, tok):
-        kind, value, _ = tok
-        if kind in ("(", "!"):
-            return True
-        return kind == "ident"
+        return tok[0] in ("(", "!", "ident")
 
     def _is_prefix_op(self, tok):
         # X / F act as operators only if an operand follows.
@@ -303,21 +283,20 @@ class _Parser:
         self.nesting -= 1
         return result
 
-    def parse_disj(self):
-        f, h = self.parse_conj()
-        while self.peek()[0] == "|":
+    def _chain(self, op, make, parse_operand):
+        """A left-associative chain of ``parse_operand`` joined by ``op``."""
+        f, h = parse_operand()
+        while self.peek()[0] == op:
             tok = self.advance()
-            g, k = self.parse_conj()
-            f, h = Or(f, g), self._bounded(max(h, k) + 1, tok)
+            g, k = parse_operand()
+            f, h = make(f, g), self._bounded(max(h, k) + 1, tok)
         return f, h
 
+    def parse_disj(self):
+        return self._chain("|", Or, self.parse_conj)
+
     def parse_conj(self):
-        f, h = self.parse_until()
-        while self.peek()[0] == "&":
-            tok = self.advance()
-            g, k = self.parse_until()
-            f, h = And(f, g), self._bounded(max(h, k) + 1, tok)
-        return f, h
+        return self._chain("&", And, self.parse_until)
 
     def parse_until(self):
         f, h = self.parse_unary()
@@ -488,12 +467,12 @@ def _fold(f: Formula) -> Formula:
 def canonicalize(f: Formula, keys: dict | None = None) -> Formula:
     """Reduced ordered Shannon normal form over temporal atoms.
 
-    Temporal atoms are ordered lexicographically by their serialized form;
-    two formulas denote the same DFA state iff their canonical forms are
-    structurally identical.  The Boolean skeleton above the temporal atoms is
-    negation-free, so the expansion (t & hi) | lo stays inside NNF.
-    ``keys`` (temporal atom -> ``_key``) lets the calls of one construction
-    serialize each atom once.
+    Temporal atoms are ordered by their :func:`fmt` text, so a change to
+    ``fmt`` relabels DFA states; two formulas denote the same DFA state iff
+    their canonical forms are structurally identical.  The Boolean skeleton
+    above the temporal atoms is negation-free, so the expansion
+    (t & hi) | lo stays inside NNF.  ``keys`` (temporal atom -> its text)
+    lets the calls of one construction print each atom once.
     """
     if keys is None:
         keys = {}
@@ -501,7 +480,7 @@ def canonicalize(f: Formula, keys: dict | None = None) -> Formula:
     def key(atom: Formula) -> str:
         k = keys.get(atom)
         if k is None:
-            k = keys[atom] = _key(atom)
+            k = keys[atom] = fmt(atom)
         return k
 
     f = _fold(f)
@@ -567,7 +546,7 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     classes: dict = {}
     class_of = [classes.setdefault(sigma & atoms, len(classes)) for sigma in syms]
 
-    keys: dict = {}  # temporal atom -> _key, for this construction's canonicalize calls
+    keys: dict = {}  # temporal atom -> fmt, for this construction's canonicalize calls
     init = canonicalize(f, keys)
     index = {init: 0}  # canonical formula -> state, in state order
     rows = [None]

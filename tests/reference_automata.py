@@ -7,8 +7,8 @@ and ``build_preference_dfa`` steps the component automata one letter at a
 time, both filling a ``(state, symbol) -> state`` dict.  The fast builders in
 ``prefplan.scltl`` and ``prefplan.prefdfa`` must give the same automata: the
 same states in the same numbering, and the same successor for every letter.
-``canonicalize`` tells subformulas apart by their serialized ``_key`` strings,
-as ``to_dfa`` here tells states apart; ``prefplan.scltl.canonicalize``
+``canonicalize`` tells subformulas apart by their ``fmt`` strings, as
+``to_dfa`` here tells states apart; ``prefplan.scltl.canonicalize``
 compares the formulas themselves and must give the same canonical forms.
 ``good_prefix_oracle`` decides a word by recursion on its positions, so it
 checks what the automata accept without building one.
@@ -35,7 +35,6 @@ from prefplan.scltl import (
     TrueF,
     Until,
     _fold,
-    _key,
     _mk_and,
     _mk_or,
     all_symbols,
@@ -81,7 +80,7 @@ def _temporal_atoms(f: Formula, acc: dict):
     if isinstance(f, (TrueF, FalseF)):
         return
     if isinstance(f, (Atom, NegAtom, Next, Until)):
-        acc.setdefault(_key(f), f)
+        acc.setdefault(fmt(f), f)
         return
     if isinstance(f, (And, Or)):
         _temporal_atoms(f.left, acc)
@@ -95,7 +94,7 @@ def _subst(f: Formula, target_key: str, value: Formula) -> Formula:
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, (Atom, NegAtom, Next, Until)):
-        return value if _key(f) == target_key else f
+        return value if fmt(f) == target_key else f
     if isinstance(f, And):
         return _mk_and(_subst(f.left, target_key, value), _subst(f.right, target_key, value))
     if isinstance(f, Or):
@@ -122,7 +121,7 @@ def canonicalize(f: Formula) -> Formula:
         return _mk_or(_mk_and(var, hi), lo)
 
     def build_entry(g: Formula, idx: int) -> Formula:
-        return build(_key(g), g, idx)
+        return build(fmt(g), g, idx)
 
     return build_entry(f, 0)
 
@@ -135,7 +134,7 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     syms = all_symbols(declared)
 
     init = canonicalize(f)
-    index = {_key(init): 0}
+    index = {fmt(init): 0}
     reps = [init]
     transitions = {}
     frontier = [0]
@@ -144,7 +143,7 @@ def to_dfa(f: Formula, alphabet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
         rep = reps[i]
         for sigma in syms:
             nxt = canonicalize(progress(rep, sigma))
-            k = _key(nxt)
+            k = fmt(nxt)
             j = index.get(k)
             if j is None:
                 j = len(reps)

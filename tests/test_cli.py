@@ -222,6 +222,13 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "malformed gridworld config: stay probability must lie strictly between 0 and 1\n"),
         ("gridworld", {**PO1_GRID4_DOC, "drift": PO1_GRID4_DOC["drift"] + [{"cell": [2, 2], "directions": ["South"]}]},
          "malformed gridworld config: drift cell (2, 2) is listed twice\n"),
+        # ``false`` is a keyword: it labels the rejecting sink.
+        ("compile", {"atoms": ["false"], "formula": "false"},
+         "proposition name collides with keyword: 'false'\n"),
+        ("prefdfa", {**PO1_PREF_DOC, "atoms": PO1_PREF_DOC["atoms"] + ["false"]},
+         "proposition name collides with keyword: 'false'\n"),
+        ("gridworld", {**PO1_GRID4_DOC, "regions": {"false": [[1, 0]]}},
+         "malformed gridworld config: proposition name collides with keyword: 'false'\n"),
     ],
     ids=[
         "compile-list", "compile-no-formula", "compile-formula-int", "pref-list",
@@ -242,6 +249,7 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "mdp-prob-inf", "mdp-label-undeclared", "mdp-state-no-action",
         "grid-obstacle-outside", "grid-region-on-obstacle", "grid-start-on-obstacle", "grid-drift-direction-unknown",
         "grid-battery-zero", "grid-stay-one", "grid-drift-cell-twice",
+        "compile-atom-false", "pref-atom-false", "grid-region-false",
     ],
 )
 def test_rejects_malformed_document_in_one_line(workdir, capsys, command, doc, message):

@@ -115,6 +115,13 @@ def test_build_spec_unknown_name_rejected():
         )
 
 
+@pytest.mark.parametrize("kind", ["prefer", "Strict", ""])
+def test_build_spec_unknown_statement_kind_rejected(kind):
+    with pytest.raises(PreferenceError) as err:
+        build_spec(outcomes=[("x", parse("F a", ("a",)))], statements=[(kind, "x", "x")])
+    assert str(err.value) == f"unknown statement kind {kind!r}"
+
+
 def test_build_spec_self_comparison_rejected():
     atoms = ("a",)
     with pytest.raises(PreferenceError, match="self-comparison on outcome 'x'"):

@@ -181,6 +181,9 @@ def test_alphabet_declaration_errors():
         declare_alphabet(["a", "a"])
     with pytest.raises(AlphabetError):
         declare_alphabet(["true"])
+    # ``false`` labels the rejecting sink, so no atom may print like it.
+    with pytest.raises(AlphabetError, match="^proposition name collides with keyword: 'false'$"):
+        declare_alphabet(["false"])
     with pytest.raises(AlphabetError):
         declare_alphabet(["1bad"])
     with pytest.raises(AlphabetError):
@@ -443,6 +446,24 @@ def test_collapsed_f_chains_match_oracle(f, seed):
     for _ in range(30):
         word = [syms[rng.randrange(len(syms))] for _ in range(rng.randrange(9))]
         assert (run_dfa(dfa, word) in dfa.accepting) == good_prefix_oracle(f, word), (fmt(f), word)
+
+
+def test_canonical_order_follows_fmt():
+    # Temporal atoms are ordered by their printed text: "!b" < "F (a)".
+    dfa = to_dfa(parse("F a & !b", AB), AB)
+    assert dfa.states[dfa.initial] == "(!b & F (a))"
+
+
+@given(f=formulas())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_dfa_state_labels_are_canonical_fixed_points(f):
+    # Parsing collapses F chains, which canonical forms never hold.  Every
+    # label but the sink's (``false``, which no formula can spell) reads back
+    # as a formula that canonicalize prints as the label itself.
+    g = parse(fmt(f), AB)
+    for label in to_dfa(g, AB).states:
+        if label != "false":
+            assert fmt(canonicalize(parse(label, AB))) == label, (fmt(g), label)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,27 @@ def coin_pipeline():
     return spec, pdfa, pm
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda r: CompositePolicy(r, mode="greedy"), "unknown mode 'greedy'"),
+        (lambda r: CompositePolicy(r, tie_break="first"), "unknown tie-break 'first'"),
+        (lambda r: check_strategy_conditions(r.sasi, "greedy", r.cache), "unknown mode 'greedy'"),
+        (lambda r: monte_carlo(CompositePolicy(r), episodes=0), "need at least one episode"),
+        (lambda r: monte_carlo(CompositePolicy(r), episodes=1, horizon=0), "horizon must be positive"),
+        (lambda r: value_iteration(MdpView((0,), lambda s: [0], lambda s, a: ((0, 1.0),)), {0}, tol=0.0),
+         "tolerance must be positive"),
+    ],
+    ids=["policy-mode", "policy-tie-break", "check-mode", "no-episodes", "no-horizon", "tolerance"],
+)
+def test_bad_argument_rejected(call, message):
+    result = synthesize(coin_pipeline()[2])
+    with pytest.raises(ValueError) as err:
+        call(result)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_monte_carlo_binomial_bound():
     spec, pdfa, pm = coin_pipeline()
     result = synthesize(pm)
