@@ -23,7 +23,7 @@ successors changes MP class, and builds a routed one only for the others.
 ``pwin`` is one backward search over a predecessor index built per solve.
 ``aswin`` decides the strongly connected components of the support graph
 one at a time, sinks first (``scc_order``): a single state in one step, a
-larger component by the alternating fixpoint on its own states.  The
+larger component by the alternating fixpoint on its own rows.  The
 product's order serves every ``aswin`` of a synthesis, since the improvement
 MDP and the verifier's chain only drop product edges and add edges into one
 target sink.  A region's strategy is derived when first read; only
@@ -230,7 +230,6 @@ class SccOrder(NamedTuple):
 
 
 _DONE = sys.maxsize  # the DFS number of a state whose component is emitted
-_GOAL = object()  # a component's exit into states already known to win
 
 
 def scc_order(rows: dict) -> SccOrder:
@@ -351,15 +350,28 @@ def _closer(rows: dict, target, dist: dict, allowed: dict) -> dict:
     }
 
 
-def _fixpoint(rows: dict, target) -> set:
-    """The alternating fixpoint: drop the states that cannot reach the
-    target under the allowed actions, disable through the predecessor index
-    every action that may lead into them, and repeat until none drops."""
-    preds = _preds(rows)
-    region = set(rows)
-    allowed = {s: set() if s in target else set(row) for s, row in rows.items()}
+def _component_region(rows: dict, win: set, group) -> set:
+    """The states of one component that almost surely reach ``win`` (the
+    target and every winning state of earlier components), by the
+    alternating fixpoint on the component's own rows: an action is allowed
+    while its successors all lie in the component or in ``win``, and each
+    pass drops the states that cannot reach the exits into ``win`` under
+    the allowed actions and disables every action leading into them."""
+    region = {s for s in group if s not in win}
+    allowed = {s: set() for s in region}
+    preds = {s: [] for s in region}  # and each exit into ``win`` -> [(s, a)]
+    for s in region:
+        for a, succ in rows[s].items():
+            for t in succ:
+                if t not in region and t not in win:
+                    break  # a losing successor
+            else:
+                allowed[s].add(a)
+                for t in succ:
+                    preds.setdefault(t, []).append((s, a))
+    goal = preds.keys() - region
     while True:
-        bad = region.difference(_layers(preds, target & region, allowed))
+        bad = region.difference(_layers(preds, goal, allowed))
         if not bad:
             return region
         region -= bad
@@ -367,36 +379,6 @@ def _fixpoint(rows: dict, target) -> set:
             allowed[t].clear()
             for s, a in preds[t]:
                 allowed[s].discard(a)
-
-
-def _component_region(rows: dict, win: set, group) -> set:
-    """The states of one component that almost surely reach ``win``, which
-    holds the target and every winning state of the earlier components.
-
-    The fixpoint runs on the component alone: a successor in ``win`` becomes
-    one goal state, and an action with a successor outside both the
-    component and ``win`` (a losing state) is dropped.
-    """
-    inside = set(group)
-    local = {_GOAL: {}}
-    for s in group:
-        if s in win:
-            continue  # a target state
-        local[s] = row = {}
-        for a, succ in rows[s].items():
-            mapped = []
-            for t in succ:
-                if t in win:
-                    mapped.append(_GOAL)
-                elif t in inside:
-                    mapped.append(t)
-                else:
-                    break
-            else:
-                row[a] = mapped
-    region = _fixpoint(local, {_GOAL})
-    region.discard(_GOAL)
-    return region
 
 
 def pwin(rows: dict, target) -> WinningRegion:
@@ -419,7 +401,7 @@ def aswin(rows: dict, target, order: SccOrder = None) -> WinningRegion:
     outside a component is already known to win or lose.  A single state
     wins if it is in the target, or if some action has a successor other
     than the state itself and every such successor wins.  A larger
-    component runs the alternating fixpoint on its own states
+    component runs the alternating fixpoint on its own rows, copying none
     (``_component_region``).  Target states always stay in the region.
 
     ``order`` defaults to ``scc_order(rows)``.  The order of a model whose

@@ -5,6 +5,7 @@ import hashlib
 import json
 import mmap
 import os
+import random
 import re
 from pathlib import Path
 from unittest import mock
@@ -412,7 +413,7 @@ def test_planning_leaves_wide_rows_unbuilt(workdir, monkeypatch, command):
     (workdir / "mdp.json").write_text(json.dumps(mdp_to_json(mdp)))
     (workdir / "wide.json").write_text(json.dumps(WIDE_PREF_DOC))
     extra = ["--episodes", "20"] if command == "simulate" else []
-    assert run("--out", "art", command, "mdp.json", "wide.json", *extra) in (0, 2)
+    assert run("--out", "art", command, "mdp.json", "wide.json", *extra) == 0
     (pdfa,) = built
     assert len(pdfa.symbols) == 1024
     assert "rows" not in pdfa.__dict__
@@ -463,6 +464,50 @@ def test_pipeline_exports_pinned(workdir, grid):
     assert _digests(workdir / "art", PIPELINE_SHA256[grid]) == PIPELINE_SHA256[grid]
 
 
+# Outcomes F p, F q and F (p & q), the last strictly better than F p, over a
+# seeded random MDP with cycles: its 180-state product has strongly connected
+# components of up to 36 states, some of which the almost-sure solve shrinks
+# over several passes, and SPI (126 states) and SASI (20) are both non-empty.
+RECURRENT_PREF_DOC = {
+    "atoms": ["p", "q"],
+    "outcomes": [
+        {"name": "P", "formula": "F p"},
+        {"name": "Q", "formula": "F q"},
+        {"name": "PQ", "formula": "F (p & q)"},
+    ],
+    "preferences": [{"kind": "strict", "better": "PQ", "worse": "P"}],
+}
+
+
+def _recurrent_inputs(workdir):
+    mdp = random_mdp(17, n_states=40, atoms=("p", "q"), label_density=0.15, trap_fraction=0.1)
+    (workdir / "recurrent.json").write_text(json.dumps(mdp_to_json(mdp)))
+    (workdir / "pq.json").write_text(json.dumps(RECURRENT_PREF_DOC))
+    return "recurrent.json", "pq.json"
+
+
+# sha256 of the synth, verify and simulate (300 episodes, default seed)
+# exports on the recurrent model above, recorded while each multi-state
+# component was solved on a copy of its rows; a change here changes bytes.
+RECURRENT_SHA256 = {
+    "episodes.csv": "88128e7f1c1f06c92900c355f805dbb3d0a4481f23d9d2bdd5dfa865c8646972",
+    "improvement_mdp.dot": "879876991efa22c75e2adaace45211066f4f1cd1c106215265dddaee62e33a59",
+    "stats.json": "1bacff1c7508f0ccb78684b1c4006dfc0afea5d97af094d82485869ed1fa072b",
+    "strategy_sasi.json": "6a9869b755ab14bb6fb78474c69a74f4c4098cce283dcbc6020ccf9287dde20d",
+    "strategy_spi.json": "54ba3b14209eafd881f1ed5ac409688cbbebe3222dfd947cfa628139f2fef03b",
+    "verify_report.json": "a12d978f042b9bf11364d9853f01eb7d24d2e6001061d296765b67c3a0b65cc9",
+    "winning_regions.json": "7a04673662d79af55bad18ae95e5687ae9203a2d23f34d6576642cc3fafcb9c6",
+}
+
+
+def test_recurrent_pipeline_exports_pinned(workdir):
+    inputs = _recurrent_inputs(workdir)
+    assert run("--out", "art", "synth", *inputs) == 0
+    assert run("--out", "art", "verify", *inputs) == 0
+    assert run("--out", "art", "simulate", *inputs, "--episodes", "300") == 0
+    assert _digests(workdir / "art", RECURRENT_SHA256) == RECURRENT_SHA256
+
+
 # sha256 of ``gridworld --dot`` on the bundled configs, recorded while the
 # MDP kept one (state, action)-keyed distribution map; a change here changes bytes.
 GRIDWORLD_SHA256 = {
@@ -502,6 +547,50 @@ def test_transitions_listed_in_reverse_give_the_same_artifacts(workdir):
     names = sorted(path.name for path in (workdir / "a").iterdir())
     assert names == ["improvement_mdp.dot", "strategy_sasi.json", "strategy_spi.json", "winning_regions.json"]
     assert _digests(workdir / "b", names) == _digests(workdir / "a", names)
+
+
+def _shuffled(doc, seed):
+    """The MDP document with its states, its transitions and each ``to`` list
+    in a seeded random order."""
+    rng = random.Random(seed)
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return items
+
+    transitions = [{**t, "to": shuffled(t["to"])} for t in doc["transitions"]]
+    return {**doc, "states": shuffled(doc["states"]), "transitions": shuffled(transitions)}
+
+
+def _strategy_content(path):
+    """A strategy file's mode, entry map and undefined states, without their order."""
+    doc = json.loads(path.read_text())
+    entries = {entry["state"]: entry["actions"] for entry in doc["entries"]}
+    assert len(entries) == len(doc["entries"])
+    return doc["mode"], entries, set(doc["undefined_states"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("model", [*sorted(PIPELINE_SHA256), "recurrent"])
+def test_solutions_do_not_depend_on_document_order(workdir, model, seed):
+    # The document order fixes the state numbering, so the SCC order and
+    # each component's member order, but no region or strategy content.
+    # Strategy entries follow the product numbering, so only their order
+    # may change.
+    if model == "recurrent":
+        mdp_path, pref = _recurrent_inputs(workdir)
+    else:
+        assert run("--out", "g", "gridworld", str(BUNDLES / model)) == 0
+        mdp_path, pref = "g/mdp.json", str(BUNDLES / model.split("/")[0] / "preferences.json")
+    doc = json.loads((workdir / mdp_path).read_text())
+    (workdir / "shuffled.json").write_text(json.dumps(_shuffled(doc, seed)))
+    assert run("--out", "a", "synth", mdp_path, pref) == 0
+    assert run("--out", "b", "synth", "shuffled.json", pref) == 0
+    names = ["winning_regions.json"]
+    assert _digests(workdir / "b", names) == _digests(workdir / "a", names)
+    for name in ("strategy_spi.json", "strategy_sasi.json"):
+        assert _strategy_content(workdir / "b" / name) == _strategy_content(workdir / "a" / name), name
 
 
 # sha256 of the simulate exports (300 episodes, default seed) in the modes
