@@ -166,7 +166,8 @@ def cmd_synth(args) -> int:
     _write_json(out / "winning_regions.json", regions_to_json(result.cache))
     _write_export(out / "improvement_mdp.dot", improvement_mdp_to_dot, result.improvement_mdp)
     print(
-        f"product: {product.n_states()} states; spi defined on {len(result.spi.actions)}, "
+        f"product: {product.n_states()} states ({len(product.decided)} decided); "
+        f"spi defined on {len(result.spi.actions)}, "
         f"sasi defined on {len(result.sasi.actions)}",
         file=sys.stderr,
     )

@@ -69,6 +69,10 @@ class PreferenceDfa(Record):
     reads only these), and ``rows[q][k]`` (built on first use, for the
     exports alone) is the successor of state ``q`` on ``symbols[k]``;
     ``position`` maps each symbol to its ``k``.
+
+    A state is *decided* when every component sits at an absorbing state,
+    its accepting ``true`` or its rejecting ``false`` sink: every letter then
+    maps the state to itself, so its node can no longer change.
     """
 
     spec: PreferenceSpec
@@ -83,6 +87,7 @@ class PreferenceDfa(Record):
     final: frozenset
     graph: PreferenceGraph
     node_of_state: dict  # final state index -> node id
+    decided: frozenset  # states at which every component is absorbing
 
     @cached_property
     def rows(self) -> tuple:
@@ -189,6 +194,9 @@ def build_preference_dfa(
             states.append(tuple(code // w % r for w, r in zip(weights, radices)))
             frontier.append(j)
 
+    absorbing = [{i for i, row in enumerate(d.rows) if row.count(i) == len(row)} for d in components]
+    decided = frozenset(q for q, tup in enumerate(states) if all(map(set.__contains__, absorbing, tup)))
+
     # Final states (some component accepts) grouped by their MP set.
     groups: dict = {}
     for i, tup in enumerate(states):
@@ -220,6 +228,7 @@ def build_preference_dfa(
         final=frozenset(node_of_state),
         graph=PreferenceGraph(nodes=nodes, edges=edges),
         node_of_state=node_of_state,
+        decided=decided,
     )
 
 

@@ -23,11 +23,14 @@ successors changes MP class, and builds a routed one only for the others.
 ``pwin`` is one backward search over a predecessor index built per solve.
 ``aswin`` decides the strongly connected components of the support graph
 one at a time, sinks first (``scc_order``): a single state in one step, a
-larger component by the alternating fixpoint on its own rows.  The
-product's order serves every ``aswin`` of a synthesis, since the improvement
-MDP and the verifier's chain only drop product edges and add edges into one
-target sink.  A region's strategy is derived when first read; only
-``synthesize`` and the composite policy read strategies.
+larger component by the alternating fixpoint on its own rows.  A product
+state at a decided preference-DFA state keeps its MP class on every path,
+so it is settled without search: it wins exactly the nodes it is a member
+of and never improves.  One SCC order over the other states serves every
+solve of a synthesis, since the improvement MDP and the verifier's chain
+only drop product edges and add edges into one target sink.  A region's
+strategy is derived when first read; only ``synthesize`` and the composite
+policy read strategies.
 
 The improvement relation is filled in once per product, right after the
 per-node solves, as a table over the states' most-preferred node sets.
@@ -137,6 +140,13 @@ class ProductMdp(Record):
         return {(v, a): self.dist(v, a) for v, row in self.rows.items() for a in row}
 
     @cached_property
+    def decided(self) -> frozenset:
+        """The states at a decided DFA state (``PreferenceDfa.decided``), whose
+        successors all keep that DFA state and with it the MP class."""
+        decided = self.pdfa.decided
+        return frozenset(v for v, (_, q) in enumerate(self.state_pairs) if q in decided)
+
+    @cached_property
     def state_ids(self) -> list:
         """v -> the id the exports give state v, ``<mdp state>#q<dfa state>``."""
         names = self.mdp.states
@@ -228,18 +238,25 @@ class SccOrder(NamedTuple):
     roots: list  # one state per component, in order
     members: dict  # root -> tuple of its component's states, for components of two or more
 
+    def states(self):
+        """Every state of the order, component by component."""
+        members = self.members
+        return chain.from_iterable(members.get(v, (v,)) for v in self.roots)
+
 
 _DONE = sys.maxsize  # the DFS number of a state whose component is emitted
 
 
-def scc_order(rows: dict) -> SccOrder:
+def scc_order(rows: dict, skip=()) -> SccOrder:
     """Tarjan's algorithm over the support rows' edges, without recursion.
 
     A component is emitted once every component it can reach has been, so
     the emission order is the order ``aswin`` sweeps.  A state whose
     component is emitted takes the number ``_DONE``, which lowers no lowlink.
+    The states of ``skip`` start with it, so the order leaves them out; no
+    edge may lead from them to a state outside ``skip``.
     """
-    num, low = {}, {}  # state -> DFS number, lowlink
+    num, low = dict.fromkeys(skip, _DONE), {}  # state -> DFS number, lowlink
     stack, roots, members = [], [], {}
     for start in rows:
         if start in num:
@@ -312,11 +329,11 @@ class WinningRegion(Record):
         return _closer(rows, target, _layers(preds, target & region, allowed), allowed)
 
 
-def _preds(rows: dict) -> dict:
-    """state -> [(predecessor, action)] over the rows' edges."""
+def _preds(rows: dict, sources) -> dict:
+    """state -> [(predecessor, action)] over the edges of the ``sources``' rows."""
     preds = {s: [] for s in rows}
-    for s, row in rows.items():
-        for a, succ in row.items():
+    for s in sources:
+        for a, succ in rows[s].items():
             for t in succ:
                 preds[t].append((s, a))
     return preds
@@ -381,16 +398,20 @@ def _component_region(rows: dict, win: set, group) -> set:
                 allowed[s].discard(a)
 
 
-def pwin(rows: dict, target) -> WinningRegion:
+def pwin(rows: dict, target, order: SccOrder = None) -> WinningRegion:
     """Positive-probability reachability over support rows: one backward BFS.
 
     The strategy, derived on first read like every region's, keeps every
     action with a successor strictly closer to the target, so any tie-break
     of it witnesses positive reachability.
+
+    With ``order``, only its states' edges are indexed: as for ``aswin``, a
+    state of ``rows`` outside the order must win iff it is in the target.
     """
     target = frozenset(target)
-    allowed = {s: () if s in target else row for s, row in rows.items()}
-    dist = _layers(_preds(rows), [s for s in target if s in rows], allowed)
+    # A target state starts at distance 0, so its own row is never read.
+    dist = _layers(_preds(rows, rows if order is None else order.states()),
+                   [s for s in target if s in rows], rows)
     return WinningRegion("positive", target, frozenset(dist), rows)
 
 
@@ -407,9 +428,10 @@ def aswin(rows: dict, target, order: SccOrder = None) -> WinningRegion:
     ``order`` defaults to ``scc_order(rows)``.  The order of a model whose
     edges include these rows' edges serves as well: where one of its
     components holds several of the rows' components they are solved
-    together, and its states missing from ``rows`` are skipped.  States of
-    ``rows`` outside it must have empty rows, like the ``improved`` target
-    state of the improvement MDP and of the verifier's chain.
+    together, and its states missing from ``rows`` are skipped.  A state of
+    ``rows`` outside it wins iff it is in the target, like the ``improved``
+    target state of the improvement MDP and of the verifier's chain, and
+    the decided states that ``ImprovementCache.order`` leaves out.
     """
     target = frozenset(target)
     if order is None:
@@ -446,8 +468,11 @@ def aswin(rows: dict, target, order: SccOrder = None) -> WinningRegion:
 class ImprovementCache:
     """Per-product facts shared by the improvement machinery, computed once.
 
-    ``order`` is the product's SCC order, which every ``aswin`` on the
-    product or a model derived from it sweeps.  ``aswin_by_node`` holds the
+    ``order`` is the SCC order of the product's undecided states, which
+    every solve on the product or a model derived from it sweeps.  A decided
+    state (``ProductMdp.decided``) reaches only states with its DFA state, so
+    it wins node X iff it is one of X's members, never improves and is in
+    no strategy's domain: no solve visits it.  ``aswin_by_node`` holds the
     per-node almost-sure regions.  Every product state's most-preferred (MP)
     node set, worked out once per distinct z-set (the nodes whose region holds
     the state), is interned into a class id in the order the states first
@@ -458,7 +483,7 @@ class ImprovementCache:
 
     def __init__(self, product: ProductMdp):
         self.product = pm = product
-        self.order = scc_order(pm.rows)
+        self.order = scc_order(pm.rows, pm.decided)
         self.aswin_by_node = {  # node id -> WinningRegion
             node_id: aswin(pm.rows, members, self.order)
             for node_id, members in sorted(pm.node_members.items())
@@ -539,7 +564,8 @@ class ImprovementMdp(Record):
 
     cache: ImprovementCache
     # v -> {kept action: (successors, improving ones as ``cache.improved``)};
-    # the product's own tuple where no successor changes MP class
+    # the product's own tuple where no successor changes MP class, and the
+    # product's own row dict at a decided state
     rows: dict
     dead: frozenset  # product states with no enabled action
 
@@ -561,8 +587,9 @@ def build_improvement_mdp(cache: ImprovementCache) -> ImprovementMdp:
     # where is_improvement would cost two calls per edge.
     pm, cls, improves = cache.product, cache.mp_class, cache.improves
     improved = cache.improved
-    rows = {improved: {}}
-    for v in range(improved):
+    rows = dict(pm.rows)  # a decided state keeps the product's row dict
+    rows[improved] = {}
+    for v in cache.order.states():
         c = cls[v]
         up = improves[c]
         rows[v] = row = {}
@@ -622,7 +649,7 @@ def synthesize(pm: ProductMdp) -> SynthesisResult:
     return SynthesisResult(
         cache=cache,
         improvement_mdp=im,
-        spi=Strategy("spi", pwin(im.rows, target).strategy),
+        spi=Strategy("spi", pwin(im.rows, target, cache.order).strategy),
         sasi=Strategy("sasi", aswin(im.rows, target, cache.order).strategy),
     )
 

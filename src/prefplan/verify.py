@@ -182,7 +182,8 @@ def check_strategy_conditions(strategy: Strategy, mode: str, cache: ImprovementC
     if mode == "spi":
         region = pwin(chain.rows, target).region
     else:
-        # The chain's edges are product edges plus those into the target.
+        # The chain's edges are product edges plus those into the target.  A
+        # decided domain state, outside the order, loses: it never improves.
         region = aswin(chain.rows, target, cache.order).region
     stuck = tuple(v for v in sorted(strategy.actions) if v not in region)
     condition_a = not stuck

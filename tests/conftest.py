@@ -109,6 +109,22 @@ WIDE_PREF_DOC = {
 }
 
 
+# Outcomes F p, F q and F (p & q), the last strictly better than F p, over a
+# seeded random MDP with cycles (``recurrent_mdp``): its 180-state product has
+# strongly connected components of up to 36 states, some of which the
+# almost-sure solve shrinks over several passes, and SPI (126 states) and SASI
+# (20) are both non-empty.
+RECURRENT_PREF_DOC = {
+    "atoms": ["p", "q"],
+    "outcomes": [
+        {"name": "P", "formula": "F p"},
+        {"name": "Q", "formula": "F q"},
+        {"name": "PQ", "formula": "F (p & q)"},
+    ],
+    "preferences": [{"kind": "strict", "better": "PQ", "worse": "P"}],
+}
+
+
 # Probabilities are drawn from a coarse grid so reachability values stay far
 # from the classification thresholds of the qualitative solvers.
 DIST_SHAPES = [
@@ -237,6 +253,15 @@ def classify_word(pdfa, word):
     state.  Classification only strengthens under extensions because
     component accepting states are absorbing."""
     return pdfa.node_of_state.get(run_dfa(pdfa, word))
+
+
+def recurrent_mdp():
+    return random_mdp(17, n_states=40, atoms=("p", "q"), label_density=0.15, trap_fraction=0.1)
+
+
+def recurrent_product():
+    atoms, spec = load_preference_document(RECURRENT_PREF_DOC)
+    return build_product(recurrent_mdp(), build_preference_dfa(spec, atoms))
 
 
 def random_product(seed, n_states=20, shapes=DIST_SHAPES):

@@ -18,7 +18,15 @@ from prefplan import cli
 from prefplan.cli import main
 from prefplan.mdp import load_mdp, mdp_to_json
 
-from conftest import BUNDLES, THREE_STATE_PREF_DOC, WIDE_PREF_DOC, random_mdp, three_state_mdp_doc
+from conftest import (
+    BUNDLES,
+    RECURRENT_PREF_DOC,
+    THREE_STATE_PREF_DOC,
+    WIDE_PREF_DOC,
+    random_mdp,
+    recurrent_mdp,
+    three_state_mdp_doc,
+)
 
 PO1_PREF = str(BUNDLES / "po1" / "preferences.json")
 PO1_GRID4 = str(BUNDLES / "po1" / "gridworld_battery4.json")
@@ -464,31 +472,16 @@ def test_pipeline_exports_pinned(workdir, grid):
     assert _digests(workdir / "art", PIPELINE_SHA256[grid]) == PIPELINE_SHA256[grid]
 
 
-# Outcomes F p, F q and F (p & q), the last strictly better than F p, over a
-# seeded random MDP with cycles: its 180-state product has strongly connected
-# components of up to 36 states, some of which the almost-sure solve shrinks
-# over several passes, and SPI (126 states) and SASI (20) are both non-empty.
-RECURRENT_PREF_DOC = {
-    "atoms": ["p", "q"],
-    "outcomes": [
-        {"name": "P", "formula": "F p"},
-        {"name": "Q", "formula": "F q"},
-        {"name": "PQ", "formula": "F (p & q)"},
-    ],
-    "preferences": [{"kind": "strict", "better": "PQ", "worse": "P"}],
-}
-
-
 def _recurrent_inputs(workdir):
-    mdp = random_mdp(17, n_states=40, atoms=("p", "q"), label_density=0.15, trap_fraction=0.1)
-    (workdir / "recurrent.json").write_text(json.dumps(mdp_to_json(mdp)))
+    (workdir / "recurrent.json").write_text(json.dumps(mdp_to_json(recurrent_mdp())))
     (workdir / "pq.json").write_text(json.dumps(RECURRENT_PREF_DOC))
     return "recurrent.json", "pq.json"
 
 
 # sha256 of the synth, verify and simulate (300 episodes, default seed)
-# exports on the recurrent model above, recorded while each multi-state
-# component was solved on a copy of its rows; a change here changes bytes.
+# exports on ``conftest.recurrent_mdp`` under ``RECURRENT_PREF_DOC``, recorded
+# while each multi-state component was solved on a copy of its rows; a change
+# here changes bytes.
 RECURRENT_SHA256 = {
     "episodes.csv": "88128e7f1c1f06c92900c355f805dbb3d0a4481f23d9d2bdd5dfa865c8646972",
     "improvement_mdp.dot": "879876991efa22c75e2adaace45211066f4f1cd1c106215265dddaee62e33a59",
@@ -700,6 +693,33 @@ def test_verify_given_strategy_needs_no_synthesis(workdir, grid):
                 assert run("--out", str(out), "verify", mdp_path, pref, "--strategy", strategy) == 0
                 assert _digests(out, ["verify_report.json"]) == {"verify_report.json": digest}
     assert not synth.called
+
+
+# sha256 of verify_report.json for the po2 bundle's SPI and SASI files with
+# the decided state c0r2b2#q2 (action East) added to the domain, recorded
+# while every solve still visited the decided states.  That state reaches
+# only its own DFA state, so it never improves and is stuck in both modes.
+DECIDED_STUCK_SHA256 = {
+    "spi": "89cc5a68afab59a48b30fbc23b1643f3ad0cffddb0745af2db3ff9bf43a0fcb6",
+    "sasi": "5bf70cba206d3c0493f88d55ff2af6d70738051f38966adb6995209b34172d0a",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DECIDED_STUCK_SHA256))
+def test_verify_given_strategy_with_a_decided_state(workdir, mode, po2_b4):
+    pm = po2_b4[4]
+    assert pm.state_ids.index("c0r2b2#q2") in pm.decided
+    assert run("--out", "g", "gridworld", PO2_GRID4) == 0
+    mdp_path = str(workdir / "g" / "mdp.json")
+    assert run("--out", "s", "synth", mdp_path, PO2_PREF) == 0
+    doc = json.loads((workdir / "s" / f"strategy_{mode}.json").read_text())
+    doc["entries"].append({"state": "c0r2b2#q2", "actions": ["East"]})
+    strategy = workdir / "with_decided.json"
+    strategy.write_text(json.dumps(doc))
+    assert run("--out", "v", "verify", mdp_path, PO2_PREF, "--strategy", str(strategy)) == 2
+    report = json.loads((workdir / "v" / "verify_report.json").read_text())[mode]
+    assert report["stuck_states"] == ["c0r2b2#q2"]
+    assert _digests(workdir / "v", ["verify_report.json"]) == {"verify_report.json": DECIDED_STUCK_SHA256[mode]}
 
 
 def test_gridworld_roundtrip(workdir):

@@ -21,7 +21,7 @@ import prefplan.verify as verify
 import reference_solvers
 from prefplan.synthesis import MdpView, aswin, scc_order, synthesize
 
-from conftest import random_mdp, random_product
+from conftest import random_mdp, random_product, recurrent_product
 from reference_solvers import support_rows, view_of_mdp
 
 BUNDLES = ["po1_b2", "po1_b4", "po2_b4"]
@@ -76,12 +76,12 @@ def check_synthesize(pm):
     improvement = reference_solvers.improvement_view(pm, result.cache)
     check_against(calls, lambda target: improvement if target == sink else product)
     # One aswin per node, then pwin and aswin on the improvement MDP; every
-    # aswin sweeps the product's SCC order.
+    # solve sweeps the SCC order of the product's undecided states.
     nodes = sorted(pm.node_members.items())
     order = result.cache.order
     assert [(slow, target, o) for slow, target, _, o in calls] == [
         *((reference_solvers.aswin, members, order) for _, members in nodes),
-        (reference_solvers.pwin, sink, None),
+        (reference_solvers.pwin, sink, order),
         (reference_solvers.aswin, sink, order),
     ]
 
@@ -124,6 +124,10 @@ def test_random_product_solves_match_reference(seed):
 @pytest.mark.parametrize("bundle", BUNDLES)
 def test_bundle_solves_match_reference(bundle, request):
     check_synthesize(request.getfixturevalue(bundle)[4])
+
+
+def test_recurrent_solves_match_reference():
+    check_synthesize(recurrent_product())
 
 
 @pytest.mark.parametrize("bundle", BUNDLES)

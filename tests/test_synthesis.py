@@ -1,11 +1,13 @@
 """Product construction, qualitative solvers, and improving-strategy synthesis."""
 
 import gc
+import importlib.util
+import json
 
 import pytest
 
 import reference_solvers
-from prefplan.mdp import load_mdp
+from prefplan.mdp import build_gridworld, gridworld_config_from_json, load_mdp
 from prefplan.prefdfa import build_preference_dfa
 from prefplan.preferences import load_preference_document
 from prefplan.synthesis import (
@@ -27,11 +29,16 @@ from prefplan.synthesis import (
 from prefplan.verify import value_iteration
 
 from conftest import (
+    BUNDLES,
+    RECURRENT_PREF_DOC,
     THREE_STATE_PREF_DOC,
+    WIDE_PREF_DOC,
     dead_start_product,
     index_of,
     random_mdp,
     random_product,
+    read_bundle_json,
+    recurrent_product,
     render,
     run_dfa,
     three_state_mdp_doc,
@@ -364,6 +371,8 @@ def test_rows_are_shared_tuples_the_collector_skips(source, request):
                 shared += 1
             else:
                 assert routed is not successors
+    # A decided state keeps the product's row dict itself.
+    assert all(im.rows[v] is pm.rows[v] for v in pm.decided)
     if isinstance(source, str):
         assert 0 < shared < sum(map(len, im.rows.values()))
 
@@ -625,3 +634,67 @@ def test_improvement_table_matches_definition(source, request):
             improving += expected
     if isinstance(source, str):
         assert improving > 0
+
+
+# ---------------------------------------------------------------------------
+# Decided states
+# ---------------------------------------------------------------------------
+
+
+def letter_fixed_points(pdfa):
+    """The preference-DFA states that every letter maps to themselves."""
+    return frozenset(q for q, row in enumerate(pdfa.rows) if row.count(q) == len(row))
+
+
+@pytest.mark.parametrize(
+    "doc, n_decided",
+    [
+        (read_bundle_json("po1/preferences.json"), 1),
+        (read_bundle_json("po2/preferences.json"), 15),
+        (WIDE_PREF_DOC, 4),
+        (RECURRENT_PREF_DOC, 1),
+    ],
+    ids=["po1", "po2", "wide", "recurrent"],
+)
+def test_decided_states_are_those_every_letter_fixes(doc, n_decided):
+    # The component rule (every component DFA at an absorbing state) marks
+    # exactly the states whose every successor is the state itself.
+    atoms, spec = load_preference_document(doc)
+    pdfa = build_preference_dfa(spec, atoms)
+    assert pdfa.decided == letter_fixed_points(pdfa)
+    assert len(pdfa.decided) == n_decided
+
+
+def ladder_po2_product(tmp_path):
+    """The product of the benchmark's ladder-po2 workload at seed 0."""
+    spec = importlib.util.spec_from_file_location("workloads", BUNDLES.parents[2] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    paths = workloads.generate("ladder-po2", 0, tmp_path, BUNDLES)
+    atoms, pref = load_preference_document(json.loads(paths["preferences"].read_text()))
+    config = gridworld_config_from_json(json.loads(paths["config"].read_text()))
+    return build_product(build_gridworld(config), build_preference_dfa(pref, atoms))
+
+
+@pytest.mark.parametrize(
+    "source, n_decided, n_states",
+    [("po1_b2", 0, 25), ("po1_b4", 0, 96), ("po2_b4", 60, 107), ("recurrent", 40, 180), ("ladder-po2", 2119, 3162)],
+)
+def test_decided_product_states_are_left_out_of_the_order(source, n_decided, n_states, request, tmp_path):
+    if source == "recurrent":
+        pm = recurrent_product()
+    elif source == "ladder-po2":
+        pm = ladder_po2_product(tmp_path)
+    else:
+        pm = request.getfixturevalue(source)[4]
+    assert (len(pm.decided), pm.n_states()) == (n_decided, n_states)
+    fixed = letter_fixed_points(pm.pdfa)
+    assert pm.decided == {v for v, (_, q) in enumerate(pm.state_pairs) if q in fixed}
+    # A decided state reaches only states at its own DFA state ...
+    pairs = pm.state_pairs
+    for v in pm.decided:
+        assert all(pairs[w][1] == pairs[v][1] for succ in pm.rows[v].values() for w in succ)
+    # ... so the one SCC order every solve sweeps holds the other states.
+    order = aswin_by_node(pm).order
+    states = list(order.states())
+    assert len(states) == len(set(states)) and set(states) == set(range(n_states)) - pm.decided
