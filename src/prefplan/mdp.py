@@ -72,32 +72,38 @@ def load_mdp(doc: dict) -> LabeledMdp:
     "actions": [...], "transitions": [{"from", "action", "to":
     [{"state", "prob"}]}], "initial": [{"state", "prob"}]}.
 
-    State ids are unique and labels name declared atoms; a transition names
-    declared states and action, once per pair, with finite, non-negative
-    probabilities that sum to one within ``PROB_TOL``; every state has an
-    action; the initial distribution sums to one likewise.  An entry of
-    probability 0 is not an edge: once checked, it is dropped.
+    State ids, atoms and actions are each listed once, and labels name
+    declared atoms; a transition names declared states and action, once per
+    pair, with finite, non-negative probabilities that sum to one within
+    ``PROB_TOL``; every state has an action; the initial distribution names
+    each state once and sums to one likewise.  An entry of probability 0 is
+    not an edge: once checked, it is dropped.
     """
     atoms, state_entries, actions, transition_entries, initial_entries = json_fields(
         doc, "MDP document", MdpError,
         {"atoms": STRINGS, "states": list, "actions": STRINGS, "transitions": list, "initial": list},
     )
     try:
+        def index(names, what):  # name -> position; a name listed twice is a fault
+            positions = {}
+            for i, name in enumerate(names):
+                if positions.setdefault(name, i) != i:
+                    raise MdpError(f"duplicate {what}s: {name!r}")
+            return positions
+
         states = tuple(entry["id"] for entry in state_entries)
         labels = tuple(entry.get("label", []) for entry in state_entries)
         # A number would pass as an id and a string as a set of atoms; _check_entries names the field.
         if any(sid.__class__ is not str for sid in states) or any(x.__class__ is not list for x in labels):
             raise TypeError("a state id must be a string and its label a list")
         labels = tuple(map(frozenset, labels))  # a list or object in a label is unhashable
-        state_index = {sid: i for i, sid in enumerate(states)}
-        if len(state_index) != len(states):
-            raise MdpError("duplicate state ids")
-        atom_set = frozenset(atoms)
+        state_index = index(states, "state id")
+        atom_set = frozenset(index(atoms, "atom"))
         for sid, label in zip(states, labels):
             if not label <= atom_set:
                 # A label that is not all strings fails sorted(); _check_entries names it.
                 raise MdpError(f"state {sid!r} labeled with undeclared atoms {sorted(label - atom_set)}")
-        action_index = {a: i for i, a in enumerate(actions)}
+        action_index = index(actions, "action")
 
         def resolve_state(sid):
             if sid not in state_index:
@@ -158,6 +164,7 @@ def load_mdp(doc: dict) -> LabeledMdp:
                 raise MdpError(f"distribution at ({entry['from']!r},{entry['action']!r}) sums to {total}")
             row[a] = tuple(pairs)
         initial = tuple(map(weighted, initial_entries))
+        index([states[t] for t, _ in initial], "initial state")
 
         for s, sid in enumerate(states):
             if not rows[s]:

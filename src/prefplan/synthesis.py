@@ -15,22 +15,23 @@ successors)}``, which is all qualitative reachability depends on.  Each model
 builds its rows in the loop that visits its edges anyway, and keeps no other
 copy of them: ``build_product``, which walks the MDP's per-state rows
 (``ProductMdp.dist`` pairs its rows with their probabilities), the
-improvement MDP's one pass and the verifier's chain.
-Every row is a tuple of ints, so the garbage collector stops tracking it, and
-then its state's row dict, at the first full collection that sees them.  The
-improvement MDP keeps the product's own tuple for every action none of whose
-successors changes MP class, and builds a routed one only for the others.
-``pwin`` is one backward search over a predecessor index built per solve.
-``aswin`` decides the strongly connected components of the support graph
-one at a time, sinks first (``scc_order``): a single state in one step, a
-larger component by the alternating fixpoint on its own rows.  A product
-state at a decided preference-DFA state keeps its MP class on every path,
-so it is settled without search: it wins exactly the nodes it is a member
-of and never improves.  One SCC order over the other states serves every
-solve of a synthesis, since the improvement MDP and the verifier's chain
-only drop product edges and add edges into one target sink.  A region's
-strategy is derived when first read; only ``synthesize`` and the composite
-policy read strategies.
+improvement MDP's one pass and the verifier's chain.  Every row is a tuple
+of ints, so the garbage collector stops tracking it, and then its state's
+row dict, at the first full collection that sees them.  The improvement MDP
+keeps the product's own tuple for every action none of whose successors
+changes MP class, and builds a routed one only for the others.
+
+A solve builds one predecessor index, over only the edges it searches.
+``pwin`` is one backward search whose distances give its strategy; ``aswin``
+decides the strongly connected components of the support graph one at a
+time, sinks first (``scc_order``): a single state in one step, a larger
+component by the alternating fixpoint on its own rows.  A product state at
+a decided preference-DFA state keeps its MP class on every path, so no
+solve visits it: it wins exactly the nodes it is a member of and never
+improves.  One SCC order over the other states serves every solve of a
+synthesis and both of the verifier's chain solves, since those models only
+drop product edges and add edges into one target sink.  Only ``synthesize``
+and the composite policy read strategies, each on first read.
 
 The improvement relation is filled in once per product, right after the
 per-node solves, as a table over the states' most-preferred node sets.
@@ -301,41 +302,37 @@ class WinningRegion(Record):
 
     ``strategy`` maps each region state outside the target to the actions
     that step strictly closer to the target, by breadth-first distance over
-    the allowed actions: all actions for ``pwin``, those whose successors all
-    stay in the region for ``aswin``.  Only the composite policy reads the
-    per-node strategies, so ``synth`` and ``verify`` never compute them.
+    the allowed actions: all actions for ``pwin``, whose search left its
+    distances in ``dist``, and for ``aswin`` those whose successors all stay
+    in the region.  Only the composite policy reads the per-node strategies.
     """
 
-    kind: str  # "almost-sure" | "positive"
     target: frozenset
     region: frozenset
     rows: dict = field(repr=False, compare=False)  # the solved model's support rows
+    dist: dict = field(default=None, repr=False, compare=False)  # pwin's: state -> distance
 
     @cached_property
     def strategy(self) -> dict:
         """state -> frozenset of actions, for the region's states outside the target."""
-        rows, target, region = self.rows, self.target, self.region
-        # Only edges between region states can lie on a path to the target.
-        allowed, preds = {}, {s: [] for s in region}
-        for s in region - target:
-            row = rows[s]
-            allowed[s] = row if self.kind == "positive" else [
-                a for a, succ in row.items() if all(t in region for t in succ)
-            ]
-            for a in allowed[s]:
-                for t in row[a]:
-                    if t in region:
-                        preds[t].append((s, a))
-        return _closer(rows, target, _layers(preds, target & region, allowed), allowed)
+        rows, target, region, dist = self.rows, self.target, self.region, self.dist
+        if dist is not None:
+            return _closer(rows, target, dist, rows)
+        allowed = {s: [a for a, succ in rows[s].items() if all(t in region for t in succ)] for s in region - target}
+        return _closer(rows, target, _layers(_preds(rows, allowed.items()), target & region, allowed), allowed)
 
 
-def _preds(rows: dict, sources) -> dict:
-    """state -> [(predecessor, action)] over the edges of the ``sources``' rows."""
-    preds = {s: [] for s in rows}
-    for s in sources:
-        for a, succ in rows[s].items():
-            for t in succ:
-                preds[t].append((s, a))
+def _preds(rows: dict, allowed) -> dict:
+    """t -> [(s, a)] over ``rows[s][a]`` for each (s, actions) pair of
+    ``allowed`` and each of its actions; a state no such edge reaches has no entry."""
+    preds = {}
+    entry = preds.setdefault
+    for s, actions in allowed:
+        row = rows[s]
+        for a in actions:
+            edge = s, a
+            for t in row[a]:
+                entry(t, []).append(edge)
     return preds
 
 
@@ -346,7 +343,7 @@ def _layers(preds: dict, goal, allowed: dict) -> dict:
     while frontier:
         nxt = []
         for t in frontier:
-            for s, a in preds[t]:
+            for s, a in preds.get(t, ()):
                 if s not in dist and a in allowed[s]:
                     dist[s] = dist[t] + 1
                     nxt.append(s)
@@ -358,11 +355,7 @@ def _closer(rows: dict, target, dist: dict, allowed: dict) -> dict:
     """Per state at a positive distance, the allowed actions with a successor
     one step closer."""
     return {
-        s: frozenset(
-            a
-            for a in allowed[s]
-            if any(dist.get(t, -1) == dist[s] - 1 for t in rows[s][a])
-        )
+        s: frozenset(a for a in allowed[s] if any(dist.get(t, -1) == dist[s] - 1 for t in rows[s][a]))
         for s in sorted(dist.keys() - target)
     }
 
@@ -375,18 +368,17 @@ def _component_region(rows: dict, win: set, group) -> set:
     pass drops the states that cannot reach the exits into ``win`` under
     the allowed actions and disables every action leading into them."""
     region = {s for s in group if s not in win}
-    allowed = {s: set() for s in region}
-    preds = {s: [] for s in region}  # and each exit into ``win`` -> [(s, a)]
+    allowed = {}
     for s in region:
+        allowed[s] = actions = set()
         for a, succ in rows[s].items():
             for t in succ:
                 if t not in region and t not in win:
                     break  # a losing successor
             else:
-                allowed[s].add(a)
-                for t in succ:
-                    preds.setdefault(t, []).append((s, a))
-    goal = preds.keys() - region
+                actions.add(a)
+    preds = _preds(rows, allowed.items())
+    goal = preds.keys() - region  # the exits into ``win``
     while True:
         bad = region.difference(_layers(preds, goal, allowed))
         if not bad:
@@ -394,25 +386,25 @@ def _component_region(rows: dict, win: set, group) -> set:
         region -= bad
         for t in bad:
             allowed[t].clear()
-            for s, a in preds[t]:
+            for s, a in preds.get(t, ()):
                 allowed[s].discard(a)
 
 
 def pwin(rows: dict, target, order: SccOrder = None) -> WinningRegion:
     """Positive-probability reachability over support rows: one backward BFS.
 
-    The strategy, derived on first read like every region's, keeps every
-    action with a successor strictly closer to the target, so any tie-break
-    of it witnesses positive reachability.
+    The region keeps the search's distances, and its strategy, read off them
+    on first read, keeps every action with a successor strictly closer to
+    the target, so any tie-break of it witnesses positive reachability.
 
-    With ``order``, only its states' edges are indexed: as for ``aswin``, a
-    state of ``rows`` outside the order must win iff it is in the target.
+    With ``order``, only the edges of its states in ``rows`` are indexed (an
+    order state missing from ``rows`` is skipped): as for ``aswin``, a state
+    of ``rows`` outside the order must win iff it is in the target.
     """
     target = frozenset(target)
-    # A target state starts at distance 0, so its own row is never read.
-    dist = _layers(_preds(rows, rows if order is None else order.states()),
-                   [s for s in target if s in rows], rows)
-    return WinningRegion("positive", target, frozenset(dist), rows)
+    sources = rows.items() if order is None else ((s, rows[s]) for s in order.states() if s in rows)
+    dist = _layers(_preds(rows, sources), [s for s in target if s in rows], rows)
+    return WinningRegion(target, frozenset(dist), rows, dist)
 
 
 def aswin(rows: dict, target, order: SccOrder = None) -> WinningRegion:
@@ -457,7 +449,7 @@ def aswin(rows: dict, target, order: SccOrder = None) -> WinningRegion:
                 if leaves:  # a self-loop only delays leaving
                     win.add(v)
                     break
-    return WinningRegion("almost-sure", target, frozenset(win), rows)
+    return WinningRegion(target, frozenset(win), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -178,13 +178,9 @@ def check_strategy_conditions(strategy: Strategy, mode: str, cache: ImprovementC
 
     chain = build_induced_chain(strategy, cache)
     condition_b = not chain.regressing
-    target = {cache.improved}
-    if mode == "spi":
-        region = pwin(chain.rows, target).region
-    else:
-        # The chain's edges are product edges plus those into the target.  A
-        # decided domain state, outside the order, loses: it never improves.
-        region = aswin(chain.rows, target, cache.order).region
+    # The chain's edges are product edges plus those into the target.  A
+    # decided domain state, outside the order, loses: it never improves.
+    region = (pwin if mode == "spi" else aswin)(chain.rows, {cache.improved}, cache.order).region
     stuck = tuple(v for v in sorted(strategy.actions) if v not in region)
     condition_a = not stuck
 

@@ -49,13 +49,14 @@ def load_mdp(doc: dict) -> ReferenceMdp:
         if any(sid.__class__ is not str for sid in states) or any(x.__class__ is not list for x in labels):
             raise TypeError("a state id must be a string and its label a list")
         labels = tuple(map(frozenset, labels))
+        _listed_once(states, "state id")
         state_index = {sid: i for i, sid in enumerate(states)}
-        if len(state_index) != len(states):
-            raise MdpError("duplicate state ids")
+        _listed_once(atoms, "atom")
         atom_set = frozenset(atoms)
         for sid, label in zip(states, labels):
             if not label <= atom_set:
                 raise MdpError(f"state {sid!r} labeled with undeclared atoms {sorted(label - atom_set)}")
+        _listed_once(actions, "action")
         action_index = {a: i for i, a in enumerate(actions)}
 
         def resolve_state(sid):
@@ -93,6 +94,7 @@ def load_mdp(doc: dict) -> ReferenceMdp:
                 raise MdpError(f"distribution at ({entry['from']!r},{entry['action']!r}) sums to {total}")
             transitions[(s, a)] = dist
         initial = tuple(map(weighted, initial_entries))
+        _listed_once([states[t] for t, _ in initial], "initial state")
 
         defined = {s for s, _ in transitions}
         for s, sid in enumerate(states):
@@ -111,6 +113,15 @@ def load_mdp(doc: dict) -> ReferenceMdp:
         _check_entries(state_entries, transition_entries, initial_entries)
         raise
     return ReferenceMdp(tuple(atoms), states, tuple(actions), labels, transitions, initial)
+
+
+def _listed_once(names, what):
+    """Raise an MdpError naming the first name listed a second time."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise MdpError(f"duplicate {what}s: {name!r}")
+        seen.add(name)
 
 
 def _check_entries(state_entries, transition_entries, initial_entries):

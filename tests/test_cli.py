@@ -196,9 +196,12 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
          "malformed gridworld config: invalid proposition name: 'A\"b'"),
         ("gridworld", {**PO1_GRID4_DOC, "regions": {"true": [[1, 0]]}},
          "malformed gridworld config: proposition name collides with keyword: 'true'"),
-        ("synth", _replace(_mdp_doc(), "states", 1, id="s"), "duplicate state ids"),
+        ("synth", _replace(_mdp_doc(), "states", 1, id="s"), "duplicate state ids: 's'\n"),
         ("synth", _replace(_mdp_doc(), "transitions", 0, action="b"), "reference to undeclared action 'b'"),
         ("synth", _replace(_mdp_doc(), "transitions", 1, **{"from": "s"}), "duplicate transition for ('s','a')"),
+        ("synth", {**_mdp_doc(), "actions": ["a", "a"]}, "duplicate actions: 'a'\n"),
+        ("synth", _mdp_doc(atoms=("A", "B", "A")), "duplicate atoms: 'A'\n"),
+        ("synth", _mdp_doc(initial=(("s", 0.5), ("s", 0.5))), "duplicate initial states: 's'\n"),
         ("gridworld", {**PO1_GRID4_DOC, "width": 0}, "malformed gridworld config: grid dimensions must be positive"),
         ("gridworld", {**PO1_GRID4_DOC, "drift": [{"cell": [1, 3], "directions": ["North"]}]},
          "malformed gridworld config: drift cell (1, 3) is an obstacle"),
@@ -252,7 +255,8 @@ def _mdp_doc(atoms=(), prob=1.0, initial=(("s", 1.0),)):
         "grid-width-fraction", "grid-height-fraction", "grid-battery-fraction",
         "grid-start-bool", "grid-start-strings", "grid-obstacle-short", "grid-drift-cell-bool",
         "grid-region-int", "grid-region-cell-3d", "grid-region-not-atom", "grid-region-keyword",
-        "mdp-duplicate-state", "mdp-undeclared-action", "mdp-duplicate-transition", "grid-width-zero",
+        "mdp-duplicate-state", "mdp-undeclared-action", "mdp-duplicate-transition",
+        "mdp-duplicate-action", "mdp-duplicate-atom", "mdp-initial-twice", "grid-width-zero",
         "grid-drift-on-obstacle", "grid-drift-no-directions", "pref-duplicate-outcome",
         "mdp-initial-inf", "mdp-initial-empty", "mdp-to-empty", "mdp-sum-half", "mdp-prob-negative",
         "mdp-prob-inf", "mdp-label-undeclared", "mdp-state-no-action",
@@ -564,6 +568,33 @@ def _strategy_content(path):
     return doc["mode"], entries, set(doc["undefined_states"])
 
 
+def _redrawn(doc, seed):
+    """The MDP document with the probabilities of each ``to`` list drawn
+    anew: every positive one stays positive, every zero stays zero, and
+    each list still sums to one."""
+    rng = random.Random(seed)
+    transitions = []
+    for t in doc["transitions"]:
+        weights = [rng.uniform(0.05, 1.0) if successor["prob"] > 0 else 0.0 for successor in t["to"]]
+        total = sum(weights)
+        to = [{**successor, "prob": w / total} for successor, w in zip(t["to"], weights)]
+        transitions.append({**t, "to": to})
+    return {**doc, "transitions": transitions}
+
+
+def _supports(rows):
+    """Per MDP state, each action's successors, without their probabilities."""
+    return [{a: [t for t, _ in dist] for a, dist in row.items()} for row in rows]
+
+
+def _model_inputs(workdir, model):
+    """(MDP path, preference path) of a pipeline bundle or the recurrent model."""
+    if model == "recurrent":
+        return _recurrent_inputs(workdir)
+    assert run("--out", "g", "gridworld", str(BUNDLES / model)) == 0
+    return "g/mdp.json", str(BUNDLES / model.split("/")[0] / "preferences.json")
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("model", [*sorted(PIPELINE_SHA256), "recurrent"])
 def test_solutions_do_not_depend_on_document_order(workdir, model, seed):
@@ -571,11 +602,7 @@ def test_solutions_do_not_depend_on_document_order(workdir, model, seed):
     # each component's member order, but no region or strategy content.
     # Strategy entries follow the product numbering, so only their order
     # may change.
-    if model == "recurrent":
-        mdp_path, pref = _recurrent_inputs(workdir)
-    else:
-        assert run("--out", "g", "gridworld", str(BUNDLES / model)) == 0
-        mdp_path, pref = "g/mdp.json", str(BUNDLES / model.split("/")[0] / "preferences.json")
+    mdp_path, pref = _model_inputs(workdir, model)
     doc = json.loads((workdir / mdp_path).read_text())
     (workdir / "shuffled.json").write_text(json.dumps(_shuffled(doc, seed)))
     assert run("--out", "a", "synth", mdp_path, pref) == 0
@@ -584,6 +611,25 @@ def test_solutions_do_not_depend_on_document_order(workdir, model, seed):
     assert _digests(workdir / "b", names) == _digests(workdir / "a", names)
     for name in ("strategy_spi.json", "strategy_sasi.json"):
         assert _strategy_content(workdir / "b" / name) == _strategy_content(workdir / "a" / name), name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("model", [*sorted(PIPELINE_SHA256), "recurrent"])
+def test_solutions_depend_only_on_supports(workdir, model, seed):
+    # Qualitative reachability reads only which successors have positive
+    # probability: redrawn probabilities over the same supports must give
+    # the pinned regions, strategies and verify report byte for byte.
+    mdp_path, pref = _model_inputs(workdir, model)
+    doc = json.loads((workdir / mdp_path).read_text())
+    redrawn = _redrawn(doc, seed)
+    original, drawn = load_mdp(doc).rows, load_mdp(redrawn).rows
+    assert drawn != original and _supports(drawn) == _supports(original)
+    (workdir / "redrawn.json").write_text(json.dumps(redrawn))
+    assert run("--out", "b", "synth", "redrawn.json", pref) == 0
+    assert run("--out", "b", "verify", "redrawn.json", pref) == 0
+    names = ["strategy_sasi.json", "strategy_spi.json", "verify_report.json", "winning_regions.json"]
+    pinned = RECURRENT_SHA256 if model == "recurrent" else PIPELINE_SHA256[model]
+    assert _digests(workdir / "b", names) == {name: pinned[name] for name in names}
 
 
 # sha256 of the simulate exports (300 episodes, default seed) in the modes

@@ -9,7 +9,7 @@ oracle or its test generator then fails here, not silently.
 import pytest
 
 import prefplan.synthesis as synthesis
-from prefplan.synthesis import ImprovementMdp, ProductMdp
+from prefplan.synthesis import ImprovementMdp, ProductMdp, WinningRegion
 
 from conftest import recurrent_product
 from test_solver_differential import check_synthesize
@@ -37,6 +37,20 @@ def one_pass_component_region(rows, win, group):
     return region.intersection(synthesis._layers(preds, preds.keys() - region, allowed))
 
 
+def preds_without_last_action(rows, allowed, preds=synthesis._preds):
+    """``_preds`` that leaves out each state's last handed action."""
+    return preds(rows, ((s, list(actions)[:-1]) for s, actions in allowed))
+
+
+def region_with_one_state_further(target, region, rows, dist=None):
+    """``WinningRegion`` whose ``pwin`` distances put the lowest state at
+    distance one a step further out."""
+    if dist is not None:
+        dist = dict(dist)
+        dist[min(s for s, d in dist.items() if d == 1)] += 1
+    return WinningRegion(target, region, rows, dist)
+
+
 def unguarded_improvement_mdp(cache):
     """``build_improvement_mdp`` without the regression guard: every product
     action is kept, its improving successors routed to the target."""
@@ -62,5 +76,17 @@ def test_one_pass_component_fixpoint_fails_check_synthesize(monkeypatch):
 
 def test_improvement_mdp_without_regression_guard_fails_check_synthesize(monkeypatch, po2_b4):
     monkeypatch.setattr(synthesis, "build_improvement_mdp", unguarded_improvement_mdp)
+    with pytest.raises(AssertionError):
+        check_synthesize(po2_b4[4])
+
+
+def test_preds_without_last_action_fails_check_synthesize(monkeypatch, po2_b4):
+    monkeypatch.setattr(synthesis, "_preds", preds_without_last_action)
+    with pytest.raises(AssertionError):
+        check_synthesize(po2_b4[4])
+
+
+def test_pwin_distance_one_step_further_fails_check_synthesize(monkeypatch, po2_b4):
+    monkeypatch.setattr(synthesis, "WinningRegion", region_with_one_state_further)
     with pytest.raises(AssertionError):
         check_synthesize(po2_b4[4])
